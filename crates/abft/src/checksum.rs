@@ -13,7 +13,7 @@
 //! is bilinear these telescopes agree with the sums over `C` exactly (up to
 //! floating-point rounding, handled by [`crate::threshold`]).
 
-use gpu_sim::{Matrix, Scalar};
+use gpu_sim::{Scalar, ScratchBuf};
 use serde::{Deserialize, Serialize};
 
 /// The three checksum scalars protecting one accumulator tile.
@@ -41,13 +41,16 @@ impl<T: Scalar> ChecksumTriple<T> {
     pub fn from_tile(acc: &[T], rows: usize, cols: usize) -> Self {
         debug_assert_eq!(acc.len(), rows * cols);
         let mut t = Self::zero();
-        for i in 0..rows {
+        let mut wc = ScratchBuf::<T, 256>::filled(cols, T::ZERO);
+        for (j, w) in wc.iter_mut().enumerate() {
+            *w = T::from_usize(j + 1);
+        }
+        for (i, row) in acc.chunks_exact(cols.max(1)).enumerate() {
             let wr = T::from_usize(i + 1);
-            for j in 0..cols {
-                let v = acc[i * cols + j];
+            for (&v, &w) in row.iter().zip(wc.iter()) {
                 t.s11 += v;
                 t.s21 += wr * v;
-                t.s12 += T::from_usize(j + 1) * v;
+                t.s12 += w * v;
             }
         }
         t
@@ -81,53 +84,12 @@ impl<T: Scalar> ChecksumTriple<T> {
     }
 }
 
-/// `e1ᵀ X` — column sums of a matrix (checksum row, Eq. 3).
-pub fn encode_col_sums<T: Scalar>(x: &Matrix<T>) -> Vec<T> {
-    let mut out = vec![T::ZERO; x.cols()];
-    for r in 0..x.rows() {
-        for (c, slot) in out.iter_mut().enumerate() {
-            *slot += x.get(r, c);
-        }
-    }
-    out
-}
-
-/// `e2ᵀ X` — row-index weighted column sums (weights 1..=rows).
-pub fn encode_weighted_col_sums<T: Scalar>(x: &Matrix<T>) -> Vec<T> {
-    let mut out = vec![T::ZERO; x.cols()];
-    for r in 0..x.rows() {
-        let w = T::from_usize(r + 1);
-        for (c, slot) in out.iter_mut().enumerate() {
-            *slot += w * x.get(r, c);
-        }
-    }
-    out
-}
-
-/// `Y e1` — row sums of a matrix (checksum column, Eq. 4).
-pub fn encode_row_sums<T: Scalar>(y: &Matrix<T>) -> Vec<T> {
-    (0..y.rows())
-        .map(|r| y.row(r).iter().copied().sum())
-        .collect()
-}
-
-/// `Y e2` — column-index weighted row sums (weights 1..=cols).
-pub fn encode_weighted_row_sums<T: Scalar>(y: &Matrix<T>) -> Vec<T> {
-    (0..y.rows())
-        .map(|r| {
-            y.row(r)
-                .iter()
-                .enumerate()
-                .map(|(c, &v)| T::from_usize(c + 1) * v)
-                .sum()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpu_sim::matrix::gemm_abt_reference;
+    use gpu_sim::warp::frag_col_sums;
+    use gpu_sim::Matrix;
 
     #[test]
     fn triple_from_tile_small() {
@@ -163,15 +125,14 @@ mod tests {
 
     #[test]
     fn encodings_match_definitions() {
+        // The input encodings e1ᵀX and e2ᵀX (Eq. 3–4) are fragment column
+        // sums; B fragments hold rows of Y, so Ye1 and Ye2 are too.
         let x = Matrix::<f32>::from_fn(3, 2, |r, c| (r * 2 + c) as f32);
         // cols: [0,1],[2,3],[4,5]
-        assert_eq!(encode_col_sums(&x), vec![6.0, 9.0]);
-        assert_eq!(
-            encode_weighted_col_sums(&x),
-            vec![0.0 + 4.0 + 12.0, 1.0 + 6.0 + 15.0]
-        );
-        assert_eq!(encode_row_sums(&x), vec![1.0, 5.0, 9.0]);
-        assert_eq!(encode_weighted_row_sums(&x), vec![2.0, 8.0, 14.0]);
+        let (mut e1, mut e2) = ([0.0f32; 2], [0.0f32; 2]);
+        frag_col_sums(x.as_slice(), &mut e1, Some(&mut e2));
+        assert_eq!(e1, [6.0, 9.0]);
+        assert_eq!(e2, [0.0 + 4.0 + 12.0, 1.0 + 6.0 + 15.0]);
     }
 
     #[test]

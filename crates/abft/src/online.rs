@@ -10,6 +10,15 @@
 //! faults can strike the checksums themselves; the state machine handles
 //! that case by re-baselining (under the single-event-upset assumption a
 //! located failure in the checksum implies a clean payload).
+//!
+//! The work is split in two: [`gpu_sim::warp::frag_col_sums`] reduces a
+//! fragment to its per-column input sums in one pass, and
+//! [`WarpOnlineState::fold`] folds a slab's sums into one warp's reference
+//! with three k-deep checksum dots ([`gpu_sim::mma::checksum_dot`]). The
+//! tensor kernel computes each fragment's sums once per k-slab and shares
+//! them across the warps that consume that fragment, in stack scratch with
+//! no heap allocation per slab; [`WarpOnlineState::accumulate`] composes
+//! the two steps for a single warp.
 
 use crate::checksum::ChecksumTriple;
 use crate::correct::correct_in_place;
@@ -17,9 +26,9 @@ use crate::detect::compare;
 use crate::locate::{locate, Located};
 use crate::threshold::ThresholdPolicy;
 use gpu_sim::counters::EventSink;
-use gpu_sim::mma::{FaultHook, FragmentMma, MmaSite};
-use gpu_sim::warp::{frag_col_sum, frag_col_weighted_sum};
-use gpu_sim::Scalar;
+use gpu_sim::mma::{checksum_dot, FaultHook, MmaSite};
+use gpu_sim::warp::frag_col_sums;
+use gpu_sim::{Scalar, ScratchBuf};
 
 /// Whether the state machine corrects in place or only detects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +68,6 @@ pub struct WarpOnlineState<T> {
     policy: ThresholdPolicy,
     mode: OnlineMode,
     last_verified_k: usize,
-    dot: FragmentMma,
 }
 
 impl<T: Scalar> WarpOnlineState<T> {
@@ -72,7 +80,6 @@ impl<T: Scalar> WarpOnlineState<T> {
             policy,
             mode,
             last_verified_k: 0,
-            dot: FragmentMma::new::<T>(1, 1),
         }
     }
 
@@ -87,12 +94,9 @@ impl<T: Scalar> WarpOnlineState<T> {
     }
 
     /// Accumulate the checksum contribution of one K-slab from the warp's
-    /// register fragments (`a_frag`: `wm x kk`, `b_frag`: `wn x kk`).
-    ///
-    /// The per-column input sums run on CUDA cores; the three dot products
-    /// run as tensor-core MMAs through `hook` (so they are themselves
-    /// corruptible — the paper's fault model does not exempt checksum
-    /// computation).
+    /// register fragments (`a_frag`: `wm x kk`, `b_frag`: `wn x kk`): the
+    /// input sums of both fragments ([`frag_col_sums`]) folded into the
+    /// reference by [`fold`](Self::fold).
     pub fn accumulate<H: FaultHook<T> + ?Sized, C: EventSink + ?Sized>(
         &mut self,
         a_frag: &[T],
@@ -104,39 +108,44 @@ impl<T: Scalar> WarpOnlineState<T> {
     ) {
         debug_assert_eq!(a_frag.len(), self.wm * kk);
         debug_assert_eq!(b_frag.len(), self.wn * kk);
-        // Input sums (Fig. 6 lines 15-18): e1ᵀA, e2ᵀA, Be1, Be2 per column.
-        let mut a1 = vec![T::ZERO; kk];
-        let mut a2 = vec![T::ZERO; kk];
-        let mut b1 = vec![T::ZERO; kk];
-        let mut b2 = vec![T::ZERO; kk];
-        for k in 0..kk {
-            a1[k] = frag_col_sum(a_frag, self.wm, kk, k);
-            b1[k] = frag_col_sum(b_frag, self.wn, kk, k);
-            if self.mode == OnlineMode::DetectCorrect {
-                a2[k] = frag_col_weighted_sum(a_frag, self.wm, kk, k);
-                b2[k] = frag_col_weighted_sum(b_frag, self.wn, kk, k);
-            }
-        }
-        counters.add_ft_cuda((2 * (self.wm + self.wn) * kk) as u64);
+        let weighted = self.mode == OnlineMode::DetectCorrect;
+        let mut sums = ScratchBuf::<T, 256>::filled(4 * kk, T::ZERO);
+        let (a, b) = sums.split_at_mut(2 * kk);
+        let ((a1, a2), (b1, b2)) = (a.split_at_mut(kk), b.split_at_mut(kk));
+        frag_col_sums(a_frag, a1, weighted.then_some(&mut *a2));
+        frag_col_sums(b_frag, b1, weighted.then_some(&mut *b2));
+        self.fold([a1, a2], [b1, b2], site, hook, counters);
+    }
 
+    /// Fold one K-slab's input sums (Fig. 6 lines 15–18) into the reference
+    /// checksums: `a` of the warp's `wm`-row A fragment, `b` of its `wn`-row
+    /// B fragment, each `[plain, weighted]` with one entry per K column
+    /// (`e1ᵀ·frag` and `e2ᵀ·frag`; `weighted` is not read in
+    /// [`OnlineMode::DetectOnly`]).
+    ///
+    /// The input sums are charged as this warp's CUDA-core work even when
+    /// the caller shares one fragment's sums between warps; the three dot
+    /// products run as tensor-core MMAs through `hook` (so they are
+    /// themselves corruptible — the paper's fault model does not exempt
+    /// checksum computation).
+    pub fn fold<H: FaultHook<T> + ?Sized, C: EventSink + ?Sized>(
+        &mut self,
+        [a1, a2]: [&[T]; 2],
+        [b1, b2]: [&[T]; 2],
+        site: MmaSite,
+        hook: &H,
+        counters: &C,
+    ) {
+        counters.add_ft_cuda((2 * (self.wm + self.wn) * a1.len()) as u64);
         let cs_site = MmaSite {
             is_checksum: true,
             ..site
         };
-        // s11 += Σ_k a1[k]·b1[k]  (one tensor-core dot per product)
-        let mut acc11 = [self.reference.s11];
-        self.dot
-            .mma(&mut acc11, &a1, &b1, kk, cs_site, hook, counters);
-        self.reference.s11 = acc11[0];
+        let r = &mut self.reference;
+        checksum_dot(&mut r.s11, a1, b1, cs_site, hook, counters);
         if self.mode == OnlineMode::DetectCorrect {
-            let mut acc21 = [self.reference.s21];
-            self.dot
-                .mma(&mut acc21, &a2, &b1, kk, cs_site, hook, counters);
-            self.reference.s21 = acc21[0];
-            let mut acc12 = [self.reference.s12];
-            self.dot
-                .mma(&mut acc12, &a1, &b2, kk, cs_site, hook, counters);
-            self.reference.s12 = acc12[0];
+            checksum_dot(&mut r.s21, a2, b1, cs_site, hook, counters);
+            checksum_dot(&mut r.s12, a1, b2, cs_site, hook, counters);
         }
     }
 
@@ -254,7 +263,7 @@ impl<T: Scalar> WarpOnlineState<T> {
 mod tests {
     use super::*;
     use gpu_sim::counters::Counters;
-    use gpu_sim::mma::NoFault;
+    use gpu_sim::mma::{FragmentMma, NoFault};
     use gpu_sim::Precision;
 
     const WM: usize = 4;

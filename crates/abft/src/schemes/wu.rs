@@ -17,7 +17,8 @@ use crate::online::CheckOutcome;
 use crate::threshold::ThresholdPolicy;
 use gpu_sim::counters::EventSink;
 use gpu_sim::shared::SharedTile;
-use gpu_sim::{Precision, Scalar};
+use gpu_sim::warp::frag_col_sums;
+use gpu_sim::{Precision, Scalar, ScratchBuf};
 
 /// Threadblock-level online ABFT state for Wu's scheme.
 #[derive(Debug, Clone)]
@@ -61,23 +62,24 @@ impl<T: Scalar> WuBlockState<T> {
         kk: usize,
         counters: &C,
     ) {
-        debug_assert!(kk <= a_tile.cols());
+        debug_assert!(kk <= a_tile.cols() && kk <= b_tile.cols());
+        // Column sums (plain, then weighted) of the tile's first `rows` rows.
+        let sums = |t: &SharedTile<T>, rows: usize| {
+            let cols = t.cols();
+            let mut s = ScratchBuf::<T, 128>::filled(2 * cols, T::ZERO);
+            let (plain, weighted) = s.split_at_mut(cols);
+            frag_col_sums(
+                &t.as_slice()[..rows.min(t.rows()) * cols],
+                plain,
+                Some(weighted),
+            );
+            s
+        };
+        let (a, b) = (sums(a_tile, self.tb_m), sums(b_tile, self.tb_n));
+        let (ca, cb) = (a_tile.cols(), b_tile.cols());
         for k in 0..kk {
-            let mut a1 = T::ZERO;
-            let mut a2 = T::ZERO;
-            for r in 0..self.tb_m.min(a_tile.rows()) {
-                let v = a_tile.get(r, k);
-                a1 += v;
-                a2 += T::from_usize(r + 1) * v;
-            }
-            let mut b1 = T::ZERO;
-            let mut b2 = T::ZERO;
-            for r in 0..self.tb_n.min(b_tile.rows()) {
-                let v = b_tile.get(r, k);
-                b1 += v;
-                b2 += T::from_usize(r + 1) * v;
-            }
-            self.reference.accumulate_rank1(a1, a2, b1, b2);
+            self.reference
+                .accumulate_rank1(a[k], a[ca + k], b[k], b[cb + k]);
         }
         counters.add_ft_cuda((2 * (self.tb_m + self.tb_n) * kk + 6 * kk) as u64);
         counters.add_barrier(); // block-wide reduction sync

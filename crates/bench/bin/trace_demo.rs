@@ -40,8 +40,8 @@ fn main() {
         fit_sink.len()
     );
 
-    // 2. Serve storm through the global sink (the dispatcher thread has no
-    //    thread-local override), scraping the metrics registry afterwards.
+    // 2. Serve storm into its own sink (the server's session carries it to
+    //    the dispatcher thread), scraping the metrics registry afterwards.
     let serve_m = env_usize("FTK_BENCH_SERVE_M", 16384);
     let session = Session::new(DeviceProfile::a100());
     let registry = ModelRegistry::new();
@@ -54,9 +54,8 @@ fn main() {
             .with_predict_policy(PredictPolicy::Int8),
     );
     let serve_sink = Arc::new(RecordingSink::default());
-    trace::install_global(Arc::clone(&serve_sink) as Arc<dyn trace::TraceSink>);
     let server = Server::new(
-        session,
+        session.with_trace_sink(Arc::clone(&serve_sink) as Arc<dyn trace::TraceSink>),
         registry,
         ServerConfig {
             max_batch_rows: 4096,
@@ -77,7 +76,6 @@ fn main() {
     });
     let metrics = server.metrics_text();
     drop(server);
-    trace::uninstall_global();
 
     // 3. Exports: one merged Chrome trace (serve tracks offset past the
     //    fit's so the two workloads land on distinct timeline rows), the

@@ -205,20 +205,27 @@ fn dot_block<T: Scalar, const W: usize>(crow: &mut [T], at: &[T], bt: &[T], wn: 
     }
 }
 
-/// A scalar checksum MMA: `acc += a * b` on a tensor core (the paper uses a
-/// single `mma.sync` for each of the three checksum products, Fig. 6 lines
-/// 22–24). Counted as one checksum MMA.
-pub fn checksum_mma<T: Scalar, H: FaultHook<T> + ?Sized, C: EventSink + ?Sized>(
+/// One checksum product on a tensor core (Fig. 6 lines 22–24):
+/// `acc += Σ_k a[k]·b[k]` over a `kk = a.len()`-deep slab, with TF32 inputs
+/// for `f32`. The sum runs from zero in ascending `k` and is then added to
+/// `acc`, the order of a 1×1 [`FragmentMma::mma`], so the result is bit for
+/// bit the same. It costs that MMA's `mma.sync` count, charged as checksum
+/// MMAs, and passes through `hook` like every MMA.
+pub fn checksum_dot<T: Scalar, H: FaultHook<T> + ?Sized, C: EventSink + ?Sized>(
     acc: &mut T,
-    a: T,
-    b: T,
+    a: &[T],
+    b: &[T],
     site: MmaSite,
     hook: &H,
     counters: &C,
 ) {
-    let mut tile = [*acc];
-    tile[0] += a.to_tf32() * b.to_tf32();
-    counters.add_ft_mma(1);
+    debug_assert_eq!(a.len(), b.len());
+    let mut sum = T::ZERO;
+    for (&x, &y) in a.iter().zip(b) {
+        sum += x.to_tf32() * y.to_tf32();
+    }
+    let mut tile = [*acc + sum];
+    counters.add_ft_mma(FragmentMma::new::<T>(1, 1).hw_mma_count(a.len()));
     hook.post_mma(&site, &mut tile, 1);
     *acc = tile[0];
 }
@@ -355,13 +362,13 @@ mod tests {
     }
 
     #[test]
-    fn checksum_mma_counts_separately() {
+    fn checksum_dot_counts_separately() {
         let c = Counters::new();
         let mut acc = 1.0f64;
-        checksum_mma(
+        checksum_dot(
             &mut acc,
-            2.0,
-            3.0,
+            &[2.0; 5],
+            &[3.0; 5],
             MmaSite {
                 is_checksum: true,
                 ..site()
@@ -369,9 +376,10 @@ mod tests {
             &NoFault,
             &c,
         );
-        assert_eq!(acc, 7.0);
+        assert_eq!(acc, 31.0);
         let s = c.snapshot();
-        assert_eq!(s.ft_mma_ops, 1);
+        // 5 deep at the FP64 MMA K of 4: two mma.sync.
+        assert_eq!(s.ft_mma_ops, 2);
         assert_eq!(s.mma_ops, 0);
     }
 

@@ -4,19 +4,20 @@
 use crate::scalar::Scalar;
 use crate::shared::SharedTile;
 
-/// Load a `wm x kk` A-fragment (rows `row0..row0+wm` of the shared A tile at
-/// columns `k0..k0+kk`) into `frag`, row-major. Rows beyond the tile are
-/// zero-filled (edge tiles). Each in-bounds row is one contiguous slice copy
-/// (`ldmatrix` moves whole rows, not scalars).
-pub fn load_a_fragment<T: Scalar>(
+/// Load a `rows x kk` register fragment (rows `row0..row0+rows` of a shared
+/// tile at columns `k0..k0+kk`: samples for A, centroids for B) into
+/// `frag`, row-major. Rows beyond the tile are zero-filled (edge tiles).
+/// Each in-bounds row is one contiguous slice copy (`ldmatrix` moves whole
+/// rows, not scalars).
+pub fn load_fragment<T: Scalar>(
     tile: &SharedTile<T>,
     row0: usize,
     k0: usize,
-    wm: usize,
+    rows: usize,
     kk: usize,
     frag: &mut [T],
 ) {
-    debug_assert_eq!(frag.len(), wm * kk);
+    debug_assert_eq!(frag.len(), rows * kk);
     if kk == 0 {
         return;
     }
@@ -32,40 +33,28 @@ pub fn load_a_fragment<T: Scalar>(
     }
 }
 
-/// Load a `wn x kk` B-fragment (rows of the shared B tile = centroids).
-pub fn load_b_fragment<T: Scalar>(
-    tile: &SharedTile<T>,
-    row0: usize,
-    k0: usize,
-    wn: usize,
-    kk: usize,
-    frag: &mut [T],
-) {
-    load_a_fragment(tile, row0, k0, wn, kk, frag);
-}
-
-/// Warp reduction: plain sum over a fragment's rows at one k column —
-/// computes `e1ᵀ·frag[:,k]` (Fig. 6 line 15/16). `frag` is `rows x kk`
-/// row-major.
-pub fn frag_col_sum<T: Scalar>(frag: &[T], rows: usize, kk: usize, k: usize) -> T {
-    debug_assert!(k < kk);
-    let mut s = T::ZERO;
-    for i in 0..rows {
-        s += frag[i * kk + k];
+/// Warp reduction: the input checksums of a row-major fragment of
+/// `kk = plain.len()` columns in one row-major pass: `plain[k] = e1ᵀ·frag[:,k]`
+/// (Fig. 6 lines 15/16) and, when given, `weighted[k] = e2ᵀ·frag[:,k] =
+/// Σ_i (i+1)·frag[i,k]` (lines 17/18, the paper's `e2 = [1, 2, …, n]`). Each
+/// column adds its rows in ascending order, bit for bit a column-at-a-time
+/// reduction.
+pub fn frag_col_sums<T: Scalar>(frag: &[T], plain: &mut [T], mut weighted: Option<&mut [T]>) {
+    plain.fill(T::ZERO);
+    if let Some(w) = weighted.as_deref_mut() {
+        w.fill(T::ZERO);
     }
-    s
-}
-
-/// Warp reduction: index-weighted sum `Σ_i (i+1)·frag[i,k]` — computes
-/// `e2ᵀ·frag[:,k]` (Fig. 6 line 17/18). Weights start at 1 as in the paper's
-/// `e2 = [1, 2, …, n]`.
-pub fn frag_col_weighted_sum<T: Scalar>(frag: &[T], rows: usize, kk: usize, k: usize) -> T {
-    debug_assert!(k < kk);
-    let mut s = T::ZERO;
-    for i in 0..rows {
-        s += T::from_usize(i + 1) * frag[i * kk + k];
+    for (i, row) in frag.chunks_exact(plain.len().max(1)).enumerate() {
+        for (s, &v) in plain.iter_mut().zip(row) {
+            *s += v;
+        }
+        if let Some(w) = weighted.as_deref_mut() {
+            let wi = T::from_usize(i + 1);
+            for (s, &v) in w.iter_mut().zip(row) {
+                *s += wi * v;
+            }
+        }
     }
-    s
 }
 
 /// Sum of all elements of a `wm x wn` accumulator tile (`e1ᵀ C e1`).
@@ -114,7 +103,7 @@ mod tests {
     fn fragment_load_in_bounds() {
         let t = tile_3x4();
         let mut frag = vec![0.0f64; 2 * 2];
-        load_a_fragment(&t, 1, 1, 2, 2, &mut frag);
+        load_fragment(&t, 1, 1, 2, 2, &mut frag);
         assert_eq!(frag, vec![5.0, 6.0, 9.0, 10.0]);
     }
 
@@ -122,7 +111,7 @@ mod tests {
     fn fragment_load_zero_pads_edges() {
         let t = tile_3x4();
         let mut frag = vec![7.0f64; 2 * 2];
-        load_a_fragment(&t, 2, 3, 2, 2, &mut frag);
+        load_fragment(&t, 2, 3, 2, 2, &mut frag);
         assert_eq!(frag, vec![11.0, 0.0, 0.0, 0.0]);
     }
 
@@ -130,11 +119,14 @@ mod tests {
     fn column_sums() {
         // frag rows = [1,2], [3,4], [5,6] ; kk = 2
         let frag = vec![1.0f64, 2.0, 3.0, 4.0, 5.0, 6.0];
-        assert_eq!(frag_col_sum(&frag, 3, 2, 0), 9.0);
-        assert_eq!(frag_col_sum(&frag, 3, 2, 1), 12.0);
+        let (mut plain, mut weighted) = ([7.0f64; 2], [7.0f64; 2]);
+        frag_col_sums(&frag, &mut plain, Some(&mut weighted));
+        assert_eq!(plain, [9.0, 12.0]);
         // weighted: 1*1 + 2*3 + 3*5 = 22 ; 1*2 + 2*4 + 3*6 = 28
-        assert_eq!(frag_col_weighted_sum(&frag, 3, 2, 0), 22.0);
-        assert_eq!(frag_col_weighted_sum(&frag, 3, 2, 1), 28.0);
+        assert_eq!(weighted, [22.0, 28.0]);
+        let mut plain_only = [7.0f64; 2];
+        frag_col_sums(&frag, &mut plain_only, None);
+        assert_eq!(plain_only, plain);
     }
 
     #[test]

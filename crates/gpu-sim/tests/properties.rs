@@ -2,8 +2,74 @@
 
 use gpu_sim::atomics::ArgminStore;
 use gpu_sim::matrix::gemm_abt_reference;
-use gpu_sim::{AsyncPipeline, CopyPath, Counters, GlobalBuffer, Matrix, Scalar};
+use gpu_sim::mma::checksum_dot;
+use gpu_sim::warp::frag_col_sums;
+use gpu_sim::{
+    AsyncPipeline, CopyPath, Counters, FragmentMma, GlobalBuffer, Matrix, MmaSite, NoFault, Scalar,
+};
 use proptest::prelude::*;
+
+/// A value spread over many binades, so sums in different orders round
+/// differently: hash `(seed, i)` to a mantissa in [-1, 1) scaled by 2^e,
+/// e in [-8, 8).
+fn spread(seed: u64, i: usize) -> f64 {
+    let mut z = seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    let mantissa = (z >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+    mantissa * 2f64.powi((z & 15) as i32 - 8)
+}
+
+/// The single-pass fragment sums equal a column-at-a-time reduction, and
+/// the k-deep checksum dot equals a 1x1 `FragmentMma` slab, bit for bit and
+/// in the counters they charge.
+fn sums_and_dot_match<T: Scalar>(rows: usize, kk: usize, seed: u64) {
+    let frag: Vec<T> = (0..rows * kk)
+        .map(|i| T::from_f64(spread(seed, i)))
+        .collect();
+    let (mut plain, mut weighted) = (vec![T::ZERO; kk], vec![T::ZERO; kk]);
+    frag_col_sums(&frag, &mut plain, Some(&mut weighted));
+    let mut plain_only = vec![T::ZERO; kk];
+    frag_col_sums(&frag, &mut plain_only, None);
+    for k in 0..kk {
+        let (mut s, mut sw) = (T::ZERO, T::ZERO);
+        for i in 0..rows {
+            s += frag[i * kk + k];
+            sw += T::from_usize(i + 1) * frag[i * kk + k];
+        }
+        assert_eq!(
+            plain[k].to_raw_u64(),
+            s.to_raw_u64(),
+            "plain sum, column {k}"
+        );
+        assert_eq!(
+            plain_only[k].to_raw_u64(),
+            s.to_raw_u64(),
+            "plain-only sum, column {k}"
+        );
+        assert_eq!(
+            weighted[k].to_raw_u64(),
+            sw.to_raw_u64(),
+            "weighted sum, column {k}"
+        );
+    }
+
+    let site = MmaSite {
+        block: (0, 0),
+        warp: 0,
+        k_step: 0,
+        is_checksum: true,
+    };
+    let start = T::from_f64(spread(seed, usize::MAX));
+    let (c_dot, c_mma) = (Counters::new(), Counters::new());
+    let mut got = start;
+    checksum_dot(&mut got, &weighted, &plain, site, &NoFault, &c_dot);
+    let mut want = [start];
+    FragmentMma::new::<T>(1, 1).mma(&mut want, &weighted, &plain, kk, site, &NoFault, &c_mma);
+    assert_eq!(got.to_raw_u64(), want[0].to_raw_u64(), "checksum dot");
+    assert_eq!(c_dot.snapshot(), c_mma.snapshot(), "checksum dot counters");
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -108,6 +174,18 @@ proptest! {
             let rel = ((t - x) / x).abs();
             prop_assert!(rel <= 2.0f32.powi(-10), "rel err {rel} for {x}");
         }
+    }
+
+    /// Fragment input sums and checksum dots are bitwise the reference
+    /// reductions at every fragment shape up to 64 x 64.
+    #[test]
+    fn checksum_sums_and_dot_match_reference_bitwise(
+        rows in 1usize..65,
+        kk in 1usize..65,
+        seed in 0u64..u64::MAX,
+    ) {
+        sums_and_dot_match::<f32>(rows, kk, seed);
+        sums_and_dot_match::<f64>(rows, kk, seed);
     }
 
     /// Raw-u64 round trip for both scalar widths.

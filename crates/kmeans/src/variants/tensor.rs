@@ -11,7 +11,10 @@
 //! 3. with FT enabled, input checksums are folded from the *register
 //!    fragments* (lines 15–18 — no extra memory traffic, which is why the
 //!    scheme survives `cp.async`) and three checksum MMAs accumulate the
-//!    protected sums (lines 22–24),
+//!    protected sums (lines 22–24). Each fragment's sums are computed once
+//!    per k-slab, in one pass into stack scratch (no heap allocation per
+//!    slab), and shared by every warp that consumes the fragment; each
+//!    warp is still charged its own CUDA-core adds,
 //! 4. every `DETECT_INTERVAL_K` steps and at the loop end the accumulator
 //!    is verified and, for FT K-means, corrected in place via location
 //!    encoding (lines 25–31),
@@ -25,7 +28,7 @@
 
 use crate::assign::AssignmentResult;
 use crate::device_data::DeviceData;
-use abft::online::{CheckOutcome, WarpOnlineState};
+use abft::online::{CheckOutcome, OnlineMode, WarpOnlineState};
 use abft::schemes::ftkmeans::FtKMeansScheme;
 use abft::schemes::kosaian::KosaianScheme;
 use abft::schemes::wu::WuBlockState;
@@ -34,7 +37,7 @@ use fault::CampaignStats;
 use gpu_sim::atomics::ArgminStore;
 use gpu_sim::mma::{shapes, FaultHook, FragmentMma, MmaSite};
 use gpu_sim::timing::TileConfig;
-use gpu_sim::warp::{load_a_fragment, load_b_fragment};
+use gpu_sim::warp::{frag_col_sums, load_fragment};
 use gpu_sim::{
     launch_grid_labeled, AsyncPipeline, CopyPath, Counters, DeviceProfile, Dim3, LaunchConfig,
     Precision, Scalar, ScratchBuf, SimError,
@@ -187,6 +190,21 @@ pub fn tensor_assign<T: Scalar>(
 
         let mut a_frag = ScratchBuf::<T, 1024>::filled(tile.wm * mma_k, T::ZERO);
         let mut b_frag = ScratchBuf::<T, 1024>::filled(tile.wn * mma_k, T::ZERO);
+        // Input sums of every warp row's A fragments and every warp
+        // column's B fragments across one k-tile: `sums[f*tb_k + k]` for
+        // fragment row `f` (A rows first, then B), `wsums` the weighted
+        // ones (skipped by detection-only states).
+        let weighted = warp_states
+            .as_ref()
+            .is_some_and(|st| st[0].mode() == OnlineMode::DetectCorrect);
+        let n_sums = if warp_states.is_some() {
+            (warps_m + warps_n) * tile.tb_k
+        } else {
+            0
+        };
+        let mut sums = ScratchBuf::<T, 256>::filled(n_sums, T::ZERO);
+        let mut wsums = ScratchBuf::<T, 256>::filled(n_sums, T::ZERO);
+        let mut ledger = CampaignStats::default();
 
         for kt in 0..n_ktiles {
             // Prefetch the tile k_stages-1 ahead (Fig. 4 lines 13-14).
@@ -224,12 +242,32 @@ pub fn tensor_assign<T: Scalar>(
                 );
             }
 
+            // Input checksums (Fig. 6 lines 15-18), once per fragment: the
+            // staged tiles hold every warp's fragments for this k-tile
+            // (tb_k is a multiple of the MMA K, so fragments are never
+            // zero-padded), and a fragment row's column sums over the
+            // whole tile are its fragments' sums side by side.
+            if n_sums > 0 {
+                let parts = [
+                    (pipeline.a(stage), tile.wm, 0),
+                    (pipeline.b(stage), tile.wn, warps_m),
+                ];
+                for (src, rows, f0) in parts {
+                    let run = rows * tile.tb_k;
+                    for (f, frag) in src.as_slice().chunks_exact(run).enumerate() {
+                        let at = (f0 + f) * tile.tb_k..(f0 + f + 1) * tile.tb_k;
+                        let w = weighted.then(|| &mut wsums[at.clone()]);
+                        frag_col_sums(frag, &mut sums[at], w);
+                    }
+                }
+            }
+
             // Warp MMA main loop (Fig. 4 lines 15-17).
             for wi in 0..warps_m {
                 for kk0 in (0..tile.tb_k).step_by(mma_k) {
                     // The A fragment depends only on (wi, kk0): load it once
                     // and share it across this warp row's column warps.
-                    load_a_fragment(
+                    load_fragment(
                         pipeline.a(stage),
                         wi * tile.wm,
                         kk0,
@@ -240,7 +278,7 @@ pub fn tensor_assign<T: Scalar>(
                     for wj in 0..warps_n {
                         let warp_id = wi * warps_n + wj;
                         let acc = &mut accs[warp_id * wsize..(warp_id + 1) * wsize];
-                        load_b_fragment(
+                        load_fragment(
                             pipeline.b(stage),
                             wj * tile.wn,
                             kk0,
@@ -256,14 +294,12 @@ pub fn tensor_assign<T: Scalar>(
                         };
                         exec.mma(acc, &a_frag, &b_frag, mma_k, site, hook, ctx.counters);
                         if let Some(states) = warp_states.as_mut() {
-                            states[warp_id].accumulate(
-                                &a_frag,
-                                &b_frag,
-                                mma_k,
-                                site,
-                                hook,
-                                ctx.counters,
-                            );
+                            let col_sums = |f: usize| {
+                                let at = f * tile.tb_k + kk0..f * tile.tb_k + kk0 + mma_k;
+                                [&sums[at.clone()], &wsums[at]]
+                            };
+                            let (a, b) = (col_sums(wi), col_sums(warps_m + wj));
+                            states[warp_id].fold(a, b, site, hook, ctx.counters);
                         }
                     }
                 }
@@ -280,7 +316,7 @@ pub fn tensor_assign<T: Scalar>(
                             let warp_id = wi * warps_n + wj;
                             let acc = &mut accs[warp_id * wsize..(warp_id + 1) * wsize];
                             let outcome = states[warp_id].check(acc, k_end, ctx.counters);
-                            record_outcome(stats, outcome);
+                            record_outcome(&mut ledger, outcome);
                             if let CheckOutcome::RecomputeRequired { .. } = outcome {
                                 // Detection-only scheme: time-redundant
                                 // recomputation of the warp tile from global
@@ -323,7 +359,7 @@ pub fn tensor_assign<T: Scalar>(
                         },
                         ctx.counters,
                     );
-                    record_outcome(stats, outcome);
+                    record_outcome(&mut ledger, outcome);
                     if let CheckOutcome::RecomputeRequired { .. } = outcome {
                         // Block-level recomputation: redo every warp tile.
                         for wi in 0..warps_m {
@@ -350,6 +386,8 @@ pub fn tensor_assign<T: Scalar>(
                 }
             }
         }
+        // One merge per block into the launch-wide ledger.
+        stats.lock().merge(&ledger);
 
         // Fused epilogue: row-minimum with the norm identity, then the
         // threadblock broadcast merge. Norm vectors are staged once per
@@ -398,8 +436,7 @@ pub fn tensor_assign<T: Scalar>(
     Ok(AssignmentResult { labels, distances })
 }
 
-fn record_outcome(stats: &Mutex<CampaignStats>, outcome: CheckOutcome) {
-    let mut s = stats.lock();
+fn record_outcome(s: &mut CampaignStats, outcome: CheckOutcome) {
     match outcome {
         CheckOutcome::Clean => s.clean_sweeps += 1,
         CheckOutcome::Corrected { .. } => {
@@ -809,6 +846,68 @@ mod tests {
         );
         let (want, _) = assign_reference(&samples, &cents);
         assert_eq!(out.labels, want, "result still clean");
+    }
+
+    /// Records every `post_mma` site and the length of the tile it saw.
+    #[derive(Default)]
+    struct RecordingHook(std::sync::Mutex<Vec<(MmaSite, usize)>>);
+
+    impl FaultHook<f64> for RecordingHook {
+        fn post_mma(&self, site: &MmaSite, acc: &mut [f64], _wn: usize) {
+            self.0.lock().unwrap().push((*site, acc.len()));
+        }
+    }
+
+    #[test]
+    fn ft_hook_sequence_and_counter_totals_are_pinned() {
+        // 3x2 blocks of 2x2 warps, 19 = 5 MMA k-steps of 4 (zero-padded
+        // to 3 k-tiles = 6 k-steps).
+        let (dev, c, samples, cents) = mk_data_f64(40, 20, 19);
+        let data = DeviceData::upload(&dev, &samples, &cents, &c).unwrap();
+        let stats = Mutex::new(CampaignStats::default());
+        let hook = RecordingHook::default();
+        let before = c.snapshot();
+        gpu_sim::exec::with_executor(&gpu_sim::Executor::serial(), || {
+            tensor_assign(
+                &dev,
+                small_tile(),
+                &data,
+                SchemeKind::FtKMeans,
+                &hook,
+                &c,
+                &stats,
+            )
+        })
+        .unwrap();
+        let delta = c.snapshot().since(&before);
+        let calls = hook.0.into_inner().unwrap();
+        // Per (block, warp, k-step): the payload MMA over the 8x8 warp
+        // tile, then the three checksum dots at the same site.
+        let (blocks, warps, k_steps) = (6, 4, 6);
+        assert_eq!(calls.len(), blocks * warps * k_steps * 4);
+        let mut seen = std::collections::HashSet::new();
+        for group in calls.chunks_exact(4) {
+            let (payload, len) = group[0];
+            assert!(!payload.is_checksum);
+            assert_eq!(len, 64);
+            for &(cs, len) in &group[1..] {
+                let want = MmaSite {
+                    is_checksum: true,
+                    ..payload
+                };
+                assert_eq!((cs, len), (want, 1));
+            }
+            assert!(seen.insert((payload.block, payload.warp, payload.k_step)));
+        }
+        // One m8n8k4 per payload slab, three checksum dots per slab, and
+        // CUDA-core work charged per warp even where warps share fragment
+        // sums: the input sums (2·(8+8)·4 per slab) plus one end-of-loop
+        // verification (3·8·8).
+        assert_eq!(
+            (delta.mma_ops, delta.ft_mma_ops, delta.ft_cuda_ops),
+            (144, 432, 144 * 128 + 24 * 192)
+        );
+        assert_eq!(stats.lock().clean_sweeps, 24);
     }
 
     #[test]

@@ -219,7 +219,9 @@ pub struct Server<T: Scalar> {
 impl<T: Scalar> Server<T> {
     /// Start a server over `registry`. `session` hosts models admitted via
     /// [`Server::fit`] (predicts always run on the session each model was
-    /// fitted under).
+    /// fitted under). The dispatcher thread runs under `session`'s scopes
+    /// ([`Session::run`]), so batched predicts emit into the session's
+    /// trace sink even when their model's own session has none.
     pub fn new(session: Session, registry: ModelRegistry<T>, config: ServerConfig) -> Self {
         let inner = Arc::new(ServerInner {
             registry,
@@ -236,9 +238,10 @@ impl<T: Scalar> Server<T> {
         });
         let dispatcher = {
             let inner = Arc::clone(&inner);
+            let scopes = session.clone();
             std::thread::Builder::new()
                 .name("serve-dispatch".into())
-                .spawn(move || dispatch_loop(inner))
+                .spawn(move || scopes.run(|| dispatch_loop(inner)))
                 // Construction-time, not a request path: a host that cannot
                 // spawn a thread cannot run a server at all.
                 .expect("spawn dispatcher") // ftk-lint: allow(serve-unwrap)

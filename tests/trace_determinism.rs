@@ -119,13 +119,12 @@ fn traced_storm(exec: Executor) -> Arc<RecordingSink> {
             .expect("fit")
             .with_predict_policy(ft_kmeans::kmeans::PredictPolicy::Int8),
     );
-    // Install the recording sink globally only after the (untraced) fit:
-    // the dispatcher thread has no thread-local sink, so the serve path
-    // exercises the global slot.
+    // Only the server's session carries the sink, so the (untraced) fit
+    // stays out of it and the batched predicts reach it through the
+    // dispatcher thread's session scope.
     let sink = Arc::new(RecordingSink::default());
-    ft_kmeans::trace::install_global(Arc::clone(&sink) as _);
     let server = Server::new(
-        session,
+        session.with_trace_sink(Arc::clone(&sink) as _),
         registry,
         ServerConfig {
             max_batch_rows: 64,
@@ -143,7 +142,6 @@ fn traced_storm(exec: Executor) -> Arc<RecordingSink> {
         }
     });
     drop(server);
-    ft_kmeans::trace::uninstall_global();
     sink
 }
 
