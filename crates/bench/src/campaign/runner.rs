@@ -2,13 +2,15 @@
 //! the `gpu_sim::exec` pool, with per-cell determinism.
 //!
 //! Each cell fits twice — once under injection, once as the fault-free twin
-//! — inside a **serial executor scope**: random-mode injection consumes RNG
-//! draws in block-execution order, so parallel block scheduling would make
-//! the fault *sites* scheduling-dependent. Pinning each cell's fits to
-//! serial block order makes every cell's outcome a pure function of its
-//! seed; the campaign then parallelizes across cells instead (results are
-//! written into a pre-sized slot array by cell index), so the emitted table
-//! is byte-identical between `FTK_EXEC=serial` and the worker pool.
+//! — inside a **serial executor scope**. The kernels themselves are
+//! schedule-independent; the pin guards only the random injector, which
+//! draws from one shared RNG in hook-call order, so parallel block
+//! scheduling would make the fault *sites* scheduling-dependent. Pinning
+//! each cell's fits to serial block order makes every cell's outcome a pure
+//! function of its seed; the campaign then parallelizes across cells
+//! instead (results are written into a pre-sized slot array by cell index),
+//! so the emitted table is byte-identical between `FTK_EXEC=serial` and the
+//! worker pool.
 
 use super::classify::{classify, Classification, SdcPolicy};
 use super::grid::{splitmix64, CampaignCell, CampaignGrid};

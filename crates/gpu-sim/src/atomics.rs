@@ -99,11 +99,11 @@ mod tests {
     fn concurrent_merges_find_global_min() {
         let c = Counters::new();
         let store = ArgminStore::<f32>::new(4);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..8u32 {
                 let store = &store;
                 let c = &c;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for row in 0..4 {
                         // thread t proposes distance (t xor row) so each row has
                         // a unique minimum across threads
@@ -111,8 +111,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         for row in 0..4 {
             let (d, idx) = store.get(row);
             assert_eq!(d, 1.0, "row {row}");

@@ -459,16 +459,15 @@ mod tests {
     #[test]
     fn concurrent_increments_are_lossless() {
         let c = Counters::new();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
-                s.spawn(|_| {
+                s.spawn(|| {
                     for _ in 0..1000 {
                         c.add_mma(1);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(c.snapshot().mma_ops, 8000);
     }
 }

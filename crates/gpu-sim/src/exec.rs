@@ -1,11 +1,11 @@
 //! The execution engine: a lazily-initialized, persistent worker pool with
 //! chunked block scheduling.
 //!
-//! Every kernel launch used to spawn and join a fresh set of host threads
-//! (`crossbeam::thread::scope` per launch) and steal work one block at a
-//! time off a shared atomic. A K-means fit performs thousands of launches,
-//! so the spawn/join cost and the one-`fetch_add`-per-block ping-pong sat
-//! directly on the per-iteration hot path the paper engineers to zero.
+//! Spawning and joining a fresh set of scoped host threads per launch and
+//! stealing work one block at a time off a shared atomic is too slow: a
+//! K-means fit performs thousands of launches, so the spawn/join cost and
+//! the one-`fetch_add`-per-block ping-pong would sit directly on the
+//! per-iteration hot path the paper engineers to zero.
 //!
 //! [`Executor`] replaces that machinery:
 //!

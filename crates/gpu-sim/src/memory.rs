@@ -681,16 +681,15 @@ mod tests {
     fn atomic_add_is_exact_under_contention() {
         let c = Counters::new();
         let b = GlobalBuffer::<f64>::zeros(1);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
-                s.spawn(|_| {
+                s.spawn(|| {
                     for _ in 0..1000 {
                         b.atomic_add(0, 1.0, &c);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(b.load(0), 8000.0);
         assert_eq!(c.snapshot().atomic_ops, 8000);
     }
@@ -699,18 +698,17 @@ mod tests {
     fn atomic_add_f32_under_contention() {
         let c = Counters::new();
         let b = GlobalBuffer::<f32>::zeros(2);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..4 {
                 let b = &b;
                 let c = &c;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..500 {
                         b.atomic_add(t % 2, 1.0f32, c);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(b.load(0) + b.load(1), 2000.0);
     }
 
@@ -824,17 +822,16 @@ mod tests {
     fn packed_stores_to_adjacent_lanes_do_not_clobber() {
         // Lanes share a word: concurrent stores must RMW, not overwrite.
         let b = GlobalPackedBuffer::<u8>::zeros(8);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..8usize {
                 let b = &b;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..500 {
                         b.store(t, (t + 1) as u8);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(b.to_vec(), vec![1, 2, 3, 4, 5, 6, 7, 8]);
     }
 

@@ -40,6 +40,14 @@ pub enum KMeansError {
         /// The `(rows, cols)` it received.
         got: (usize, usize),
     },
+    /// An input matrix holds a NaN or an infinity (the first one found,
+    /// in row-major order).
+    NonFinite {
+        /// Row of the offending entry.
+        row: usize,
+        /// Column of the offending entry.
+        col: usize,
+    },
     /// The simulated device rejected a launch (resource overflow, kernel
     /// structure violation, ...).
     Sim(SimError),
@@ -60,6 +68,9 @@ impl fmt::Display for KMeansError {
                 "shape mismatch: {what}: expected {}x{}, got {}x{}",
                 expected.0, expected.1, got.0, got.1
             ),
+            KMeansError::NonFinite { row, col } => {
+                write!(f, "non-finite value at row {row}, column {col}")
+            }
             KMeansError::Sim(e) => write!(f, "simulator error: {e}"),
         }
     }
@@ -98,6 +109,7 @@ impl From<KMeansError> for SimError {
                 "{what}: expected {}x{}, got {}x{}",
                 expected.0, expected.1, got.0, got.1
             )),
+            e @ KMeansError::NonFinite { .. } => SimError::InvalidConfig(e.to_string()),
         }
     }
 }

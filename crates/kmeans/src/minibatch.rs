@@ -14,15 +14,9 @@
 //! On the first batch (`w_c = 0`) this reduces to `c = mu_c`, i.e. one
 //! full Lloyd step over the batch.
 //!
-//! **Determinism.** The assignment kernel is bitwise execution-order
-//! independent (per-block candidates merge through an order-invariant
-//! argmin), so it rides the ambient executor. The update kernel's
-//! `atomicAdd` accumulation order is *not* order-invariant in floating
-//! point, so the update launch of every batch is pinned to a serial
-//! executor scope: batch means — and therefore the produced centroids —
-//! are byte-identical under `FTK_EXEC=serial` and the parallel pool. The
-//! update is over one mini-batch (small by construction), so serializing
-//! it costs little while the dominant assignment stays parallel.
+//! The assignment and update kernels are both schedule-independent
+//! (order-invariant argmin merge; block partials reduced in block order),
+//! so batch means are byte-identical under `FTK_EXEC=serial` and the pool.
 
 use crate::config::KMeansConfig;
 use crate::device_data::DeviceData;
@@ -37,7 +31,6 @@ use crate::{assign::run_assignment, metrics};
 use abft::dmr::DmrStats;
 use fault::CampaignStats;
 use gpu_sim::counters::CounterSnapshot;
-use gpu_sim::exec::{self, Executor};
 use gpu_sim::mma::{FaultHook, NoFault};
 use gpu_sim::{Counters, Matrix, Scalar};
 use parking_lot::Mutex;
@@ -162,28 +155,22 @@ pub(crate) fn partial_fit_step<T: Scalar>(
             i.begin_launch();
             stats.lock().note_injection_launch(rate_saturated);
         }
-        // Batch means via the device update kernel, pinned to serial block
-        // order (see the module docs: float atomicAdd order must not depend
-        // on the pool schedule, or centroids would differ across policies).
-        let serial = Executor::serial();
         let update = phase::traced(
             trace::phases::BATCH_UPDATE,
             batches as u64,
             &counters,
             || {
-                exec::with_executor(&serial, || {
-                    update_centroids(
-                        device,
-                        &data.samples,
-                        mb,
-                        dim,
-                        &labels,
-                        &result.centroids,
-                        cfg.ft.dmr_update,
-                        hook,
-                        &counters,
-                    )
-                })
+                update_centroids(
+                    device,
+                    &data.samples,
+                    mb,
+                    dim,
+                    &labels,
+                    &result.centroids,
+                    cfg.ft.dmr_update,
+                    hook,
+                    &counters,
+                )
             },
         )?;
         if update.oob_labels > 0 {
@@ -332,6 +319,7 @@ mod tests {
     use super::*;
     use crate::config::FtConfig;
     use crate::metrics::adjusted_rand_index;
+    use gpu_sim::exec::Executor;
 
     fn blobs(m: usize, dim: usize, k: usize, seed: u64) -> Matrix<f64> {
         Matrix::from_fn(m, dim, |r, c| {

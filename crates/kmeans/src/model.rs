@@ -310,8 +310,10 @@ impl<T: Scalar> FittedModel<T> {
         Ok(self.assign(samples)?.1)
     }
 
-    fn assign(&self, samples: &Matrix<T>) -> Result<(Vec<u32>, f64), KMeansError> {
-        // Shape-only validation runs even for empty input.
+    /// Check that `samples` can be served: `dim` columns and every entry
+    /// finite. A NaN or infinite query has no nearest centroid, so it is
+    /// rejected with [`KMeansError::NonFinite`] instead of labelled.
+    pub fn validate_queries(&self, samples: &Matrix<T>) -> Result<(), KMeansError> {
         if samples.cols() != self.data.dim {
             return Err(KMeansError::ShapeMismatch {
                 what: "samples",
@@ -319,6 +321,17 @@ impl<T: Scalar> FittedModel<T> {
                 got: (samples.rows(), samples.cols()),
             });
         }
+        match samples.as_slice().iter().position(|v| !v.is_finite_s()) {
+            Some(i) => Err(KMeansError::NonFinite {
+                row: i / self.data.dim,
+                col: i % self.data.dim,
+            }),
+            None => Ok(()),
+        }
+    }
+
+    fn assign(&self, samples: &Matrix<T>) -> Result<(Vec<u32>, f64), KMeansError> {
+        self.validate_queries(samples)?;
         if samples.rows() == 0 {
             return Ok((Vec::new(), 0.0));
         }

@@ -1,9 +1,24 @@
 //! Centroid-update phase (Fig. 2 step 3) with optional DMR protection.
 //!
-//! One fused kernel accumulates every sample into its assigned centroid via
-//! `atomicAdd` and bumps the member counter; a second kernel averages. The
-//! phase is memory-bound, so duplicating the arithmetic (DMR) and voting
-//! hides behind the loads — the paper measures <1% overhead (§I, §IV).
+//! The phase is split into a combine and a reduce step (the MapReduce
+//! K-means split):
+//!
+//! 1. `update_accumulate` — each block sums its samples into block-local
+//!    per-cluster sums and member counts (rows added in ascending order)
+//!    and writes them out as one block partial. No atomics.
+//! 2. `update_divide` — one thread per centroid-matrix element sums that
+//!    cell's partials from zero in ascending block order, then averages.
+//!
+//! Every float addition therefore happens in an order fixed by the input
+//! alone, so centroids are bitwise identical under any executor schedule.
+//! Samples per block scale with `k` (`256·⌈k/16⌉`), which keeps the
+//! partials (`blocks · k · dim` cells) at most 1/16 of the sample matrix.
+//! Fault-hook sites keep naming the 256-sample tile a sample falls in, so
+//! injection keys do not depend on the block size.
+//!
+//! The phase is memory-bound, so duplicating the arithmetic (DMR) and
+//! voting hides behind the loads — the paper measures <1% overhead (§I,
+//! §IV).
 
 use abft::dmr::{protected, DmrStats};
 use gpu_sim::memory::GlobalIndexBuffer;
@@ -15,8 +30,8 @@ use gpu_sim::{
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Samples per threadblock in the accumulation kernel.
-const SAMPLES_PER_BLOCK: usize = 256;
+/// Sample tile that names a fault-hook site (`MmaSite::block`).
+const SAMPLE_TILE: usize = 256;
 
 /// Centroid-matrix elements per threadblock in the averaging kernel.
 const ELEMS_PER_BLOCK: usize = 256;
@@ -56,73 +71,77 @@ pub fn update_centroids<T: Scalar>(
         )));
     }
     let k = old_centroids.rows();
-    let sums = GlobalBuffer::<T>::zeros(k * dim);
-    sums.set_sanitizer_label("update.sums");
-    let count_buf = GlobalIndexBuffer::zeros(k);
-    count_buf.set_sanitizer_label("update.counts");
+    let per_block = SAMPLE_TILE * k.div_ceil(16).max(1);
+    let blocks = m.div_ceil(per_block).max(1);
+    let part_sums = GlobalBuffer::<T>::uninit(blocks * k * dim);
+    part_sums.set_sanitizer_label("update.part_sums");
+    let part_counts = GlobalIndexBuffer::uninit(blocks * k);
+    part_counts.set_sanitizer_label("update.part_counts");
     let dmr_stats = Mutex::new(DmrStats::default());
     let oob_labels = AtomicU64::new(0);
 
-    // Kernel 1: fused accumulation — "each thread … uses atomic add to add
-    // the values of this sample in every dimension to its assigned centroid
-    // and add one to the counter" (§III-A2).
-    let grid = Dim3::x(m.div_ceil(SAMPLES_PER_BLOCK).max(1));
+    // Kernel 1: combine — each block accumulates its samples into private
+    // sums and counts and writes them out as one partial (§III-A2's fused
+    // accumulation, without the cross-block atomicAdd).
     let cfg = LaunchConfig {
-        grid,
+        grid: Dim3::x(blocks),
         threads_per_block: 256,
         smem_bytes: 0,
     };
     launch_grid_labeled(device, cfg, counters, "update_accumulate", |ctx| {
-        let row0 = ctx.bx * SAMPLES_PER_BLOCK;
+        let row0 = ctx.bx * per_block;
         let mut local_dmr = DmrStats::default();
-        // Sample rows stream through block-local scratch as contiguous runs;
-        // the scattered atomicAdds stay per-element (they are data-dependent
-        // and uncoalescable by construction).
+        let mut sums = ScratchBuf::<T, 1024>::filled(k * dim, T::ZERO);
+        let mut counts = ScratchBuf::<u32, 256>::filled(k, 0);
         let mut xrow = ScratchBuf::<T, 256>::filled(dim, T::ZERO);
         for (i, &label) in labels
             .iter()
             .enumerate()
-            .take((row0 + SAMPLES_PER_BLOCK).min(m))
+            .take((row0 + per_block).min(m))
             .skip(row0)
         {
             let c = label as usize;
             if c >= k {
                 // A bit flip in a label (fail-continue fault model) must
-                // not index the sums buffer out of bounds: detect it and
-                // drop the sample from this update.
+                // not index the sums out of bounds: detect it and drop the
+                // sample from this update.
                 oob_labels.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
             samples.load_run(i * dim, &mut xrow, ctx.counters);
-            for (d, &x) in xrow.iter().enumerate() {
+            let acc = &mut sums[c * dim..(c + 1) * dim];
+            for (d, (&x, s)) in xrow.iter().zip(acc).enumerate() {
                 let site = MmaSite {
-                    block: (ctx.bx, 0),
+                    block: (i / SAMPLE_TILE, 0),
                     warp: 0,
                     k_step: d,
                     is_checksum: false,
                 };
-                let v = if dmr {
+                *s += if dmr {
                     // Duplicated arithmetic: both replicas run the same FMA
                     // through the fault hook; disagreement is voted out.
                     protected(|_| hook.post_fma(&site, x), 3, &mut local_dmr)
                 } else {
                     hook.post_fma(&site, x)
                 };
-                ctx.counters.add_fma(if dmr { 2 } else { 1 });
-                sums.atomic_add(c * dim + d, v, ctx.counters);
             }
-            count_buf.atomic_inc(c, ctx.counters);
+            ctx.counters.add_fma((if dmr { 2 } else { 1 }) * dim as u64);
+            counts[c] += 1;
         }
+        part_sums.store_run(ctx.bx * k * dim, &sums, ctx.counters);
+        // Index traffic is not byte-counted (see `GlobalIndexBuffer`).
+        part_counts.write_range(ctx.bx * k, &counts);
         if dmr {
             dmr_stats.lock().merge(&local_dmr);
         }
     })?;
 
-    // Kernel 2: averaging — one thread per centroid-matrix *element*, so
-    // the division work spreads over the worker pool even at small k
-    // (k x dim elements rather than k rows of serial dim-loops).
-    let out = GlobalBuffer::<T>::zeros(k * dim);
+    // Kernel 2: reduce and average — one thread per centroid-matrix
+    // *element*, so the work spreads over the worker pool even at small k.
+    let out = GlobalBuffer::<T>::uninit(k * dim);
     out.set_sanitizer_label("update.out");
+    let count_out = GlobalIndexBuffer::uninit(k);
+    count_out.set_sanitizer_label("update.counts");
     let cfg2 = LaunchConfig {
         grid: Dim3::x((k * dim).div_ceil(ELEMS_PER_BLOCK).max(1)),
         threads_per_block: 256,
@@ -133,13 +152,24 @@ pub fn update_centroids<T: Scalar>(
     launch_grid_labeled(device, cfg2, counters, "update_divide", |ctx| {
         let e0 = ctx.bx * ELEMS_PER_BLOCK;
         let mut local_dmr = DmrStats::default();
+        let (mut cur, mut n) = (usize::MAX, 0u32);
         for e in e0..(e0 + ELEMS_PER_BLOCK).min(k * dim) {
             let (c, d) = (e / dim, e % dim);
-            let n = count_buf.load(c);
+            if c != cur {
+                cur = c;
+                n = (0..blocks).map(|b| part_counts.load(b * k + c)).sum();
+                if d == 0 {
+                    // exactly one element per cluster publishes its count
+                    count_out.store(c, n);
+                }
+            }
             let v = if n == 0 {
                 old.load_counted(e, ctx.counters)
             } else {
-                let s = sums.load_counted(e, ctx.counters);
+                let mut s = T::ZERO;
+                for b in 0..blocks {
+                    s += part_sums.load_counted(b * k * dim + e, ctx.counters);
+                }
                 let site = MmaSite {
                     block: (ctx.bx, 0),
                     warp: 1,
@@ -163,99 +193,9 @@ pub fn update_centroids<T: Scalar>(
     let dmr = *dmr_stats.lock();
     Ok(UpdateResult {
         centroids: out.to_matrix(k, dim),
-        counts: count_buf.to_vec(),
+        counts: count_out.to_vec(),
         dmr,
         oob_labels: oob_labels.into_inner(),
-    })
-}
-
-/// The *basic* update of §III-A1: one kernel launch **per centroid**, each
-/// scanning every sample and accumulating only the matching ones ("launching
-/// N kernels is a great waste of time, because, in kernel j, a large number
-/// of threads are idle", §III-A2). Kept as the baseline the fused update is
-/// measured against; functionally identical to [`update_centroids`].
-pub fn update_centroids_naive<T: Scalar>(
-    device: &DeviceProfile,
-    samples: &GlobalBuffer<T>,
-    m: usize,
-    dim: usize,
-    labels: &[u32],
-    old_centroids: &Matrix<T>,
-    counters: &Counters,
-) -> Result<UpdateResult<T>, SimError> {
-    if labels.len() != m {
-        return Err(SimError::ShapeMismatch(format!(
-            "{} labels for {m} samples",
-            labels.len()
-        )));
-    }
-    let k = old_centroids.rows();
-    let sums = GlobalBuffer::<T>::zeros(k * dim);
-    sums.set_sanitizer_label("update.sums");
-    let count_buf = GlobalIndexBuffer::zeros(k);
-    count_buf.set_sanitizer_label("update.counts");
-    // The per-cluster equality scan below never matches an out-of-range
-    // label, so corrupted samples drop out implicitly; count them up front
-    // so detection accounting matches the fused path.
-    let oob = labels.iter().filter(|&&l| l as usize >= k).count() as u64;
-
-    // One launch per centroid; every thread reads its sample even when the
-    // sample belongs elsewhere — the idle-thread waste the paper calls out.
-    for cluster in 0..k {
-        let grid = Dim3::x(m.div_ceil(SAMPLES_PER_BLOCK).max(1));
-        let cfg = LaunchConfig {
-            grid,
-            threads_per_block: 256,
-            smem_bytes: 0,
-        };
-        launch_grid_labeled(device, cfg, counters, "update_naive_scan", |ctx| {
-            let row0 = ctx.bx * SAMPLES_PER_BLOCK;
-            let end = (row0 + SAMPLES_PER_BLOCK).min(m);
-            for (i, &label) in labels.iter().enumerate().take(end).skip(row0) {
-                // the label read happens regardless of membership
-                let belongs = label as usize == cluster;
-                ctx.counters.add_loaded(4);
-                if belongs {
-                    for d in 0..dim {
-                        let x = samples.load_counted(i * dim + d, ctx.counters);
-                        sums.atomic_add(cluster * dim + d, x, ctx.counters);
-                    }
-                    count_buf.atomic_inc(cluster, ctx.counters);
-                }
-            }
-        })?;
-    }
-
-    // Final averaging kernel (identical to the fused path's kernel 2).
-    let out = GlobalBuffer::<T>::zeros(k * dim);
-    out.set_sanitizer_label("update.out");
-    let cfg2 = LaunchConfig {
-        grid: Dim3::x(k.div_ceil(SAMPLES_PER_BLOCK).max(1)),
-        threads_per_block: 256,
-        smem_bytes: 0,
-    };
-    let old = GlobalBuffer::from_matrix(old_centroids);
-    old.set_sanitizer_label("update.old");
-    launch_grid_labeled(device, cfg2, counters, "update_naive_divide", |ctx| {
-        let c0 = ctx.bx * SAMPLES_PER_BLOCK;
-        for c in c0..(c0 + SAMPLES_PER_BLOCK).min(k) {
-            let n = count_buf.load(c);
-            for d in 0..dim {
-                let v = if n == 0 {
-                    old.load_counted(c * dim + d, ctx.counters)
-                } else {
-                    sums.load_counted(c * dim + d, ctx.counters) / T::from_usize(n as usize)
-                };
-                out.store_counted(c * dim + d, v, ctx.counters);
-            }
-        }
-    })?;
-
-    Ok(UpdateResult {
-        centroids: out.to_matrix(k, dim),
-        counts: count_buf.to_vec(),
-        dmr: DmrStats::default(),
-        oob_labels: oob,
     })
 }
 
@@ -410,35 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_update_matches_fused_but_wastes_launches() {
-        let dev = DeviceProfile::a100();
-        let (samples, labels, old) = setup(120, 6, 8);
-        let buf = GlobalBuffer::from_matrix(&samples);
-
-        let c_naive = Counters::new();
-        let naive = update_centroids_naive(&dev, &buf, 120, 6, &labels, &old, &c_naive).unwrap();
-        let c_fused = Counters::new();
-        let fused =
-            update_centroids(&dev, &buf, 120, 6, &labels, &old, false, &NoFault, &c_fused).unwrap();
-
-        // Functionally identical…
-        assert_eq!(naive.counts, fused.counts);
-        assert!(naive.centroids.max_abs_diff(&fused.centroids) < 1e-12);
-        // …but one launch per centroid (plus averaging) instead of two.
-        let sn = c_naive.snapshot();
-        let sf = c_fused.snapshot();
-        assert_eq!(sn.kernel_launches, 8 + 1);
-        assert_eq!(sf.kernel_launches, 2);
-        // and K redundant label scans.
-        assert!(
-            sn.bytes_loaded > sf.bytes_loaded,
-            "{} vs {}",
-            sn.bytes_loaded,
-            sf.bytes_loaded
-        );
-    }
-
-    #[test]
     fn out_of_range_label_is_detected_not_fatal() {
         // A bit flip in a label can push it far past k; the update must
         // survive (no OOB indexing, debug or release), report the fault,
@@ -459,10 +370,6 @@ mod tests {
         let (want, want_counts) = update_reference(&kept, &kept_labels, &old);
         assert_eq!(out.counts, want_counts);
         assert!(out.centroids.max_abs_diff(&want) < 1e-9);
-        // The naive baseline must account the corruption identically.
-        let naive = update_centroids_naive(&dev, &buf, 100, 5, &labels, &old, &c).unwrap();
-        assert_eq!(naive.oob_labels, 1);
-        assert_eq!(naive.counts, out.counts);
     }
 
     #[test]

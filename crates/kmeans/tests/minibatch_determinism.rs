@@ -2,7 +2,7 @@
 //! **byte-identical** centroids whether its launches run under the
 //! deterministic serial policy (`FTK_EXEC=serial`) or the parallel worker
 //! pool. The assignment kernel is order-invariant by construction and the
-//! per-batch update launch is pinned to serial block order, so the only
+//! update reduces per-block partials in block order, so the only
 //! acceptable diff between the two runs is none at all.
 
 use gpu_sim::exec::Executor;

@@ -14,7 +14,6 @@
 
 use abft::SchemeKind;
 use fault::CampaignStats;
-use gpu_sim::exec::{with_executor, Executor};
 use gpu_sim::mma::NoFault;
 use gpu_sim::timing::TileConfig;
 use gpu_sim::{Counters, DeviceProfile, Matrix};
@@ -163,16 +162,12 @@ fn hamerly_fit_matches_naive_bitwise_at_every_iteration_count() {
     // The update phase consumes labels only, so if the labels agree
     // bit-for-bit at every iteration the centroid trajectories are
     // bitwise identical too. Fitting both variants at every horizon
-    // checks exactly that, pruning included.
-    //
-    // The update's cross-block `atomicAdd` accumulation order is
-    // scheduling-dependent under the pool executor (same reason campaign
-    // cells pin serial), so the fits run under serial block order to make
-    // the centroid bits comparable.
+    // checks exactly that, pruning included. The fits ride the ambient
+    // executor: the update reduces per-block partials in block order, so
+    // its centroid bits do not depend on the schedule.
     let (m, dim, k) = (512, 17, 8);
     let data = blobs(m, dim, k);
-    let serial = Executor::serial();
-    with_executor(&serial, || hamerly_vs_naive_all_horizons(&data, k));
+    hamerly_vs_naive_all_horizons(&data, k);
 }
 
 fn hamerly_vs_naive_all_horizons(data: &Matrix<f64>, k: usize) {

@@ -293,16 +293,10 @@ impl<T: Scalar> Server<T> {
             .registry
             .get(name)
             .ok_or_else(|| ServeError::UnknownModel(name.to_string()))?;
-        // Fail fast (and cheap) before queueing: shape errors should not
-        // cost a batching window.
-        if queries.cols() != model.dim() {
-            return Err(KMeansError::ShapeMismatch {
-                what: "samples",
-                expected: (queries.rows(), model.dim()),
-                got: (queries.rows(), queries.cols()),
-            }
-            .into());
-        }
+        // Fail fast (and cheap) before queueing: a bad shape or a
+        // non-finite query must neither cost a batching window nor fail the
+        // requests coalesced with it.
+        model.validate_queries(queries)?;
         if queries.rows() == 0 {
             return Ok(PredictResponse {
                 labels: Vec::new(),
@@ -516,8 +510,7 @@ impl<T: Scalar> ServerInner<T> {
             }
             // Rows×dim are consistent by construction, but a mismatch must
             // surface as a per-request error, not a dispatcher-killing panic.
-            let fused =
-                Matrix::from_vec(total_rows, dim, flat).map_err(kmeans::KMeansError::from)?;
+            let fused = Matrix::from_vec(total_rows, dim, flat).map_err(KMeansError::from)?;
             let labels = model.predict(&fused)?;
             let mut per_request = Vec::with_capacity(coalesced);
             let mut offset = 0usize;

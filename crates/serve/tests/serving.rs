@@ -5,7 +5,7 @@
 
 use gpu_sim::exec::Executor;
 use gpu_sim::Matrix;
-use kmeans::{FtConfig, KMeansConfig, PredictPolicy, Session, Variant};
+use kmeans::{FtConfig, KMeansConfig, KMeansError, PredictPolicy, Session, Variant};
 use serve::{ModelRegistry, ServeError, Server, ServerConfig};
 use std::sync::Arc;
 
@@ -64,6 +64,51 @@ fn batched_labels_bit_identical_for_every_policy() {
             "{policy:?}: a 50ms window must coalesce concurrent clients: {stats:?}"
         );
         assert!(stats.coalesced_requests > 0, "{policy:?}");
+    }
+}
+
+#[test]
+fn non_finite_queries_are_typed_errors_and_spare_their_batch() {
+    for policy in [PredictPolicy::Exact, PredictPolicy::Int8] {
+        let session = Session::a100();
+        let registry = ModelRegistry::new();
+        let model = registry.register(
+            "svc",
+            session
+                .kmeans(KMeansConfig::new(4).with_seed(3))
+                .fit_model(&blobs(256, 8, 4, 0))
+                .expect("fit")
+                .with_predict_policy(policy),
+        );
+        let server = Server::new(session, registry, wide_window());
+        std::thread::scope(|s| {
+            for (t, bad) in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+                .into_iter()
+                .enumerate()
+            {
+                let (server, model) = (&server, &model);
+                s.spawn(move || {
+                    let mut q = blobs(5, 8, 4, t);
+                    q.set(2, 3, bad);
+                    let want = KMeansError::NonFinite { row: 2, col: 3 };
+                    assert_eq!(model.predict(&q), Err(want.clone()), "{policy:?}");
+                    assert_eq!(model.score(&q), Err(want.clone()), "{policy:?}");
+                    match server.predict("svc", &q) {
+                        Err(ServeError::KMeans(e)) => assert_eq!(e, want, "{policy:?}"),
+                        other => panic!("{policy:?}: {bad} query served: {other:?}"),
+                    }
+                });
+            }
+            for t in 0..3usize {
+                let (server, model) = (&server, &model);
+                s.spawn(move || {
+                    let q = blobs(7, 8, 4, 40 + t);
+                    let want = model.predict(&q).expect("unbatched reference");
+                    let resp = server.predict("svc", &q).expect("finite neighbour served");
+                    assert_eq!(resp.labels, want, "{policy:?}, client {t}");
+                });
+            }
+        });
     }
 }
 
@@ -168,18 +213,14 @@ fn concurrent_fits_match_serial_pinned_twins_bitwise() {
             "per-request counter totals must not cross-talk: {cfg:?}"
         );
         assert_eq!(got.ft_stats.handled(), want.ft_stats.handled(), "{cfg:?}");
-        // Cross-executor determinism on top: a serial-pinned twin matches
-        // bit-for-bit for every variant whose reductions are chunk-shape
-        // independent. Hamerly's bound-update partials are reduced per
-        // chunk, so its serial twin differs in ULPs by design — skip it.
-        if !matches!(cfg.variant, Variant::Hamerly) {
-            let pinned = serial
-                .kmeans(cfg.clone())
-                .fit_model(data)
-                .expect("pinned twin");
-            assert_eq!(bits(&got.centroids), bits(&pinned.centroids), "{cfg:?}");
-            assert_eq!(got.counters, pinned.counters, "{cfg:?}");
-        }
+        // Cross-executor determinism on top: every variant's serial-pinned
+        // twin matches bit-for-bit.
+        let pinned = serial
+            .kmeans(cfg.clone())
+            .fit_model(data)
+            .expect("pinned twin");
+        assert_eq!(bits(&got.centroids), bits(&pinned.centroids), "{cfg:?}");
+        assert_eq!(got.counters, pinned.counters, "{cfg:?}");
     }
 }
 
