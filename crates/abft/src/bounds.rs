@@ -23,12 +23,11 @@
 //! corruption.
 
 use gpu_sim::{Precision, Scalar};
-use serde::{Deserialize, Serialize};
 
 /// Relative slack applied to Hamerly bounds: upper bounds are multiplied by
 /// `1 + rel_slack`, lower bounds (and centroid-separation radii) by
 /// `1 - rel_slack`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundPolicy {
     /// The relative slack; dominates the distance scan's FP noise floor.
     pub rel_slack: f64,

@@ -14,10 +14,9 @@
 //! floating-point rounding, handled by [`crate::threshold`]).
 
 use gpu_sim::{Scalar, ScratchBuf};
-use serde::{Deserialize, Serialize};
 
 /// The three checksum scalars protecting one accumulator tile.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ChecksumTriple<T> {
     /// `e1ᵀ C e1` — unweighted sum.
     pub s11: T,

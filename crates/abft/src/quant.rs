@@ -26,12 +26,11 @@
 //! common case runs quantized.
 
 use gpu_sim::Precision;
-use serde::{Deserialize, Serialize};
 
 /// Acceptance bound for a quantized argmin: the margin between best and
 /// runner-up quantized distances must clear the quantization-induced
 /// distance slack plus the FP accumulation noise floor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantMargin {
     /// Largest per-centroid quantization displacement `max_j ‖c_j − ĉ_j‖`
     /// (exact, computed at table build).

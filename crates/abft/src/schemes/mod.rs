@@ -11,10 +11,9 @@ pub mod kosaian;
 pub mod wu;
 
 use gpu_sim::timing::FtMode;
-use serde::{Deserialize, Serialize};
 
 /// Identifies a fault-tolerance scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
     /// No protection.
     None,

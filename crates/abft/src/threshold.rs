@@ -8,10 +8,9 @@
 //! truncation makes the FP32 noise floor far coarser than IEEE binary32.
 
 use gpu_sim::Precision;
-use serde::{Deserialize, Serialize};
 
 /// Threshold policy: `δ = max(abs_floor, rel · scale)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdPolicy {
     /// Relative component, multiplied by the checksum magnitude scale.
     pub rel: f64,

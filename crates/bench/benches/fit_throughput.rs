@@ -1,4 +1,4 @@
-//! Fit-throughput benchmark: end-to-end `KMeans::fit` at the paper's
+//! Fit-throughput benchmark: end-to-end `KMeans::fit_model` at the paper's
 //! headline problem size (M = 131072, d = 64, k = 16) across every
 //! assignment variant, plus a launch-overhead microbenchmark that isolates
 //! the per-kernel-launch cost of the execution engine.

@@ -16,7 +16,7 @@
 //!   `unwrap_or_else(|e| e.into_inner())` or return a `ServeError`;
 //!   `ftk-lint: allow(serve-unwrap)` marks audited invariants.
 //! * `label-unique` — kernel-launch labels (`launch_grid_labeled`,
-//!   `launch_serial_labeled`, `launch_labeled`) must be globally unique so
+//!   `launch_labeled`) must be globally unique so
 //!   sanitizer findings, trace phases and fault-campaign site attribution
 //!   are unambiguous. The `"kernel"` default used by unlabeled launches is
 //!   exempt.
@@ -73,7 +73,7 @@ fn run_lint(root: &Path) -> Vec<LintFinding> {
 
     let mut findings = Vec::new();
     // label -> (file, line) of first sighting; the "kernel" default used by
-    // unlabeled Executor::launch/launch_serial may repeat.
+    // unlabeled Executor::launch may repeat.
     let mut labels: HashMap<String, (String, usize)> = HashMap::new();
 
     for path in &files {
@@ -255,11 +255,7 @@ fn lint_labels(
     labels: &mut HashMap<String, (String, usize)>,
     findings: &mut Vec<LintFinding>,
 ) {
-    const CALLS: [&str; 3] = [
-        "launch_grid_labeled(",
-        "launch_serial_labeled(",
-        "launch_labeled(",
-    ];
+    const CALLS: [&str; 2] = ["launch_grid_labeled(", "launch_labeled("];
     for (i, l) in lines.iter().enumerate() {
         if !CALLS.iter().any(|c| l.code.contains(c)) || l.code.contains("fn ") {
             continue;
@@ -271,7 +267,7 @@ fn lint_labels(
             .find_map(|cand| extract_str_literal(&cand.code));
         let Some(label) = label else { continue };
         if label == "kernel" {
-            continue; // default for unlabeled Executor::launch/launch_serial
+            continue; // default for unlabeled Executor::launch
         }
         match labels.get(&label) {
             None => {

@@ -8,6 +8,7 @@
 //! execution policy.
 
 use abft::SchemeKind;
+use fault::splitmix64;
 use gpu_sim::Precision;
 use kmeans::Variant;
 
@@ -177,16 +178,6 @@ impl CampaignGrid {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-/// SplitMix64 step — the standard 64-bit finalizer used to derive
-/// independent per-cell seeds from the base seed and axis coordinates
-/// (and, in the runner, injection seeds from cell seeds).
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn cell_seed(base: u64, coords: &[usize]) -> u64 {

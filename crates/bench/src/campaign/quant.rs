@@ -14,7 +14,7 @@
 //! chains, fits and queries from fixed seeds, so `quant_table.csv` is
 //! byte-stable across runs and executors.
 
-use super::grid::splitmix64;
+use fault::splitmix64;
 use gpu_sim::{DeviceProfile, Matrix, Scalar};
 use kmeans::quant::QuantKind;
 use kmeans::reference::assign_reference;

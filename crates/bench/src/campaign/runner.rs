@@ -2,22 +2,23 @@
 //! the `gpu_sim::exec` pool, with per-cell determinism.
 //!
 //! Each cell fits twice — once under injection, once as the fault-free twin
-//! — inside a **serial executor scope**. The kernels themselves are
-//! schedule-independent; the pin guards only the random injector, which
-//! draws from one shared RNG in hook-call order, so parallel block
-//! scheduling would make the fault *sites* scheduling-dependent. Pinning
-//! each cell's fits to serial block order makes every cell's outcome a pure
-//! function of its seed; the campaign then parallelizes across cells
-//! instead (results are written into a pre-sized slot array by cell index),
-//! so the emitted table is byte-identical between `FTK_EXEC=serial` and the
-//! worker pool.
+//! — on whatever executor is current. Both fits are schedule-independent:
+//! the kernels reduce in a fixed order, and the random injector keys every
+//! draw by (seed, launch, block, per-block call ordinal), so the fault
+//! sites do not depend on block scheduling either. Every cell's outcome is
+//! therefore a pure function of its seed; the campaign parallelizes across
+//! cells as well (results are written into a pre-sized slot array by cell
+//! index), so the emitted table is byte-identical between `FTK_EXEC=serial`
+//! and the worker pool.
 
 use super::classify::{classify, Classification, SdcPolicy};
-use super::grid::{splitmix64, CampaignCell, CampaignGrid};
+use super::grid::{CampaignCell, CampaignGrid};
 use abft::SchemeKind;
 use data::{make_blobs, BlobSpec};
-use fault::{CampaignStats, FaultTarget, InjectionRecord, InjectionSchedule, RateRealization};
-use gpu_sim::exec::{self, Executor};
+use fault::{
+    splitmix64, CampaignStats, FaultTarget, InjectionRecord, InjectionSchedule, RateRealization,
+};
+use gpu_sim::exec;
 use gpu_sim::{DeviceProfile, Precision, Scalar};
 use kmeans::{FtConfig, KMeansConfig, Session, Variant};
 
@@ -45,21 +46,18 @@ pub struct CellOutcome {
 ///
 /// Cells are distributed over the current executor (the global worker pool
 /// unless the caller scoped a different one with
-/// [`gpu_sim::exec::with_executor`]); each individual cell runs its fits
-/// under a private serial executor, so the outcome vector — and any table
-/// rendered from it — is identical whatever the outer policy.
+/// [`gpu_sim::exec::with_executor`]); every cell's outcome is
+/// schedule-independent, so the outcome vector — and any table rendered
+/// from it — is identical whatever the policy.
 pub fn run_campaign(grid: &CampaignGrid) -> Vec<CellOutcome> {
     let cells = grid.cells();
     let mut slots: Vec<Option<CellOutcome>> = Vec::new();
     slots.resize_with(cells.len(), || None);
     exec::with_current(|e| {
         e.par_chunks_mut(&mut slots, 1, |offset, piece| {
-            let serial = Executor::serial();
-            exec::with_executor(&serial, || {
-                for (i, slot) in piece.iter_mut().enumerate() {
-                    *slot = Some(run_cell(grid, &cells[offset + i]));
-                }
-            });
+            for (i, slot) in piece.iter_mut().enumerate() {
+                *slot = Some(run_cell(grid, &cells[offset + i]));
+            }
         });
     });
     slots
@@ -68,7 +66,8 @@ pub fn run_campaign(grid: &CampaignGrid) -> Vec<CellOutcome> {
         .collect()
 }
 
-/// Execute one cell (twin fit + classification) under the ambient executor.
+/// Execute one cell (injected fit, fault-free twin, classification) under
+/// the ambient executor.
 pub fn run_cell(grid: &CampaignGrid, cell: &CampaignCell) -> CellOutcome {
     match cell.precision {
         Precision::Fp32 => run_cell_typed::<f32>(grid, cell),
@@ -122,29 +121,36 @@ fn run_cell_typed<T: Scalar>(grid: &CampaignGrid, cell: &CampaignCell) -> CellOu
         },
         ..Default::default()
     };
-    let twin = Session::new(DeviceProfile::a100())
-        .kmeans(cfg)
-        .fit_with_twin(&data)
-        .expect("campaign cell fit");
+    // The fault-free twin shares data, seeding, scheme and numerics with
+    // the injected fit, so any divergence between them is down to
+    // unhandled faults.
+    let session = Session::new(DeviceProfile::a100());
+    let mut clean_cfg = cfg.clone();
+    clean_cfg.ft = clean_cfg.ft.without_injection();
+    let fit = |cfg| {
+        session
+            .kmeans(cfg)
+            .fit_model(&data)
+            .expect("campaign cell fit")
+            .into_result()
+    };
+    let injected = fit(cfg);
+    let clean = fit(clean_cfg);
 
-    let verdict = classify(
-        &twin.clean,
-        &twin.injected,
-        &SdcPolicy::for_precision(cell.precision),
-    );
-    let mut stats = twin.injected.ft_stats;
+    let verdict = classify(&clean, &injected, &SdcPolicy::for_precision(cell.precision));
+    let mut stats = injected.ft_stats;
     // Update-phase faults absorbed by DMR live in the separate DmrStats
     // ledger; fold them into the campaign view so the table sees them.
-    stats.dmr_mismatches += twin.injected.dmr.mismatches;
+    stats.dmr_mismatches += injected.dmr.mismatches;
     stats.classify_unhandled(verdict.is_sdc);
 
     CellOutcome {
         cell: *cell,
         stats,
-        realization: twin.injected.injection_realization,
+        realization: injected.injection_realization,
         verdict,
-        iterations: twin.injected.iterations,
-        records: twin.injected.injection_records,
+        iterations: injected.iterations,
+        records: injected.injection_records,
     }
 }
 

@@ -179,7 +179,7 @@ pub fn campaign_table(outcomes: &[CellOutcome]) -> FigureReport {
 
 /// Render every injection of every cell as one JSON object per line.
 ///
-/// Hand-rolled serialization (the offline serde shim is declaration-only);
+/// Hand-rolled serialization (the workspace has no serialization crate);
 /// all fields are numbers, booleans or fixed tokens, so no string escaping
 /// is needed.
 pub fn records_jsonl(outcomes: &[CellOutcome]) -> String {

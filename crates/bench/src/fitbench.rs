@@ -1,9 +1,9 @@
 //! Shared fit-throughput measurement used by the `fit_throughput` bench and
 //! the `bench_check` regression gate.
 //!
-//! One measurement is a full `KMeans::fit` at the paper's feature/cluster
-//! shape (d = 64, k = 16) over `m` deterministic pseudo-random samples, per
-//! assignment variant. Timing is wall-clock median over a fixed number of
+//! One measurement is a full `KMeans::fit_model` at the paper's
+//! feature/cluster shape (d = 64, k = 16) over `m` deterministic
+//! pseudo-random samples, per assignment variant. Timing is wall-clock median over a fixed number of
 //! repetitions (no calibration loops: each rep is already a macro-scale run).
 
 use gpu_sim::{launch_grid, Counters, DeviceProfile, Dim3, LaunchConfig, Matrix};

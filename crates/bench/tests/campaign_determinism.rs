@@ -1,7 +1,9 @@
 //! The campaign's headline reproducibility guarantee: the same grid renders
-//! a byte-identical table whatever the execution policy, because every cell
-//! pins its fits to serial block order and only the cell-level scheduling
-//! parallelizes.
+//! a byte-identical table whatever the execution policy. Nothing is pinned
+//! to a serial executor: cells and the blocks inside each cell's fits both
+//! run on the pool, and the result is the same because the kernels reduce
+//! in a fixed order and the injector keys every draw by (seed, launch,
+//! block, per-block call ordinal).
 
 use abft::SchemeKind;
 use bench_harness::campaign::{

@@ -9,10 +9,9 @@
 use crate::params::KernelParams;
 use gpu_sim::timing::occupancy::{occupancy, tensor_regs_per_thread};
 use gpu_sim::{DeviceProfile, Precision};
-use serde::{Deserialize, Serialize};
 
 /// Verdict of the probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Feasibility {
     /// Compiles and launches.
     Ok,

@@ -7,11 +7,10 @@
 
 use gpu_sim::timing::TileConfig;
 use gpu_sim::Precision;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One `<M, N, K>` tile triple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Tile3 {
     pub m: usize,
     pub n: usize,
@@ -31,7 +30,7 @@ impl fmt::Display for Tile3 {
 }
 
 /// A full kernel parameter group: threadblock, warp and thread tiles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KernelParams {
     pub threadblock: Tile3,
     pub warp: Tile3,

@@ -11,11 +11,10 @@ use crate::params::KernelParams;
 use crate::registry::ParamRegistry;
 use gpu_sim::timing::{estimate, GemmShape, KernelClass, TimingInput};
 use gpu_sim::{DeviceProfile, Precision};
-use serde::{Deserialize, Serialize};
 
 /// The problem-size grid the tuner sweeps (8 dims × 8 cluster counts = 64
 /// shapes, matching the paper's Fig. 12/14 axes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShapeGrid {
     /// Sample count (fixed at 131072 in the paper).
     pub m: usize,
@@ -55,7 +54,7 @@ impl ShapeGrid {
 }
 
 /// Winner information for one shape.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TunedEntry {
     /// Feature dimension (GEMM K).
     pub dim: usize,
@@ -77,7 +76,7 @@ impl TunedEntry {
 }
 
 /// The tuner output: per-shape winners for one (device, precision).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectionTable {
     pub device: String,
     pub precision: Precision,

@@ -2,10 +2,9 @@
 
 use crate::blobs::{make_blobs, BlobSpec};
 use gpu_sim::{Matrix, Scalar};
-use serde::{Deserialize, Serialize};
 
 /// A named dataset recipe.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetSpec {
     pub name: &'static str,
     pub samples: usize,

@@ -1,10 +1,9 @@
 //! Single-bit flips and IEEE-754 field classification.
 
 use gpu_sim::Scalar;
-use serde::{Deserialize, Serialize};
 
 /// Which IEEE-754 field a bit position belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BitField {
     Sign,
     Exponent,

@@ -9,6 +9,15 @@
 //!   bit position are corrupted; the SEU cap (`max_per_block`) is enforced.
 //! * **planned** — deterministic injections at named (block, warp, k_step)
 //!   sites for reproducible unit tests.
+//!
+//! Every random draw is keyed: it is a pure function of `(seed, launch,
+//! block, ordinal)`, where `ordinal` counts the hook calls the block has made
+//! in the current launch. A block's calls come from one simulated
+//! threadblock in program order, so the fault sites do not depend on how
+//! the executor schedules blocks, and [`Injector::records`] sorts by the same
+//! key. The ordinal keeps calls at an identical [`MmaSite`] apart: DMR
+//! replicas and the samples of one update tile share a site, and must not
+//! be struck alike.
 
 use crate::model::SeuModel;
 use crate::schedule::{InjectionSchedule, RateRealization};
@@ -19,6 +28,15 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+
+/// The SplitMix64 finalizer: a cheap, well-mixed `u64 → u64` bijection for
+/// deriving independent seeds from structured keys.
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// A deterministic injection order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,11 +72,28 @@ pub struct InjectorConfig {
     pub events_per_block_hint: u64,
 }
 
+/// Where a hook call falls in the schedule-independent order:
+/// `(launch, block, ordinal)`.
+type DrawKey = (u64, (usize, usize), u64);
+
+/// One block's tally within the current launch.
 #[derive(Debug)]
+struct BlockTally {
+    /// splitmix64 chained over (seed, launch, block): the part of every
+    /// draw key this block's calls share.
+    prefix: u64,
+    /// Hook calls so far (the next call's ordinal).
+    calls: u64,
+    /// Faults injected so far (the SEU cap applies to this).
+    hits: u32,
+}
+
+#[derive(Debug, Default)]
 struct InjectorState {
-    rng: StdRng,
-    per_block_injections: HashMap<(usize, usize), u32>,
-    records: Vec<InjectionRecord>,
+    /// Launches begun so far ([`Injector::begin_launch`]).
+    launch: u64,
+    blocks: HashMap<(usize, usize), BlockTally>,
+    records: Vec<(DrawKey, InjectionRecord)>,
     planned: Vec<PlannedInjection>,
 }
 
@@ -84,12 +119,7 @@ impl Injector {
         Injector {
             cfg,
             p_event,
-            state: Mutex::new(InjectorState {
-                rng: StdRng::seed_from_u64(cfg.seed),
-                per_block_injections: HashMap::new(),
-                records: Vec::new(),
-                planned: Vec::new(),
-            }),
+            state: Mutex::default(),
         }
     }
 
@@ -110,17 +140,18 @@ impl Injector {
             cfg,
             p_event: 0.0,
             state: Mutex::new(InjectorState {
-                rng: StdRng::seed_from_u64(0),
-                per_block_injections: HashMap::new(),
-                records: Vec::new(),
                 planned: injections,
+                ..InjectorState::default()
             }),
         }
     }
 
-    /// Injections performed so far.
+    /// Injections performed so far, ordered by (launch, block, per-block
+    /// call ordinal) — the same order whatever the block schedule.
     pub fn records(&self) -> Vec<InjectionRecord> {
-        self.state.lock().records.clone()
+        let mut keyed = self.state.lock().records.clone();
+        keyed.sort_by_key(|&(key, _)| key);
+        keyed.into_iter().map(|(_, r)| r).collect()
     }
 
     /// Number of injections performed.
@@ -128,10 +159,13 @@ impl Injector {
         self.state.lock().records.len() as u64
     }
 
-    /// Reset per-launch state (call between kernel launches so the SEU cap
-    /// applies per launch). Keeps the RNG stream and records.
+    /// Start a new launch: the SEU cap and the per-block call ordinals
+    /// restart, and later draws are keyed by the new launch index. Call
+    /// between kernel launches. Keeps the records.
     pub fn begin_launch(&self) {
-        self.state.lock().per_block_injections.clear();
+        let mut st = self.state.lock();
+        st.launch += 1;
+        st.blocks.clear();
     }
 
     /// Effective per-event probability (test introspection).
@@ -159,7 +193,21 @@ impl Injector {
         if acc.is_empty() {
             return;
         }
-        let mut st = self.state.lock();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let launch = st.launch;
+        let tally = st.blocks.entry(site.block).or_insert_with(|| {
+            let fields = [launch, site.block.0 as u64, site.block.1 as u64];
+            BlockTally {
+                prefix: fields
+                    .into_iter()
+                    .fold(splitmix64(self.cfg.seed), |h, f| splitmix64(h ^ f)),
+                calls: 0,
+                hits: 0,
+            }
+        });
+        let key = (launch, site.block, tally.calls);
+        tally.calls += 1;
 
         // Planned mode: exact site match.
         if !st.planned.is_empty() {
@@ -170,20 +218,13 @@ impl Injector {
                     && p.target_checksum == site.is_checksum
             }) {
                 let p = st.planned.remove(pos);
-                let idx = p.elem_idx.min(acc.len() - 1);
-                let old = acc[idx];
-                let new = old.flip_bit(p.bit.min(T::BITS - 1));
-                acc[idx] = new;
-                st.records.push(InjectionRecord {
-                    block: site.block,
-                    warp: site.warp,
-                    k_step: site.k_step,
-                    hit_checksum: site.is_checksum,
-                    elem_idx: idx,
-                    bit: p.bit.min(T::BITS - 1),
-                    width: T::BITS,
-                    magnitude: (new.to_f64() - old.to_f64()).abs(),
-                });
+                let rec = flip(
+                    site,
+                    acc,
+                    p.elem_idx.min(acc.len() - 1),
+                    p.bit.min(T::BITS - 1),
+                );
+                st.records.push((key, rec));
             }
             return;
         }
@@ -199,36 +240,35 @@ impl Injector {
         } else {
             self.cfg.model.target.allows_fma()
         };
-        if !eligible {
+        if !eligible || tally.hits >= self.cfg.model.max_per_block {
             return;
         }
-        let hits = st
-            .per_block_injections
-            .get(&site.block)
-            .copied()
-            .unwrap_or(0);
-        if hits >= self.cfg.model.max_per_block {
+        let mut rng = StdRng::seed_from_u64(splitmix64(tally.prefix ^ key.2));
+        if rng.random::<f64>() >= self.p_event {
             return;
         }
-        if st.rng.random::<f64>() >= self.p_event {
-            return;
-        }
-        let idx = st.rng.random_range(0..acc.len());
-        let bit = st.rng.random_range(0..T::BITS);
-        let old = acc[idx];
-        let new = old.flip_bit(bit);
-        acc[idx] = new;
-        *st.per_block_injections.entry(site.block).or_insert(0) += 1;
-        st.records.push(InjectionRecord {
-            block: site.block,
-            warp: site.warp,
-            k_step: site.k_step,
-            hit_checksum: site.is_checksum,
-            elem_idx: idx,
-            bit,
-            width: T::BITS,
-            magnitude: (new.to_f64() - old.to_f64()).abs(),
-        });
+        let idx = rng.random_range(0..acc.len());
+        let bit = rng.random_range(0..T::BITS);
+        tally.hits += 1;
+        let rec = flip(site, acc, idx, bit);
+        st.records.push((key, rec));
+    }
+}
+
+/// Flip `bit` of `acc[idx]` and describe the injection.
+fn flip<T: Scalar>(site: &MmaSite, acc: &mut [T], idx: usize, bit: u32) -> InjectionRecord {
+    let old = acc[idx];
+    let new = old.flip_bit(bit);
+    acc[idx] = new;
+    InjectionRecord {
+        block: site.block,
+        warp: site.warp,
+        k_step: site.k_step,
+        hit_checksum: site.is_checksum,
+        elem_idx: idx,
+        bit,
+        width: T::BITS,
+        magnitude: (new.to_f64() - old.to_f64()).abs(),
     }
 }
 
@@ -414,6 +454,32 @@ mod tests {
             <Injector as FaultHook<f64>>::post_mma(&inj, &site((0, 0), 0, k, false), &mut acc, 2);
         }
         assert_eq!(inj.injected_count(), 0);
+    }
+
+    #[test]
+    fn identical_site_calls_draw_independently() {
+        // DMR replicas and the samples of one update tile call the hook at
+        // an identical site. Keyed by the site alone, both replicas of a
+        // pair would be struck alike and the vote could not see the fault.
+        let inj = Injector::new(InjectorConfig {
+            schedule: InjectionSchedule::PerBlock { probability: 0.5 },
+            model: SeuModel {
+                target: FaultTarget::Any,
+                max_per_block: u32::MAX,
+            },
+            seed: 11,
+            kernel_time_hint_s: 1.0,
+            blocks_hint: 1,
+            events_per_block_hint: 1,
+        });
+        let s = site((0, 0), 0, 0, false);
+        let mut split = 0;
+        for _ in 0..64 {
+            let a = <Injector as FaultHook<f64>>::post_fma(&inj, &s, 1.0);
+            let b = <Injector as FaultHook<f64>>::post_fma(&inj, &s, 1.0);
+            split += usize::from(a.to_bits() != b.to_bits());
+        }
+        assert!(split >= 16, "replica pairs must disagree often: {split}/64");
     }
 
     #[test]

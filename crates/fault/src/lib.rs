@@ -24,7 +24,7 @@ pub mod schedule;
 pub mod stats;
 
 pub use bitflip::{classify_bit, BitField};
-pub use injector::{Injector, InjectorConfig, PlannedInjection};
+pub use injector::{splitmix64, Injector, InjectorConfig, PlannedInjection};
 pub use model::{FaultTarget, SeuModel};
 pub use schedule::{InjectionSchedule, RateRealization};
 pub use stats::{CampaignStats, InjectionRecord};

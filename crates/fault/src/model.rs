@@ -1,9 +1,7 @@
 //! The fault model: what can be corrupted and under what assumptions.
 
-use serde::{Deserialize, Serialize};
-
 /// Which computation site a fault may strike.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultTarget {
     /// Payload tensor-core MMA outputs (the distance accumulators).
     PayloadMma,
@@ -44,7 +42,7 @@ impl FaultTarget {
 /// The single-event-upset model of §II-A: memory is ECC-protected, network
 /// is FT-MPI-protected; compute errors arrive at most once per detection
 /// interval per threadblock.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeuModel {
     /// Eligible sites.
     pub target: FaultTarget,

@@ -1,7 +1,5 @@
 //! Injection schedules: when faults arrive.
 
-use serde::{Deserialize, Serialize};
-
 /// Requested vs. achievable injection rate for one schedule at one launch
 /// shape.
 ///
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// Bernoulli trial per launch) and silently under-injects. Campaign code
 /// compares `achieved_hz` against `requested_hz` instead of trusting the
 /// request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateRealization {
     /// The rate the schedule asks for, in errors/second.
     pub requested_hz: f64,
@@ -45,7 +43,7 @@ impl RateRealization {
 }
 
 /// How often transient faults arrive during a campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum InjectionSchedule {
     /// No injection.
     Off,

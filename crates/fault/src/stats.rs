@@ -1,11 +1,10 @@
 //! Campaign bookkeeping: what was injected, what the FT layer did about it.
 
 use crate::bitflip::{classify_bit, BitField};
-use serde::{Deserialize, Serialize};
 
 /// One injected fault (raw bits stored widened to `u64` so records are
 /// precision-agnostic).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InjectionRecord {
     /// Threadblock coordinates.
     pub block: (usize, usize),
@@ -33,7 +32,7 @@ impl InjectionRecord {
 }
 
 /// Aggregated outcome of an injection campaign.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CampaignStats {
     /// Faults injected.
     pub injected: u64,

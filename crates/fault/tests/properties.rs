@@ -89,31 +89,45 @@ proptest! {
         prop_assert!(p2 >= p);
     }
 
-    /// Same seed ⇒ identical campaign; different seeds diverge eventually.
+    /// Same seed ⇒ identical campaign, whatever order the blocks' hook
+    /// calls interleave in: every draw is keyed by (seed, launch, block,
+    /// per-block call ordinal), and the records come back in that order.
     #[test]
     fn campaigns_reproducible(seed in 0u64..1000) {
-        let mk = |s: u64| {
+        let inj = || {
             Injector::new(InjectorConfig {
                 schedule: InjectionSchedule::PerBlock { probability: 0.5 },
                 model: SeuModel { target: FaultTarget::Any, max_per_block: 8 },
-                seed: s,
+                seed,
                 kernel_time_hint_s: 1.0,
                 blocks_hint: 1,
                 events_per_block_hint: 2,
             })
         };
-        let run = |inj: &Injector| {
-            let mut acc = vec![1.0f64; 8];
-            for k in 0..32 {
-                <Injector as FaultHook<f64>>::post_mma(inj, &site((0, 0), 0, k), &mut acc, 4);
+        // Two blocks, 32 calls each, over two launches; each block has its
+        // own accumulator. `order` lists the block of each successive call.
+        let run = |inj: &Injector, order: &[usize]| {
+            for _ in 0..2 {
+                inj.begin_launch();
+                let mut acc = [vec![1.0f64; 8], vec![2.0f64; 8]];
+                let mut next = [0usize; 2];
+                for &b in order {
+                    let s = site((b, 0), 0, next[b]);
+                    next[b] += 1;
+                    <Injector as FaultHook<f64>>::post_mma(inj, &s, &mut acc[b], 4);
+                }
             }
-            // project away the magnitude (it can be NaN, and NaN != NaN)
+            // the magnitude can be NaN (and NaN != NaN): compare its bits
             inj.records()
                 .into_iter()
-                .map(|r| (r.block, r.warp, r.k_step, r.elem_idx, r.bit))
+                .map(|r| (r.block, r.warp, r.k_step, r.elem_idx, r.bit, r.magnitude.to_bits()))
                 .collect::<Vec<_>>()
         };
-        prop_assert_eq!(run(&mk(seed)), run(&mk(seed)));
+        let blockwise: Vec<usize> = (0..64).map(|i| i / 32).collect();
+        let interleaved: Vec<usize> = (0..64).map(|i| i % 2).collect();
+        let a = run(&inj(), &blockwise);
+        prop_assert_eq!(&a, &run(&inj(), &blockwise));
+        prop_assert_eq!(&a, &run(&inj(), &interleaved));
     }
 
     /// `CampaignStats::merge` is commutative and associative, so per-shard

@@ -6,10 +6,8 @@
 //! *sustained* numbers used as model ceilings, annotated with the paper's
 //! quoted peaks.
 
-use serde::{Deserialize, Serialize};
-
 /// Floating-point precision of a kernel instantiation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// 32-bit IEEE-754 (tensor cores operate in TF32 on Ampere).
     Fp32,
@@ -49,7 +47,7 @@ impl std::fmt::Display for Precision {
 /// Static description of a GPU used by the timing model and feasibility
 /// checks. All throughputs are in GFLOP/s, bandwidth in GB/s, capacities in
 /// bytes unless stated otherwise.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Marketing name, e.g. `"A100-PCIE-40GB"`.
     pub name: &'static str,

@@ -1,9 +1,7 @@
 //! Grid/block dimension helpers mirroring CUDA's `dim3`.
 
-use serde::{Deserialize, Serialize};
-
 /// A three-component extent, as in CUDA `dim3`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Dim3 {
     pub x: usize,
     pub y: usize,

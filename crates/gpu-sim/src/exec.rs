@@ -444,68 +444,6 @@ impl Executor {
         Ok(())
     }
 
-    /// Serial launch with a deterministic block order and `FnMut` kernels
-    /// (always runs on the calling thread, whatever the policy).
-    pub fn launch_serial<F>(
-        &self,
-        device: &DeviceProfile,
-        cfg: LaunchConfig,
-        counters: &Counters,
-        kernel: F,
-    ) -> Result<(), SimError>
-    where
-        F: FnMut(&BlockCtx),
-    {
-        self.launch_serial_labeled(device, cfg, counters, "kernel", kernel)
-    }
-
-    /// [`Executor::launch_serial`] with a kernel label for trace spans
-    /// (see [`Executor::launch_labeled`]).
-    pub fn launch_serial_labeled<F>(
-        &self,
-        device: &DeviceProfile,
-        cfg: LaunchConfig,
-        counters: &Counters,
-        label: &'static str,
-        mut kernel: F,
-    ) -> Result<(), SimError>
-    where
-        F: FnMut(&BlockCtx),
-    {
-        let traced = trace::active();
-        let before = if traced {
-            Some(counters.snapshot())
-        } else {
-            None
-        };
-        validate(device, &cfg)?;
-        counters.add_launch();
-        let san = sanitizer::launch_begin(self.sanitizer.as_ref(), label);
-        let sink = CounterSink::new(counters);
-        for idx in 0..cfg.grid.volume() {
-            let (bx, by, bz) = cfg.grid.unlinear(idx);
-            let ctx = BlockCtx {
-                bx,
-                by,
-                bz,
-                counters: &sink,
-                device,
-            };
-            match &san {
-                Some(sh) => sanitizer::with_block(sh, idx as u32, || kernel(&ctx)),
-                None => kernel(&ctx),
-            }
-            sink.flush();
-        }
-        if let Some(sh) = &san {
-            sanitizer::launch_end(sh);
-        }
-        if let Some(before) = before {
-            emit_launch_span(device, &cfg, counters, label, &before);
-        }
-        Ok(())
-    }
-
     /// Process `data` in place as disjoint `chunk`-sized pieces,
     /// `f(offset, piece)`, distributed over the pool. The host-side
     /// data-parallel companion to [`Executor::launch`] (used e.g. by the

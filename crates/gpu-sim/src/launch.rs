@@ -4,10 +4,13 @@
 //! Threadblocks on a GPU execute independently (no inter-block ordering);
 //! the simulator reproduces that by distributing blocks over a persistent
 //! worker pool with chunked work stealing (see [`crate::exec::Executor`]).
-//! Kernels that need cross-block coordination must use the atomic
-//! primitives ([`crate::memory::GlobalBuffer::atomic_add`],
-//! [`crate::atomics::ArgminStore`]) — plain stores to overlapping locations
-//! are a bug, as on hardware.
+//! A kernel's result must not depend on that order. Each block writes its
+//! own disjoint output range (per-block partials), and a follow-up launch
+//! reduces the partials in block-index order; an order-invariant merge such
+//! as [`crate::atomics::ArgminStore`] may share a location across blocks.
+//! A float `atomic_add` from several blocks to one cell is not
+//! order-invariant (rounding depends on arrival order), and plain stores
+//! to overlapping locations are a bug, as on hardware.
 
 use crate::counters::{CounterSink, Counters};
 use crate::device::DeviceProfile;
@@ -109,36 +112,6 @@ where
     exec::with_current(|e| e.launch_labeled(device, cfg, counters, label, &kernel))
 }
 
-/// Serial variant of [`launch_grid`] with a deterministic block order —
-/// useful for debugging kernels and for tests that want reproducible
-/// interleavings. Always runs on the calling thread regardless of the
-/// executor policy, and accepts `FnMut` kernels.
-pub fn launch_grid_serial<F>(
-    device: &DeviceProfile,
-    cfg: LaunchConfig,
-    counters: &Counters,
-    kernel: F,
-) -> Result<(), SimError>
-where
-    F: FnMut(&BlockCtx),
-{
-    exec::with_current(|e| e.launch_serial(device, cfg, counters, kernel))
-}
-
-/// [`launch_grid_serial`] with a kernel label for trace spans.
-pub fn launch_grid_serial_labeled<F>(
-    device: &DeviceProfile,
-    cfg: LaunchConfig,
-    counters: &Counters,
-    label: &'static str,
-    kernel: F,
-) -> Result<(), SimError>
-where
-    F: FnMut(&BlockCtx),
-{
-    exec::with_current(|e| e.launch_serial_labeled(device, cfg, counters, label, kernel))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,25 +139,6 @@ mod tests {
         .unwrap();
         assert!(hits.to_vec().iter().all(|&v| v == 1.0));
         assert_eq!(c.snapshot().kernel_launches, 1);
-    }
-
-    #[test]
-    fn serial_launch_is_deterministic_order() {
-        let dev = DeviceProfile::t4();
-        let c = Counters::new();
-        let mut order = Vec::new();
-        launch_grid_serial(
-            &dev,
-            LaunchConfig {
-                grid: Dim3::xy(2, 2),
-                threads_per_block: 32,
-                smem_bytes: 0,
-            },
-            &c,
-            |ctx| order.push((ctx.bx, ctx.by)),
-        )
-        .unwrap();
-        assert_eq!(order, vec![(0, 0), (1, 0), (0, 1), (1, 1)]);
     }
 
     #[test]

@@ -58,10 +58,7 @@ pub use device::{DeviceProfile, Precision};
 pub use dim::Dim3;
 pub use error::SimError;
 pub use exec::{ExecPolicy, Executor};
-pub use launch::{
-    launch_grid, launch_grid_labeled, launch_grid_serial, launch_grid_serial_labeled, BlockCtx,
-    LaunchConfig,
-};
+pub use launch::{launch_grid, launch_grid_labeled, BlockCtx, LaunchConfig};
 pub use matrix::Matrix;
 pub use memory::{GlobalBuffer, GlobalPackedBuffer, PackedLane};
 pub use mma::{FaultHook, FragmentMma, MmaSite, NoFault};

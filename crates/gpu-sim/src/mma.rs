@@ -26,7 +26,11 @@ pub mod shapes {
 /// reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MmaSite {
-    /// Threadblock coordinates in the launch grid.
+    /// Threadblock coordinates in the launch grid, or of a finer tile
+    /// inside one block (the update names its 256-sample tiles). Within
+    /// one launch all sites with a given `block` must come from a single
+    /// grid block, so a hook may key its state by `block` and see that
+    /// block's calls in program order whatever the schedule.
     pub block: (usize, usize),
     /// Warp index within the threadblock.
     pub warp: usize,

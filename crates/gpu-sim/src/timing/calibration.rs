@@ -26,10 +26,9 @@
 //! FP64: tensor pipe ≈ issue leg, so ABFT MMAs surface (paper §IV-B).
 
 use crate::device::{DeviceProfile, Precision};
-use serde::{Deserialize, Serialize};
 
 /// Tunable constants of the timing model for one (device, precision) pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Calibration {
     /// Composite issue/pipeline ceiling for the fused tensor-core distance
     /// kernel, GFLOP/s (payload FLOPs only).

@@ -27,11 +27,10 @@ use crate::mma::shapes;
 use crate::shared::staged_smem_bytes;
 use crate::timing::calibration::Calibration;
 use crate::timing::occupancy::{occupancy, tensor_regs_per_thread};
-use serde::{Deserialize, Serialize};
 
 /// GEMM problem shape in the paper's mapping: `m` samples, `n` clusters,
 /// `k` features.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GemmShape {
     /// Number of samples (GEMM M).
     pub m: usize,
@@ -54,7 +53,7 @@ impl GemmShape {
 
 /// Tiling of the tensor-core kernel: threadblock tile, warp tile and
 /// pipeline depth. `wk == tb_k` per the paper's enumeration rule 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TileConfig {
     pub tb_m: usize,
     pub tb_n: usize,
@@ -99,7 +98,7 @@ impl TileConfig {
 }
 
 /// Fault-tolerance scheme applied to the distance kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FtMode {
     /// No protection.
     None,

@@ -4,10 +4,9 @@ use crate::error::KMeansError;
 use abft::SchemeKind;
 use fault::{FaultTarget, InjectionSchedule};
 use gpu_sim::timing::TileConfig;
-use serde::{Deserialize, Serialize};
 
 /// Which distance/assignment kernel implementation to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variant {
     /// Thread-per-sample baseline (§III-A1).
     Naive,
@@ -56,7 +55,7 @@ impl Variant {
 /// the quantization noise to the exact fp row, so every policy returns the
 /// same labels and distances as [`PredictPolicy::Exact`] — the quantized
 /// policies are a throughput knob, not an accuracy knob.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum PredictPolicy {
     /// Full-precision assignment through the model's fitted kernel variant.
     #[default]
@@ -88,7 +87,7 @@ impl PredictPolicy {
 }
 
 /// Centroid initialization strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InitMethod {
     /// K distinct samples chosen uniformly.
     RandomSamples,

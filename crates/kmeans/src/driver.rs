@@ -1,16 +1,18 @@
 //! The Lloyd-iteration driver: init → (assign → update)* → converge.
 //!
-//! [`KMeans`] is an estimator handle bound to a [`Session`]. The session
-//! path ([`KMeans::fit_model`], [`KMeans::partial_fit`],
+//! [`KMeans`] is an estimator handle bound to a [`Session`]. Every fit entry
+//! point ([`KMeans::fit_model`], [`KMeans::partial_fit`],
 //! [`KMeans::fit_from`]) returns a [`crate::FittedModel`] that owns the
-//! device-resident state; [`KMeans::fit`] remains as a thin compatibility
-//! wrapper returning the bare [`FitResult`] with the legacy
-//! [`SimError`]-typed failure channel.
+//! device-resident state and derefs to its [`FitResult`], or a
+//! [`KMeansError`]. A campaign's fault-free twin is a second `fit_model`
+//! with [`crate::FtConfig::without_injection`]: the injector keys every
+//! draw by (seed, launch, block, per-block call ordinal), so an injected
+//! fit is as schedule-independent as a clean one.
 
 use crate::assign::{default_tile, run_assignment, AssignmentResult};
 use crate::config::{KMeansConfig, Variant};
 use crate::device_data::DeviceData;
-use crate::error::KMeansError;
+use crate::error::{ensure_finite, KMeansError};
 use crate::init::{init_centroids, reseed_empty_clusters};
 use crate::minibatch;
 use crate::model::FittedModel;
@@ -23,7 +25,7 @@ use fault::{CampaignStats, InjectionRecord, Injector, InjectorConfig, RateRealiz
 use gpu_sim::counters::CounterSnapshot;
 use gpu_sim::mma::{FaultHook, NoFault};
 use gpu_sim::timing::{estimate, GemmShape, KernelClass, TimingInput};
-use gpu_sim::{Counters, DeviceProfile, Matrix, Precision, Scalar, SimError};
+use gpu_sim::{Counters, DeviceProfile, Matrix, Precision, Scalar};
 use parking_lot::Mutex;
 
 /// Per-iteration progress record (populated when history tracking is on).
@@ -68,9 +70,10 @@ pub struct FitResult<T> {
     pub counters: CounterSnapshot,
     /// Faults injected during the fit (0 without an injection campaign).
     pub injected: u64,
-    /// Every fault injected during the fit, in injection order (empty
-    /// without an injection campaign). Campaign harnesses log these as
-    /// per-injection JSONL records.
+    /// Every fault injected during the fit, ordered by (launch, block,
+    /// per-block call ordinal) so the order does not depend on block
+    /// scheduling (empty without an injection campaign). Campaign harnesses
+    /// log these as per-injection JSONL records.
     pub injection_records: Vec<InjectionRecord>,
     /// Requested vs. achievable injection rate of the campaign schedule
     /// (`None` without an injection campaign). When the requested rate
@@ -81,18 +84,6 @@ pub struct FitResult<T> {
     pub injection_realization: Option<RateRealization>,
     /// Per-iteration trace (inertia, reassignments, empty clusters).
     pub history: Vec<IterationEvent>,
-}
-
-/// An injected fit paired with its fault-free twin (identical data, seed,
-/// scheme and numerics — only the fault stream differs), as produced by
-/// [`KMeans::fit_with_twin`]. Comparing the two is how campaigns classify
-/// unhandled faults into benign vs. silent data corruption.
-#[derive(Debug, Clone)]
-pub struct TwinFit<T> {
-    /// The fit run under the configured injection schedule.
-    pub injected: FitResult<T>,
-    /// The fault-free twin: same configuration with injection off.
-    pub clean: FitResult<T>,
 }
 
 /// The FT K-means estimator, bound to a [`Session`].
@@ -130,21 +121,12 @@ impl KMeans {
         &self.session
     }
 
-    /// Fit the estimator on `samples` (row-major `m x dim`).
-    ///
-    /// Compatibility wrapper over [`KMeans::fit_model`]: returns the bare
-    /// [`FitResult`] (dropping the device-resident model state) and
-    /// collapses [`KMeansError`] back into the legacy [`SimError`] channel.
-    pub fn fit<T: Scalar>(&self, samples: &Matrix<T>) -> Result<FitResult<T>, SimError> {
-        self.fit_model(samples)
-            .map(FittedModel::into_result)
-            .map_err(SimError::from)
-    }
-
-    /// Fit the estimator on `samples`, returning a [`FittedModel`] that
-    /// owns the device-resident final centroids — the session-path API
+    /// Fit the estimator on `samples` (row-major `m x dim`), returning a
+    /// [`FittedModel`] that owns the device-resident final centroids —
     /// enabling re-upload-free [`FittedModel::predict`] /
-    /// [`FittedModel::score`] and [`KMeans::fit_from`] warm starts.
+    /// [`FittedModel::score`] and [`KMeans::fit_from`] warm starts. The
+    /// model derefs to its [`FitResult`]; [`FittedModel::into_result`]
+    /// takes it by value.
     pub fn fit_model<T: Scalar>(&self, samples: &Matrix<T>) -> Result<FittedModel<T>, KMeansError> {
         let (result, data) = self
             .session
@@ -203,25 +185,6 @@ impl KMeans {
         batch: &Matrix<T>,
     ) -> Result<FittedModel<T>, KMeansError> {
         minibatch::partial_fit_step(&self.session, &self.config, model, batch)
-    }
-
-    /// Fit under the configured injection schedule AND once more with
-    /// injection disabled — the fault-free twin. Both runs share data,
-    /// seeding, scheme and numerics, so any divergence between them is
-    /// attributable to unhandled faults; campaign classification compares
-    /// the pair to split [`CampaignStats::unhandled`] into benign flips
-    /// vs. silent data corruption.
-    ///
-    /// The twin's result is independent of the execution policy; the
-    /// injected fit's fault *sites* are not (parallel block order
-    /// interleaves the RNG stream), so deterministic campaigns run this
-    /// under a serial executor scope ([`gpu_sim::exec::with_executor`]).
-    pub fn fit_with_twin<T: Scalar>(&self, samples: &Matrix<T>) -> Result<TwinFit<T>, SimError> {
-        let injected = self.fit(samples)?;
-        let mut clean_est = self.clone();
-        clean_est.config.ft = clean_est.config.ft.without_injection();
-        let clean = clean_est.fit(samples)?;
-        Ok(TwinFit { injected, clean })
     }
 }
 
@@ -306,6 +269,7 @@ fn lloyd_core<T: Scalar>(
     let device = session.device();
     let (m, dim) = (samples.rows(), samples.cols());
     cfg.validate(m, dim)?;
+    ensure_finite(samples)?;
 
     let counters = Counters::new();
     let stats = Mutex::new(CampaignStats::default());
@@ -573,7 +537,7 @@ mod tests {
                 .with_variant(Variant::Tensor(None))
                 .with_seed(5),
         );
-        let r = km.fit(&data).unwrap();
+        let r = km.fit_model(&data).unwrap();
         assert!(r.converged, "should converge on separable data");
         assert!(r.iterations <= 50);
         // every cluster used
@@ -600,7 +564,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let r = km.fit(&data).unwrap();
+        let r = km.fit_model(&data).unwrap();
         let init = init_centroids(&data, 3, 11, InitMethod::RandomSamples);
         let (_, ref_labels, _) = lloyd_reference(&data, &init, 8);
         assert_eq!(r.labels, ref_labels);
@@ -621,7 +585,7 @@ mod tests {
         let mut results = Vec::new();
         for v in variants {
             let km = session.kmeans(KMeansConfig::new(4).with_variant(v).with_seed(9));
-            results.push(km.fit(&data).unwrap().labels);
+            results.push(km.fit_model(&data).unwrap().into_result().labels);
         }
         for r in &results[1..] {
             assert_eq!(r, &results[0]);
@@ -641,7 +605,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let r = km.fit(&data).unwrap();
+        let r = km.fit_model(&data).unwrap();
         assert_eq!(r.history.len(), r.iterations);
         assert_eq!(
             r.history[0].reassigned, 150,
@@ -669,7 +633,7 @@ mod tests {
                 .with_init(InitMethod::KMeansPlusPlus)
                 .with_seed(21),
         );
-        let r = km.fit(&data).unwrap();
+        let r = km.fit_model(&data).unwrap();
         assert!(r.converged);
         let mut seen = [false; 4];
         for &l in &r.labels {
@@ -690,11 +654,37 @@ mod tests {
             Err(KMeansError::InvalidConfig { field: "k", .. }) => {}
             other => panic!("k > m must be InvalidConfig(k): {other:?}"),
         }
-        // the compatibility wrapper still reports through SimError
-        assert!(matches!(
-            KMeans::new(DeviceProfile::a100(), KMeansConfig::new(0)).fit(&data),
-            Err(SimError::InvalidConfig(_))
-        ));
+    }
+
+    #[test]
+    fn non_finite_training_data_is_a_typed_error() {
+        let session = Session::a100();
+        // One NaN and one +Inf cell; the error names the first in row-major
+        // order, whichever of the two it is.
+        for (bad, other) in [(f64::NAN, f64::INFINITY), (f64::INFINITY, f64::NAN)] {
+            let mut data = blobs(64, 3, 2, 5);
+            data.set(17, 2, bad);
+            data.set(40, 0, other);
+            let want = Err(KMeansError::NonFinite { row: 17, col: 2 });
+            for v in [
+                Variant::Naive,
+                Variant::GemmV1,
+                Variant::FusedV2,
+                Variant::BroadcastV3,
+                Variant::Tensor(None),
+                Variant::Hamerly,
+            ] {
+                let km = session.kmeans(KMeansConfig::new(2).with_variant(v));
+                let got = km.fit_model(&data).map(|_| ());
+                assert_eq!(got, want, "{v:?} fit on {bad}");
+            }
+            let km = session.kmeans(KMeansConfig::new(2));
+            let first = km.partial_fit(None, &data).map(|_| ());
+            assert_eq!(first, want, "first partial_fit batch holding {bad}");
+            let model = km.fit_model(&blobs(64, 3, 2, 6)).unwrap();
+            let next = km.partial_fit(Some(model), &data).map(|_| ());
+            assert_eq!(next, want, "continued partial_fit batch holding {bad}");
+        }
     }
 
     #[test]
@@ -740,7 +730,7 @@ mod tests {
                 ..Default::default()
             }),
         )
-        .fit(&data)
+        .fit_model(&data)
         .unwrap();
         let injected = KMeans::new(
             DeviceProfile::a100(),
@@ -752,7 +742,7 @@ mod tests {
                 ..Default::default()
             }),
         )
-        .fit(&data)
+        .fit_model(&data)
         .unwrap();
         assert!(injected.injected > 0, "campaign must actually inject");
         assert_eq!(injected.labels, clean.labels, "FT must absorb every fault");
@@ -762,28 +752,31 @@ mod tests {
     #[test]
     fn twin_fit_pairs_injected_with_fault_free() {
         let data = blobs(256, 4, 4, 12);
-        let km = KMeans::new(
-            DeviceProfile::a100(),
-            KMeansConfig::new(4).with_seed(3).with_ft(FtConfig {
-                scheme: abft::SchemeKind::FtKMeans,
-                dmr_update: true,
-                injection: fault::InjectionSchedule::PerBlock { probability: 0.9 },
-                injection_seed: 5,
-                ..Default::default()
-            }),
-        );
-        let twin = km.fit_with_twin(&data).unwrap();
-        assert!(twin.injected.injected > 0, "injected leg must inject");
-        assert_eq!(twin.clean.injected, 0, "twin must be fault-free");
+        let cfg = KMeansConfig::new(4).with_seed(3).with_ft(FtConfig {
+            scheme: abft::SchemeKind::FtKMeans,
+            dmr_update: true,
+            injection: fault::InjectionSchedule::PerBlock { probability: 0.9 },
+            injection_seed: 5,
+            ..Default::default()
+        });
+        let session = Session::a100();
+        let injected = session.kmeans(cfg.clone()).fit_model(&data).unwrap();
+        let clean_cfg = KMeansConfig {
+            ft: cfg.ft.without_injection(),
+            ..cfg
+        };
+        let clean = session.kmeans(clean_cfg).fit_model(&data).unwrap();
+        assert!(injected.injected > 0, "injected leg must inject");
+        assert_eq!(clean.injected, 0, "twin must be fault-free");
         assert_eq!(
-            twin.injected.injection_records.len() as u64,
-            twin.injected.injected,
+            injected.injection_records.len() as u64,
+            injected.injected,
             "records mirror the count"
         );
-        assert!(twin.clean.injection_records.is_empty());
-        assert!(twin.clean.injection_realization.is_none());
+        assert!(clean.injection_records.is_empty());
+        assert!(clean.injection_realization.is_none());
         // FP64 + FtKMeans absorbs the barrage, so the pair agrees.
-        assert_eq!(twin.injected.labels, twin.clean.labels);
+        assert_eq!(injected.labels, clean.labels);
     }
 
     #[test]
@@ -810,7 +803,7 @@ mod tests {
                     ..Default::default()
                 },
             )
-            .fit(&data)
+            .fit_model(&data)
             .unwrap()
         };
         // 50 err/s over one modeled second ≈ 50 expected injections; demand
@@ -848,7 +841,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let r = km.fit(&data).unwrap();
+        let r = km.fit_model(&data).unwrap();
         let mut counts = [0usize; 4];
         for &l in &r.labels {
             counts[l as usize] += 1;

@@ -7,7 +7,7 @@
 //! problems carry both shapes, and genuine simulator failures pass through
 //! unchanged.
 
-use gpu_sim::SimError;
+use gpu_sim::{Matrix, Scalar, SimError};
 use std::fmt;
 
 /// Errors surfaced by the estimator API ([`crate::Session`],
@@ -91,26 +91,17 @@ impl From<SimError> for KMeansError {
     }
 }
 
-/// Lossy conversion for the legacy [`crate::KMeans::fit`] compatibility
-/// wrapper: structured variants collapse back into the stringly simulator
-/// error they replaced.
-impl From<KMeansError> for SimError {
-    fn from(e: KMeansError) -> Self {
-        match e {
-            KMeansError::Sim(e) => e,
-            KMeansError::InvalidConfig { field, reason } => {
-                SimError::InvalidConfig(format!("{field}: {reason}"))
-            }
-            KMeansError::ShapeMismatch {
-                what,
-                expected,
-                got,
-            } => SimError::ShapeMismatch(format!(
-                "{what}: expected {}x{}, got {}x{}",
-                expected.0, expected.1, got.0, got.1
-            )),
-            e @ KMeansError::NonFinite { .. } => SimError::InvalidConfig(e.to_string()),
-        }
+/// Reject a matrix holding a NaN or an infinity with
+/// [`KMeansError::NonFinite`], naming the first such entry in row-major
+/// order. Neither a training sample nor a query without a finite value has
+/// a nearest centroid.
+pub(crate) fn ensure_finite<T: Scalar>(m: &Matrix<T>) -> Result<(), KMeansError> {
+    match m.as_slice().iter().position(|v| !v.is_finite_s()) {
+        Some(i) => Err(KMeansError::NonFinite {
+            row: i / m.cols(),
+            col: i % m.cols(),
+        }),
+        None => Ok(()),
     }
 }
 
@@ -135,30 +126,10 @@ mod tests {
     }
 
     #[test]
-    fn sim_errors_roundtrip_through_the_compat_conversion() {
+    fn sim_errors_wrap_unchanged() {
         let sim = SimError::ShapeMismatch("inner".into());
         let km: KMeansError = sim.clone().into();
-        assert_eq!(km, KMeansError::Sim(sim.clone()));
-        let back: SimError = km.into();
-        assert_eq!(back, sim);
-    }
-
-    #[test]
-    fn structured_variants_collapse_to_stringly_sim_errors() {
-        let km = KMeansError::InvalidConfig {
-            field: "k",
-            reason: "must be at least 1".into(),
-        };
-        match SimError::from(km) {
-            SimError::InvalidConfig(msg) => assert!(msg.contains("k:")),
-            other => panic!("wrong variant: {other:?}"),
-        }
-        let km = KMeansError::ShapeMismatch {
-            what: "samples",
-            expected: (1, 2),
-            got: (3, 4),
-        };
-        assert!(matches!(SimError::from(km), SimError::ShapeMismatch(_)));
+        assert_eq!(km, KMeansError::Sim(sim));
     }
 
     #[test]

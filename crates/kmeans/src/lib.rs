@@ -86,7 +86,7 @@ pub mod variants;
 pub use assign::AssignmentResult;
 pub use config::{FtConfig, InitMethod, KMeansConfig, PredictPolicy, Variant};
 pub use device_data::DeviceData;
-pub use driver::{FitResult, IterationEvent, KMeans, TwinFit};
+pub use driver::{FitResult, IterationEvent, KMeans};
 pub use error::KMeansError;
 pub use metrics::{adjusted_rand_index, inertia};
 pub use model::FittedModel;

@@ -21,7 +21,7 @@
 use crate::config::KMeansConfig;
 use crate::device_data::DeviceData;
 use crate::driver::{build_injector, FitResult, IterationEvent};
-use crate::error::KMeansError;
+use crate::error::{ensure_finite, KMeansError};
 use crate::init::init_centroids;
 use crate::model::FittedModel;
 use crate::phase;
@@ -53,6 +53,7 @@ pub(crate) fn partial_fit_step<T: Scalar>(
     batch: &Matrix<T>,
 ) -> Result<FittedModel<T>, KMeansError> {
     let (mb, dim) = (batch.rows(), batch.cols());
+    ensure_finite(batch)?;
     // Destructure the stream state: (config, result shell, weights, batch#).
     // A continued stream keeps the model's own config (the estimator's
     // config only seeds the first batch), so `km.partial_fit` composes with

@@ -16,7 +16,7 @@ use crate::assign::run_assignment;
 use crate::config::{KMeansConfig, PredictPolicy};
 use crate::device_data::DeviceData;
 use crate::driver::FitResult;
-use crate::error::KMeansError;
+use crate::error::{ensure_finite, KMeansError};
 use crate::phase;
 use crate::quant::{fnv1a64, QuantKind, QuantizedCentroids};
 use crate::session::Session;
@@ -321,13 +321,7 @@ impl<T: Scalar> FittedModel<T> {
                 got: (samples.rows(), samples.cols()),
             });
         }
-        match samples.as_slice().iter().position(|v| !v.is_finite_s()) {
-            Some(i) => Err(KMeansError::NonFinite {
-                row: i / self.data.dim,
-                col: i % self.data.dim,
-            }),
-            None => Ok(()),
-        }
+        ensure_finite(samples)
     }
 
     fn assign(&self, samples: &Matrix<T>) -> Result<(Vec<u32>, f64), KMeansError> {

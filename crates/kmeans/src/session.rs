@@ -1,7 +1,7 @@
 //! The estimator lifecycle root: a device profile, an optional executor
 //! handle, and a lazily-built, cached kernel selector.
 //!
-//! The one-shot `KMeans::fit(&data)` API re-derived everything per call:
+//! A one-shot fit API would re-derive everything per call:
 //! each fit re-validated the config, each process re-tuned the kernel
 //! selector from scratch, and nothing owned the device-resident state
 //! between calls. A [`Session`] amortizes all of that: build it once,

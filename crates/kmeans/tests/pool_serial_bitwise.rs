@@ -1,11 +1,14 @@
-//! Schedule independence, property-checked: every fit variant and the
-//! streaming `partial_fit` produce bitwise-identical labels, centroids and
-//! counter totals on a 4-worker pool and on the serial executor, at any
-//! sample count. The assignment merges per-block candidates
-//! order-invariantly and the update reduces per-block partials in block
-//! order, so there is no tolerance: any difference is a schedule-dependent
-//! reduction.
+//! Schedule independence, property-checked: every fit variant, the
+//! streaming `partial_fit` and a fit under fault injection produce
+//! bitwise-identical labels, centroids, counter totals, campaign ledgers
+//! and injection records on a 4-worker pool and on the serial executor, at
+//! any sample count. The assignment merges per-block candidates
+//! order-invariantly, the update reduces per-block partials in block order
+//! and the injector keys each draw by (seed, launch, block, per-block call
+//! ordinal), so there is no tolerance: any difference is a
+//! schedule-dependent reduction or draw.
 
+use fault::{CampaignStats, FaultTarget, InjectionSchedule};
 use gpu_sim::exec::Executor;
 use gpu_sim::{CounterSnapshot, DeviceProfile, Matrix};
 use kmeans::{FittedModel, FtConfig, KMeansConfig, Session, Variant};
@@ -33,15 +36,44 @@ fn data(m: usize, dim: usize, k: usize, seed: u64) -> Matrix<f32> {
     })
 }
 
-/// Labels, centroid bits and counter totals of one model.
-type Outcome = (Vec<u32>, Vec<u32>, CounterSnapshot);
+/// One injection, with the magnitude as bits (a flip can make it NaN).
+type Injection = ((usize, usize), usize, usize, bool, usize, u32, u64);
+
+/// Labels, centroid bits, counter totals, campaign ledger and injection
+/// records of one model.
+type Outcome = (
+    Vec<u32>,
+    Vec<u32>,
+    CounterSnapshot,
+    CampaignStats,
+    Vec<Injection>,
+);
 
 fn outcome(model: &FittedModel<f32>) -> Outcome {
     let bits = model.centroids.as_slice().iter().map(|v| v.to_bits());
-    (model.labels.clone(), bits.collect(), model.counters)
+    let records = model.injection_records.iter().map(|r| {
+        let magnitude = r.magnitude.to_bits();
+        (
+            r.block,
+            r.warp,
+            r.k_step,
+            r.hit_checksum,
+            r.elem_idx,
+            r.bit,
+            magnitude,
+        )
+    });
+    (
+        model.labels.clone(),
+        bits.collect(),
+        model.counters,
+        model.ft_stats,
+        records.collect(),
+    )
 }
 
-/// Every variant's 3-iteration fit, then a two-batch `partial_fit` stream.
+/// Every variant's 3-iteration fit, a two-batch `partial_fit` stream, then
+/// a protected tensor fit under fault injection on every eligible site.
 fn run_all(exec: Executor, x: &Matrix<f32>, k: usize, seed: u64) -> Vec<Outcome> {
     let session = Session::new(DeviceProfile::a100()).with_executor(exec);
     let cfg = |variant| KMeansConfig {
@@ -62,6 +94,18 @@ fn run_all(exec: Executor, x: &Matrix<f32>, k: usize, seed: u64) -> Vec<Outcome>
     out.push(outcome(
         &km.partial_fit(Some(first), x).expect("second batch"),
     ));
+    let injected = KMeansConfig {
+        ft: FtConfig {
+            injection: InjectionSchedule::PerBlock { probability: 0.5 },
+            injection_seed: seed,
+            fault_target: FaultTarget::Any,
+            ..FtConfig::protected()
+        },
+        ..cfg(Variant::tensor_default())
+    };
+    out.push(outcome(
+        &session.kmeans(injected).fit_model(x).expect("injected fit"),
+    ));
     out
 }
 
@@ -75,10 +119,16 @@ proptest! {
         let serial = run_all(Executor::serial(), &x, k, seed);
         let pool = run_all(Executor::with_workers(4), &x, k, seed);
         for (i, (s, p)) in serial.iter().zip(&pool).enumerate() {
-            let what = VARIANTS.get(i).map_or("partial_fit".to_string(), |v| format!("{v:?}"));
+            let what = match i.checked_sub(VARIANTS.len()) {
+                None => format!("{:?}", VARIANTS[i]),
+                Some(0) => "partial_fit".to_string(),
+                Some(_) => "injected fit".to_string(),
+            };
             prop_assert_eq!(&s.0, &p.0, "{} labels", what);
             prop_assert_eq!(&s.1, &p.1, "{} centroid bits", what);
             prop_assert_eq!(s.2, p.2, "{} counters", what);
+            prop_assert_eq!(s.3, p.3, "{} campaign ledger", what);
+            prop_assert_eq!(&s.4, &p.4, "{} injection records", what);
         }
     }
 }

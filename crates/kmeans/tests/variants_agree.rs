@@ -175,11 +175,11 @@ fn hamerly_vs_naive_all_horizons(data: &Matrix<f64>, k: usize) {
     for iters in [1usize, 2, 3, 5, 8] {
         let naive = session
             .kmeans(fit_cfg(k, Variant::Naive, iters))
-            .fit(data)
+            .fit_model(data)
             .unwrap();
         let ham = session
             .kmeans(fit_cfg(k, Variant::Hamerly, iters))
-            .fit(data)
+            .fit_model(data)
             .unwrap();
         assert_eq!(ham.labels, naive.labels, "labels diverge at {iters} iters");
         for (i, (a, b)) in ham
@@ -210,11 +210,11 @@ fn hamerly_prunes_most_distance_work_after_warmup() {
     let session = Session::a100();
     let short = session
         .kmeans(fit_cfg(k, Variant::Hamerly, 3))
-        .fit(&data)
+        .fit_model(&data)
         .unwrap();
     let long = session
         .kmeans(fit_cfg(k, Variant::Hamerly, 8))
-        .fit(&data)
+        .fit_model(&data)
         .unwrap();
     assert_eq!(long.iterations, 8, "tol = 0 must run the full horizon");
     let pruned = long.counters.pruned_candidates - short.counters.pruned_candidates;

@@ -84,7 +84,7 @@ fn variants_agree_single_step_f32() {
                 ..Default::default()
             },
         );
-        km.fit(&data).expect("fit").labels
+        km.fit_model(&data).expect("fit").into_result().labels
     };
     let reference = one(Variant::Tensor(None));
     for variant in [
@@ -132,7 +132,7 @@ fn tensor_variant_tracks_cpu_lloyd_f64() {
             ..Default::default()
         },
     );
-    let fit = km.fit(&data).expect("fit");
+    let fit = km.fit_model(&data).expect("fit");
     // Reconstruct the reference trajectory with identical init.
     // Init extraction is internal; validate by the fixed-point property:
     let (ref_labels, _) = assign_reference(&data, &fit.centroids);
@@ -164,7 +164,7 @@ fn lloyd_reference_and_gpu_converge_to_same_inertia_class() {
             ..Default::default()
         },
     );
-    let fit = km.fit(&data).expect("fit");
+    let fit = km.fit_model(&data).expect("fit");
     // CPU Lloyd from the same data (independent random-ish init via
     // centroids of the GPU fit — checks fixed-point property).
     let (c2, l2, _) = lloyd_reference(&data, &fit.centroids, 10);
@@ -192,7 +192,7 @@ fn clustering_quality_on_separated_blobs() {
         .with_seed(2)
         .with_init(InitMethod::KMeansPlusPlus);
     cfg.max_iter = 60;
-    let fit = KMeans::new(dev, cfg).fit(&data).expect("fit");
+    let fit = KMeans::new(dev, cfg).fit_model(&data).expect("fit");
     let ari = metrics::adjusted_rand_index(&fit.labels, &truth);
     // The catalog blobs overlap slightly (std 0.5 in a ±6 box); high but
     // not perfect agreement is the correct expectation.
@@ -214,7 +214,7 @@ fn hard_datasets_do_not_crash_and_produce_valid_labels() {
         ("imbalanced", imbal, 5),
     ] {
         let fit = KMeans::new(dev.clone(), KMeansConfig::new(k).with_seed(1))
-            .fit(&data)
+            .fit_model(&data)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(fit.labels.len(), data.rows());
         assert!(
@@ -238,9 +238,11 @@ fn t4_and_a100_produce_identical_results() {
     let (data, _, _) = spec.build::<f64>();
     let cfg = KMeansConfig::new(4).with_seed(5);
     let a = KMeans::new(DeviceProfile::a100(), cfg.clone())
-        .fit(&data)
+        .fit_model(&data)
         .unwrap();
-    let t = KMeans::new(DeviceProfile::t4(), cfg).fit(&data).unwrap();
+    let t = KMeans::new(DeviceProfile::t4(), cfg)
+        .fit_model(&data)
+        .unwrap();
     assert_eq!(a.labels, t.labels);
     assert!((a.inertia - t.inertia).abs() < 1e-9);
 }
@@ -270,7 +272,7 @@ fn norms_are_shared_across_variants() {
                 ..Default::default()
             },
         );
-        km.fit(&data).unwrap().counters
+        km.fit_model(&data).unwrap().counters
     };
     let naive = run(Variant::Naive);
     let tensor = run(Variant::Tensor(None));

@@ -48,7 +48,7 @@ fn kmeans_constructs_and_fits_tiny_blobs() {
             .with_variant(Variant::Tensor(None))
             .with_seed(11),
     );
-    let fit = km.fit(&data).expect("fit through the facade");
+    let fit = km.fit_model(&data).expect("fit through the facade");
     assert_eq!(fit.labels.len(), 60);
     assert!(fit.iterations >= 1);
     assert!(fit.inertia.is_finite() && fit.inertia >= 0.0);

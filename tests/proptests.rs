@@ -421,7 +421,7 @@ proptest! {
             ..Default::default()
         };
         cfg.ft.revalidate_every = every;
-        let fit = session.kmeans(cfg).fit(&samples).unwrap();
+        let fit = session.kmeans(cfg).fit_model(&samples).unwrap();
         prop_assert!(
             fit.ft_stats.clean_sweeps >= 1,
             "the final-iteration full sweep always runs"

@@ -44,10 +44,10 @@ fn selected_tile_runs_functionally_and_matches_default() {
         ..cfg_sel.clone()
     };
     let a = KMeans::new(dev.clone(), cfg_sel)
-        .fit(&data)
+        .fit_model(&data)
         .expect("selected tile fit");
     let b = KMeans::new(dev, cfg_def)
-        .fit(&data)
+        .fit_model(&data)
         .expect("default tile fit");
     assert_eq!(
         a.labels, b.labels,
