@@ -59,8 +59,7 @@ fn main() {
         registry,
         ServerConfig {
             max_batch_rows: 4096,
-            max_delay_us: 200,
-            validate_batched: false,
+            ..ServerConfig::default()
         },
     );
     let clients = 8usize;

@@ -135,8 +135,7 @@ fn run_phases(m: usize) -> Vec<SweepPhase> {
         registry,
         ServerConfig {
             max_batch_rows: STORM_CLIENTS * STORM_ROWS,
-            max_delay_us: 200,
-            validate_batched: false,
+            ..ServerConfig::default()
         },
     );
     std::thread::scope(|s| {

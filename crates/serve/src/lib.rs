@@ -10,10 +10,11 @@
 //!   [`kmeans::PredictPolicy`].
 //! * [`Server`] — a request front-end whose dispatcher **micro-batches
 //!   concurrent `predict` calls into single kernel launches**: requests
-//!   for the same model arriving within a batching window
-//!   ([`ServerConfig::max_batch_rows`] × [`ServerConfig::max_delay_us`])
-//!   are coalesced into one query upload + one assignment launch, and the
-//!   label vector is scattered back to the callers. Because every predict
+//!   for the same model queued while the dispatcher is busy (up to
+//!   [`ServerConfig::max_batch_rows`], or within an opt-in
+//!   [`ServerConfig::max_delay_us`] window) are coalesced into one query
+//!   upload + one assignment launch, and the label vector is scattered
+//!   back to the callers. Because every predict
 //!   path is label-exact per sample, the coalesced response is bit-identical
 //!   to the unbatched one ([`ServerConfig::validate_batched`] asserts it).
 //! * Admission of concurrent **fits** over the same shared executor:

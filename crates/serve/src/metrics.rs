@@ -9,7 +9,7 @@
 //!   bucket counts ([`trace::metrics::HistogramSnapshot::quantile`]),
 //!   never from retained samples,
 //! * a queue-delay histogram (enqueue → dispatch) for requests that
-//!   waited in the micro-batching window, and
+//!   went through the micro-batching queue, and
 //! * batch-occupancy gauges: rows and member-requests of the most recent
 //!   dispatch group plus high-water marks.
 //!
@@ -122,5 +122,25 @@ impl ServeMetrics {
     /// Prometheus text-format rendering of every instrument.
     pub(crate) fn render(&self) -> String {
         self.registry.render()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn queue_delay_histogram_resolves_sub_50us_waits() {
+        let metrics = ServeMetrics::new();
+        metrics.queue_delay(20);
+        let text = metrics.render();
+        assert!(
+            text.contains(r#"ftk_serve_queue_delay_us_bucket{le="10"} 0"#),
+            "{text}"
+        );
+        assert!(
+            text.contains(r#"ftk_serve_queue_delay_us_bucket{le="25"} 1"#),
+            "{text}"
+        );
     }
 }

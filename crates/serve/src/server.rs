@@ -3,12 +3,17 @@
 //! One background dispatcher thread owns the predict queue. Callers block
 //! on a per-request response slot; the dispatcher groups queued requests
 //! by model (same `Arc`, hence same resident buffers and
-//! [`kmeans::PredictPolicy`]), closes a group when its rows reach
-//! [`ServerConfig::max_batch_rows`] or the oldest member has waited
-//! [`ServerConfig::max_delay_us`], concatenates the group's query rows
-//! into one matrix, runs **one** predict — one query upload, one fused
-//! assignment launch through the model's [`kmeans::FittedModel::predict`]
-//! scratch — and scatters the label vector back to the callers.
+//! [`kmeans::PredictPolicy`]). By default dispatch is work-conserving: a
+//! free dispatcher closes the group at once over every queued request for
+//! the head model (up to [`ServerConfig::max_batch_rows`] rows), and
+//! requests arriving while it runs form the next group, so coalescing
+//! comes from load, not from waiting. With a window
+//! ([`ServerConfig::max_delay_us`] > 0) a group instead closes when its
+//! rows reach the cap or its oldest member has waited the window. The
+//! dispatcher concatenates the group's query rows into one matrix, runs
+//! **one** predict — one query upload, one fused assignment launch
+//! through the model's [`kmeans::FittedModel::predict`] scratch — and
+//! scatters the label vector back to the callers.
 //!
 //! Correctness of the scatter rests on a property every assignment kernel
 //! in this workspace already guarantees (and `tests/` re-asserts through
@@ -35,7 +40,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Batching-window knobs for [`Server`].
+/// Micro-batching knobs for [`Server`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
     /// A batch closes as soon as its total rows reach this many; a request
@@ -43,9 +48,11 @@ pub struct ServerConfig {
     /// queue and runs on the caller's thread — micro-batching only helps
     /// when per-launch overhead dominates, i.e. for small requests.
     pub max_batch_rows: usize,
-    /// A batch closes at most this many microseconds after its oldest
-    /// member arrived — the latency bound a queued request pays for the
-    /// chance to share a launch.
+    /// Opt-in batching window: when nonzero, a batch stays open until its
+    /// rows reach the cap or its oldest member has waited this many
+    /// microseconds, trading that latency for the chance to share a
+    /// launch. 0, the default, is work-conserving dispatch: a free
+    /// dispatcher takes whatever is queued at once, with no timer.
     pub max_delay_us: u64,
     /// Re-run every coalesced member unbatched and fail the request with
     /// [`ServeError::BatchMismatch`] if the labels differ in any bit.
@@ -58,7 +65,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_batch_rows: 1024,
-            max_delay_us: 200,
+            max_delay_us: 0,
             validate_batched: false,
         }
     }
@@ -71,8 +78,7 @@ impl ServerConfig {
     pub fn unbatched() -> Self {
         ServerConfig {
             max_batch_rows: 1,
-            max_delay_us: 0,
-            validate_batched: false,
+            ..Self::default()
         }
     }
 }
@@ -113,7 +119,8 @@ pub struct ServerStats {
     /// `queue_delay_us_total / queued_requests` is the mean queue delay.
     pub queue_delay_us_total: u64,
     /// Largest single enqueue-to-dispatch wait observed, microseconds —
-    /// bounded by [`ServerConfig::max_delay_us`] plus scheduling noise.
+    /// bounded by the running group's time plus any
+    /// [`ServerConfig::max_delay_us`] window, plus scheduling noise.
     pub queue_delay_us_max: u64,
 }
 
@@ -281,8 +288,8 @@ impl<T: Scalar> Server<T> {
 
     /// Label `queries` against the model registered under `name`.
     ///
-    /// Small requests are queued for the batching window and may share
-    /// their kernel launch with other callers ([`PredictResponse::coalesced_with`]);
+    /// Small requests are queued for the dispatcher and may share their
+    /// kernel launch with other callers ([`PredictResponse::coalesced_with`]);
     /// requests of [`ServerConfig::max_batch_rows`] rows or more — or every
     /// request, when batching is disabled — run directly on the calling
     /// thread. Blocks until the response is ready.
@@ -294,7 +301,7 @@ impl<T: Scalar> Server<T> {
             .get(name)
             .ok_or_else(|| ServeError::UnknownModel(name.to_string()))?;
         // Fail fast (and cheap) before queueing: a bad shape or a
-        // non-finite query must neither cost a batching window nor fail the
+        // non-finite query must neither cost a queue trip nor fail the
         // requests coalesced with it.
         model.validate_queries(queries)?;
         if queries.rows() == 0 {
@@ -581,10 +588,12 @@ fn dispatch_loop<T: Scalar>(inner: Arc<ServerInner<T>>) {
             }
             q = inner.arrived.wait(q).unwrap_or_else(|e| e.into_inner());
         }
-        // Adopt the oldest request's model as this group's key and keep
-        // the window open until the row budget fills or the deadline hits.
+        // Adopt the oldest request's model as this group's key. Without a
+        // window the group is whatever is queued now; with one, it stays
+        // open until the row budget fills or the deadline hits.
         let model = Arc::clone(&q.pending[0].model);
-        let deadline = Instant::now() + Duration::from_micros(inner.config.max_delay_us);
+        let deadline = (inner.config.max_delay_us > 0)
+            .then(|| Instant::now() + Duration::from_micros(inner.config.max_delay_us));
         let mut batch: Vec<Pending<T>> = Vec::new();
         let mut rows = 0usize;
         loop {
@@ -598,6 +607,7 @@ fn dispatch_loop<T: Scalar>(inner: Arc<ServerInner<T>>) {
                     i += 1;
                 }
             }
+            let Some(deadline) = deadline else { break };
             if rows >= inner.config.max_batch_rows || q.shutdown {
                 break;
             }
@@ -799,6 +809,25 @@ mod tests {
         let text = server.metrics_text();
         assert!(text.contains("# TYPE ftk_serve_queue_delay_us histogram"));
         assert!(text.contains("ftk_serve_queue_delay_us_count 1"));
+    }
+
+    #[test]
+    fn default_dispatch_is_work_conserving() {
+        let (session, registry) = serving_pair();
+        let server = Server::new(session, registry, ServerConfig::default());
+        // A lone client never has a partner to wait for: a free dispatcher
+        // must take each request at once instead of holding it for a timer.
+        for i in 0..100 {
+            let resp = server.predict("svc", &blobs(8, i)).unwrap();
+            assert_eq!(resp.coalesced_with, 1);
+        }
+        let stats = server.stats();
+        assert_eq!(stats.queued_requests, 100);
+        let mean_delay_us = stats.queue_delay_us_total / stats.queued_requests;
+        assert!(
+            mean_delay_us < 200,
+            "a free dispatcher must not wait out a window: {stats:?}"
+        );
     }
 
     #[test]

@@ -390,7 +390,7 @@ fn server_over_shared_pinned_executor_stays_consistent() {
 }
 
 #[test]
-fn shutdown_surfaces_as_an_error_not_a_hang() {
+fn server_moves_across_threads_and_drops_without_hanging() {
     let (tx, rx) = std::sync::mpsc::channel::<Server<f64>>();
     let session = Session::a100();
     let registry = ModelRegistry::new();
@@ -404,9 +404,6 @@ fn shutdown_surfaces_as_an_error_not_a_hang() {
     let server = Server::new(session, registry, ServerConfig::default());
     tx.send(server).unwrap();
     let server = rx.recv().unwrap();
-    drop(server); // shutdown drains and joins — the test must simply finish
-                  // a fresh server rejects requests submitted after shutdown begins is
-                  // covered implicitly: predict() on a dropped server can't be called
-                  // (ownership), and queued requests are drained before the join above.
-    assert!(matches!(ServeError::Shutdown, ServeError::Shutdown));
+    // Shutdown drains and joins the dispatcher; the test must simply finish.
+    drop(server);
 }

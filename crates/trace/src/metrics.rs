@@ -10,11 +10,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Default latency bucket bounds, microseconds. Spans sub-100µs direct
-/// predicts through multi-second refit storms.
+/// Default latency bucket bounds, microseconds. Spans ~10µs
+/// work-conserving queue waits through multi-second refit storms.
 pub const LATENCY_BUCKETS_US: &[u64] = &[
-    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
-    1_000_000, 5_000_000,
+    10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000,
+    500_000, 1_000_000, 5_000_000,
 ];
 
 /// Monotonically increasing counter.

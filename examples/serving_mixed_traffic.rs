@@ -65,8 +65,7 @@ fn main() {
         registry,
         ServerConfig {
             max_batch_rows: 512,
-            max_delay_us: 300,
-            validate_batched: false,
+            ..ServerConfig::default()
         },
     );
 
