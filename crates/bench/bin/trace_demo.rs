@@ -59,6 +59,8 @@ fn main() {
         registry,
         ServerConfig {
             max_batch_rows: 4096,
+            // a batching window: without one there is no micro-batching
+            max_delay_us: 200,
             ..ServerConfig::default()
         },
     );

@@ -130,11 +130,14 @@ fn run_phases(m: usize) -> Vec<SweepPhase> {
         .fit_model(&data)
         .expect("storm fit");
     registry.register("svc", storm_model.with_predict_policy(PredictPolicy::Int8));
+    // A batching window, so every request queues and batch formation
+    // runs (without one, every request runs on its caller's thread).
     let server = Server::new(
         session,
         registry,
         ServerConfig {
             max_batch_rows: STORM_CLIENTS * STORM_ROWS,
+            max_delay_us: 200,
             ..ServerConfig::default()
         },
     );

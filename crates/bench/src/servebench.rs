@@ -114,12 +114,13 @@ pub fn modeled_device_s(launches: usize, total_rows: usize) -> f64 {
 
 /// The micro-batching window every batched scenario runs under.
 ///
-/// It keeps an explicit 200 µs window although the server's default is
-/// work-conserving (no window): these scenarios gate *modeled* device
-/// throughput against `baselines/serve_throughput.csv`, and without the
-/// window `paced64` (open loop) and `mixed64` (refit load) coalesce too
-/// little: their modeled rates fell 3–9x below the committed baselines,
-/// outside the gate's band.
+/// It keeps an explicit 200 µs window although the server's default has
+/// none (every request runs on its caller's thread, unbatched): these
+/// scenarios gate *modeled* device throughput against
+/// `baselines/serve_throughput.csv`, and without a window nothing
+/// coalesces; under the earlier window-free queue, `paced64` (open loop)
+/// and `mixed64` (refit load) already fell 3–9x below the committed
+/// baselines, outside the gate's band.
 fn batching_window() -> ServerConfig {
     ServerConfig {
         max_batch_rows: CLIENTS * ROWS_PER_REQUEST,

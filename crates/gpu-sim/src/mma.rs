@@ -110,11 +110,10 @@ impl FragmentMma {
     /// * `b` — `wn*kk` row-major B fragment (rows of Y),
     /// * `kk` — slab depth.
     ///
-    /// The micro-kernel is register-blocked four output columns wide: the
-    /// four dot products run as independent accumulation chains over the
-    /// contiguous fragment rows. Every output still accumulates its `k`
-    /// terms in ascending order, so results are bitwise identical to the
-    /// scalar triple loop — only instruction-level parallelism changes.
+    /// This is [`FragmentMma::mma_clipped`] over the whole `wm x wn` tile;
+    /// a caller that knows trailing A or B rows are zero padding passes the
+    /// live extent there instead and skips their host arithmetic, with the
+    /// same charge and hook call.
     #[allow(clippy::too_many_arguments)]
     pub fn mma<T: Scalar, H: FaultHook<T> + ?Sized, C: EventSink + ?Sized>(
         &self,
@@ -126,51 +125,86 @@ impl FragmentMma {
         hook: &H,
         counters: &C,
     ) {
+        let live = (self.wm, self.wn);
+        self.mma_clipped(acc, a, b, kk, live, site, hook, counters);
+    }
+
+    /// [`FragmentMma::mma`] for a tile whose A rows at or beyond
+    /// `live.0` and B rows (output columns) at or beyond `live.1` are zero
+    /// padding: only the live `live.0 x live.1` corner of `acc` is
+    /// computed, and the padded lanes keep their values (the full MMA would
+    /// add `±0` to them, which changes at most the sign of a zero).
+    /// Everything else is the full tile's: every `mma.sync` of the
+    /// `wm x wn` tile is charged and `hook` sees the whole accumulator, so
+    /// counters, fault sites and modeled time do not depend on the clip. `a` and `b` keep
+    /// their full shapes; padded rows are never read.
+    ///
+    /// The micro-kernel is register-blocked four output columns wide: the
+    /// four dot products run as independent accumulation chains over the
+    /// contiguous fragment rows. Every output still accumulates its `k`
+    /// terms in ascending order, so results are bitwise identical to the
+    /// scalar triple loop — only instruction-level parallelism changes.
+    #[allow(clippy::too_many_arguments)]
+    pub fn mma_clipped<T: Scalar, H: FaultHook<T> + ?Sized, C: EventSink + ?Sized>(
+        &self,
+        acc: &mut [T],
+        a: &[T],
+        b: &[T],
+        kk: usize,
+        live: (usize, usize),
+        site: MmaSite,
+        hook: &H,
+        counters: &C,
+    ) {
         debug_assert_eq!(acc.len(), self.wm * self.wn);
         debug_assert_eq!(a.len(), self.wm * kk);
         debug_assert_eq!(b.len(), self.wn * kk);
-        // Fast path: stage B transposed to k-major in registers/local
-        // scratch, TF32-converted exactly once per element. The inner loop
-        // then walks contiguous j-runs, which vectorizes across output
-        // columns; every output still accumulates its k terms in ascending
-        // order, so results stay bitwise identical to the scalar triple
-        // loop (TF32 conversion is elementwise and deterministic).
+        let (rows, cols) = live;
+        debug_assert!(rows <= self.wm && cols <= self.wn);
+        let wn = self.wn;
+        // Fast path: stage the live B rows transposed to k-major
+        // (`bt[k*cols + j]`) in registers/local scratch, TF32-converted
+        // exactly once per element. The inner loop then walks contiguous
+        // j-runs, which vectorizes across output columns; every output
+        // still accumulates its k terms in ascending order, so results stay
+        // bitwise identical to the scalar triple loop (TF32 conversion is
+        // elementwise and deterministic).
         const AMAX: usize = 64;
         const BT_MAX: usize = 512;
-        if kk <= AMAX && self.wn * kk <= BT_MAX {
+        if kk <= AMAX && cols * kk <= BT_MAX {
             let mut bt = [T::ZERO; BT_MAX];
-            for j in 0..self.wn {
+            for j in 0..cols {
                 let brow = &b[j * kk..(j + 1) * kk];
                 for (k, &v) in brow.iter().enumerate() {
-                    bt[k * self.wn + j] = v.to_tf32();
+                    bt[k * cols + j] = v.to_tf32();
                 }
             }
             // One zero-init per slab, refilled (first kk slots) per row.
             let mut at = [T::ZERO; AMAX];
-            for i in 0..self.wm {
+            for i in 0..rows {
                 for (d, s) in at[..kk].iter_mut().zip(&a[i * kk..(i + 1) * kk]) {
                     *d = s.to_tf32();
                 }
-                let crow = &mut acc[i * self.wn..(i + 1) * self.wn];
+                let crow = &mut acc[i * wn..i * wn + cols];
                 let mut j = 0;
-                while j + 16 <= self.wn {
-                    dot_block::<T, 16>(crow, &at[..kk], &bt, self.wn, j);
+                while j + 16 <= cols {
+                    dot_block::<T, 16>(crow, &at[..kk], &bt, cols, j);
                     j += 16;
                 }
-                while j + 4 <= self.wn {
-                    dot_block::<T, 4>(crow, &at[..kk], &bt, self.wn, j);
+                while j + 4 <= cols {
+                    dot_block::<T, 4>(crow, &at[..kk], &bt, cols, j);
                     j += 4;
                 }
-                while j < self.wn {
-                    dot_block::<T, 1>(crow, &at[..kk], &bt, self.wn, j);
+                while j < cols {
+                    dot_block::<T, 1>(crow, &at[..kk], &bt, cols, j);
                     j += 1;
                 }
             }
         } else {
             // Fallback for oversized fragments: the scalar triple loop.
-            for i in 0..self.wm {
+            for i in 0..rows {
                 let arow = &a[i * kk..(i + 1) * kk];
-                let crow = &mut acc[i * self.wn..(i + 1) * self.wn];
+                let crow = &mut acc[i * wn..i * wn + cols];
                 for (j, cj) in crow.iter_mut().enumerate() {
                     let brow = &b[j * kk..(j + 1) * kk];
                     let mut sum = T::ZERO;
@@ -187,14 +221,15 @@ impl FragmentMma {
         } else {
             counters.add_mma(n);
         }
-        hook.post_mma(&site, acc, self.wn);
+        hook.post_mma(&site, acc, wn);
     }
 }
 
-/// `W` independent dot-product chains over a k-major transposed B panel:
-/// `crow[j+l] += Σ_k at[k] * bt[k*wn + j+l]` for `l in 0..W`. Each output's
-/// k terms accumulate in ascending order, preserving the bitwise-identity
-/// contract of [`FragmentMma::mma`] at every block width.
+/// `W` independent dot-product chains over a k-major transposed B panel of
+/// row stride `wn`: `crow[j+l] += Σ_k at[k] * bt[k*wn + j+l]` for
+/// `l in 0..W`. Each output's k terms accumulate in ascending order,
+/// preserving the bitwise-identity contract of [`FragmentMma::mma`] at
+/// every block width.
 #[inline]
 fn dot_block<T: Scalar, const W: usize>(crow: &mut [T], at: &[T], bt: &[T], wn: usize, j: usize) {
     let mut s = [T::ZERO; W];
@@ -313,6 +348,76 @@ mod tests {
         for (got, want) in acc.iter().zip(want.iter()) {
             assert_eq!(got.to_bits(), want.to_bits());
         }
+    }
+
+    /// Records every `post_mma` call: site, tile length and row width.
+    #[derive(Default)]
+    struct Recorder(std::sync::Mutex<Vec<(MmaSite, usize, usize)>>);
+
+    impl<T: Scalar> FaultHook<T> for Recorder {
+        fn post_mma(&self, site: &MmaSite, acc: &mut [T], wn: usize) {
+            self.0.lock().unwrap().push((*site, acc.len(), wn));
+        }
+    }
+
+    /// Random fragments whose A rows from `live.0` and B rows from `live.1`
+    /// are zero: the clipped MMA must equal the full one bit for bit on
+    /// every live lane, leave padded lanes as they were, and charge and
+    /// hook exactly what the full one does, slab after slab.
+    fn clipped_matches_full<T: Scalar>(wm: usize, wn: usize, kk: usize) {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            T::from_f64((state >> 11) as f64 / (1u64 << 53) as f64 * 8.0 - 4.0)
+        };
+        let exec = FragmentMma::new::<T>(wm, wn);
+        let extents = [(wm, wn), (0, wn), (wm, 0), (1, 1), (wm / 2 + 1, wn / 3 + 1)];
+        for live in extents {
+            let acc0: Vec<T> = (0..wm * wn).map(|_| draw()).collect();
+            let (mut full, mut clipped) = (acc0.clone(), acc0.clone());
+            let (c_full, c_clipped) = (Counters::new(), Counters::new());
+            let (h_full, h_clipped) = (Recorder::default(), Recorder::default());
+            for slab in 0..3 {
+                let a: Vec<T> = (0..wm * kk)
+                    .map(|e| if e / kk < live.0 { draw() } else { T::ZERO })
+                    .collect();
+                let b: Vec<T> = (0..wn * kk)
+                    .map(|e| if e / kk < live.1 { draw() } else { T::ZERO })
+                    .collect();
+                let site = MmaSite {
+                    k_step: slab * kk,
+                    ..site()
+                };
+                exec.mma(&mut full, &a, &b, kk, site, &h_full, &c_full);
+                exec.mma_clipped(&mut clipped, &a, &b, kk, live, site, &h_clipped, &c_clipped);
+            }
+            for (e, ((&f, &c), &o)) in full.iter().zip(&clipped).zip(&acc0).enumerate() {
+                let (i, j) = (e / wn, e % wn);
+                if i < live.0 && j < live.1 {
+                    assert_eq!(c.to_raw_u64(), f.to_raw_u64(), "{live:?} lane ({i}, {j})");
+                } else {
+                    assert_eq!(c.to_raw_u64(), o.to_raw_u64(), "{live:?} padded ({i}, {j})");
+                    assert_eq!(f, o, "the full MMA adds only zeros to ({i}, {j})");
+                }
+            }
+            assert_eq!(c_clipped.snapshot(), c_full.snapshot(), "{live:?} counters");
+            let calls = h_clipped.0.into_inner().unwrap();
+            assert_eq!(calls.len(), 3);
+            assert_eq!(calls, h_full.0.into_inner().unwrap(), "{live:?} hook calls");
+        }
+    }
+
+    #[test]
+    fn clipped_mma_matches_full_mma_on_live_lanes() {
+        // 8-deep slabs take the transposed fast path; 80-deep ones the
+        // scalar fallback.
+        for kk in [8, 80] {
+            clipped_matches_full::<f32>(16, 24, kk);
+            clipped_matches_full::<f64>(8, 9, kk);
+        }
+        clipped_matches_full::<f32>(64, 32, 8);
     }
 
     #[test]

@@ -102,38 +102,24 @@ impl<T: Scalar> Default for PredictScratch<T> {
 }
 
 /// The memoized result of the most recent assignment, keyed by sample-
-/// buffer identity (data pointer + shape + content fingerprint — the
-/// pointer alone could be reused by a fresh allocation). Because every
-/// [`PredictPolicy`] returns bit-identical labels and distances, the memo
-/// is valid across policy switches.
+/// buffer identity: data pointer + shape + a digest of every element (the
+/// pointer alone could be reused by a fresh allocation, or the matrix
+/// edited in place between calls). Because every [`PredictPolicy`] returns
+/// bit-identical labels and distances, the memo is valid across policy
+/// switches.
 struct AssignMemo {
     key: (usize, usize, usize, u64),
     labels: Vec<u32>,
     inertia: f64,
 }
 
-/// Elements fingerprinted by [`memo_key`]. Hashing every element of a
-/// serving-sized batch costs more than the kernel it guards, so beyond
-/// this count the fingerprint strides the buffer (first/last elements
-/// always included). The pointer + shape carry the identity; the strided
-/// content hash guards against the pointer being reused by a fresh
-/// allocation with different data.
-const MEMO_FINGERPRINT_ELEMS: usize = 4096;
-
+/// The memo key of `samples`. Every element is hashed, one word-wise
+/// [`fnv1a64`] step each: a change to any single element always changes
+/// the digest, and a wider in-place edit replays stale labels only on a
+/// chance 64-bit collision.
 fn memo_key<T: Scalar>(samples: &Matrix<T>) -> (usize, usize, usize, u64) {
     let s = samples.as_slice();
-    let n = s.len();
-    let hash = if n <= MEMO_FINGERPRINT_ELEMS {
-        fnv1a64(s.iter().map(|v| v.to_raw_u64()))
-    } else {
-        let step = n.div_ceil(MEMO_FINGERPRINT_ELEMS);
-        fnv1a64(
-            s.iter()
-                .step_by(step)
-                .chain(std::iter::once(&s[n - 1]))
-                .map(|v| v.to_raw_u64()),
-        )
-    };
+    let hash = fnv1a64(s.iter().map(|v| v.to_raw_u64()));
     (s.as_ptr() as usize, samples.rows(), samples.cols(), hash)
 }
 
@@ -694,6 +680,75 @@ mod tests {
             .expect("continue stream from clone");
         assert_eq!(cont.batches_seen(), 1);
         assert_eq!(model.batches_seen(), 0, "original untouched");
+    }
+
+    #[test]
+    fn in_place_edit_misses_the_memo() {
+        // Two blobs apart along column 1 only. The edited element (row 0,
+        // column 1) is not at the start or end of the buffer, and moving it
+        // to 100 carries row 0 across to the other blob.
+        let two_blobs = |m: usize| {
+            Matrix::<f64>::from_fn(m, 64, |r, c| {
+                let centre = if c == 1 { (r % 2) as f64 * 10.0 } else { 0.0 };
+                centre + ((r * 7 + c * 3) % 5) as f64 * 0.05
+            })
+        };
+        let model = Session::a100()
+            .kmeans(KMeansConfig::new(2).with_seed(1))
+            .fit_model(&two_blobs(200))
+            .expect("fit");
+        for policy in [PredictPolicy::Exact, PredictPolicy::Int8] {
+            let model = model.clone().with_predict_policy(policy);
+            let mut q = two_blobs(128);
+            let before = model.predict(&q).unwrap();
+            q.set(0, 1, 100.0);
+            let edited = model.predict(&q).unwrap();
+            let fresh = model.predict(&q.clone()).unwrap();
+            assert_ne!(fresh[0], before[0], "{policy:?}: the edit moves row 0");
+            assert_eq!(edited, fresh, "{policy:?}: stale memo after an edit");
+        }
+    }
+
+    #[test]
+    fn in_place_negations_change_the_memo_key() {
+        let fresh = || Matrix::<f64>::from_fn(128, 64, |r, c| 1.0 + (r * 64 + c) as f64 * 0.01);
+        let before = memo_key(&fresh());
+        // two elements: their sign bits must not cancel in the digest
+        let mut x = fresh();
+        x.set(3, 5, -x.get(3, 5));
+        x.set(90, 17, -x.get(90, 17));
+        assert_ne!(memo_key(&x), before, "two negated elements");
+        // a whole column of an even-row batch: 128 sign flips
+        let mut x = fresh();
+        for r in 0..x.rows() {
+            x.set(r, 1, -x.get(r, 1));
+        }
+        assert_ne!(memo_key(&x), before, "negated column");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn any_single_bit_flip_changes_the_memo_key(
+            rows in 1usize..160,
+            cols in 1usize..72,
+            pick in 0usize..usize::MAX,
+            bit in 0u32..64,
+        ) {
+            let mut x = Matrix::<f64>::from_fn(rows, cols, |r, c| {
+                (r * 31 + c * 17) as f64 * 0.37 - 40.0
+            });
+            let (r, c) = (pick % rows, pick / rows % cols);
+            let before = memo_key(&x);
+            x.set(r, c, x.get(r, c).flip_bit(bit));
+            proptest::prop_assert_ne!(memo_key(&x), before, "({}, {}) bit {}", r, c, bit);
+            // single-precision words hash as their 32 raw bits
+            let mut y = Matrix::<f32>::from_fn(rows, cols, |r, c| (r + 3 * c) as f32 * 0.5);
+            let before = memo_key(&y);
+            y.set(r, c, y.get(r, c).flip_bit(bit % 32));
+            proptest::prop_assert_ne!(memo_key(&y), before, "f32 ({}, {}) bit {}", r, c, bit);
+        }
     }
 
     #[test]

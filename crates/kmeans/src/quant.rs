@@ -100,18 +100,21 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
     }
 }
 
-/// FNV-1a over a stream of 64-bit words — the content digest guarding
-/// quantized resident state (and the sample-identity fingerprint of the
-/// predict memo).
+/// FNV-1a over a stream of 64-bit words, one xor-multiply-xorshift per
+/// word — the content digest guarding quantized resident state (and the
+/// sample fingerprint of the predict memo). For a fixed state each step is
+/// a bijection of the word (xor, a multiply by an odd prime mod 2^64, then
+/// `h ^= h >> 32`), and for a fixed word a bijection of the state, so two
+/// streams of equal length that differ in exactly one word always digest
+/// differently. The xorshift feeds high bits back down: a multiply alone
+/// only carries upward, so a bit-63 flip would pass through it unchanged
+/// and a second bit-63 flip in a later word (negating two floats) would
+/// cancel it.
 pub fn fnv1a64(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for byte in w.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+        let h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        h ^ (h >> 32)
+    })
 }
 
 /// Which reduced-precision storage format a table uses.
@@ -592,5 +595,34 @@ mod tests {
         assert_ne!(fnv1a64([1u64, 2]), fnv1a64([2u64, 1]));
         assert_ne!(fnv1a64([0u64]), fnv1a64([] as [u64; 0]));
         assert_eq!(fnv1a64([7u64, 9]), fnv1a64(vec![7u64, 9]));
+        // Two sign-bit flips must not cancel, wherever they sit.
+        let words: Vec<u64> = (0..64u64).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
+        let base = fnv1a64(words.iter().copied());
+        for i in 0..words.len() {
+            for j in i + 1..words.len() {
+                let mut w = words.clone();
+                w[i] ^= 1 << 63;
+                w[j] ^= 1 << 63;
+                assert_ne!(fnv1a64(w), base, "sign flips at {i} and {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn digest_guard_detects_paired_sign_flips() {
+        let vals: Vec<f64> = (0..32).map(|i| (i as f64 - 11.0) * 0.7).collect();
+        let t = QuantizedCentroids::build(&GlobalBuffer::from_slice(&vals), 4, 8, QuantKind::Fp16);
+        // negating two cached norms in place
+        let (a, b) = (t.norms.load(0), t.norms.load(2));
+        t.norms.store(0, -a);
+        t.norms.store(2, -b);
+        assert!(!t.verify(), "paired norm negation detected");
+        t.norms.store(0, a);
+        t.norms.store(2, b);
+        assert!(t.verify(), "restored");
+        // bit 63 of two packed code words (fp16: lane 3 and lane 7, bit 15)
+        t.corrupt_code_bit(3, 15);
+        t.corrupt_code_bit(7, 15);
+        assert!(!t.verify(), "paired code-word sign flips detected");
     }
 }

@@ -7,7 +7,11 @@
 //!    shared memory (`cp.async` + commit/wait groups, lines 03–09, 13–14,
 //!    18–19),
 //! 2. each warp loads register fragments and issues tensor-core MMA slabs
-//!    over its `wm x wn` accumulator (line 17),
+//!    over its `wm x wn` accumulator (line 17). Where the tile overhangs
+//!    the problem (fewer than `tb_m` samples or `tb_n` centroids left), the
+//!    padded lanes are charged and hooked like any other but not computed:
+//!    the warp multiplies only its live rows and columns, and a warp with
+//!    no live column skips its B fragment load,
 //! 3. with FT enabled, input checksums are folded from the *register
 //!    fragments* (lines 15–18 — no extra memory traffic, which is why the
 //!    scheme survives `cp.async`) and three checksum MMAs accumulate the
@@ -262,37 +266,56 @@ pub fn tensor_assign<T: Scalar>(
                 }
             }
 
-            // Warp MMA main loop (Fig. 4 lines 15-17).
+            // Warp MMA main loop (Fig. 4 lines 15-17). Fragment rows past
+            // the problem edge are zero padding (`fill_tile_from_global`),
+            // so each warp computes only its live corner; the MMA is still
+            // issued, charged and hooked over the whole warp tile.
             for wi in 0..warps_m {
+                let live_rows = rows_valid.saturating_sub(wi * tile.wm).min(tile.wm);
                 for kk0 in (0..tile.tb_k).step_by(mma_k) {
                     // The A fragment depends only on (wi, kk0): load it once
                     // and share it across this warp row's column warps.
-                    load_fragment(
-                        pipeline.a(stage),
-                        wi * tile.wm,
-                        kk0,
-                        tile.wm,
-                        mma_k,
-                        &mut a_frag,
-                    );
+                    if live_rows > 0 {
+                        load_fragment(
+                            pipeline.a(stage),
+                            wi * tile.wm,
+                            kk0,
+                            tile.wm,
+                            mma_k,
+                            &mut a_frag,
+                        );
+                    }
                     for wj in 0..warps_n {
                         let warp_id = wi * warps_n + wj;
                         let acc = &mut accs[warp_id * wsize..(warp_id + 1) * wsize];
-                        load_fragment(
-                            pipeline.b(stage),
-                            wj * tile.wn,
-                            kk0,
-                            tile.wn,
-                            mma_k,
-                            &mut b_frag,
-                        );
+                        let live_cols = cols_valid.saturating_sub(wj * tile.wn).min(tile.wn);
+                        if live_cols > 0 {
+                            load_fragment(
+                                pipeline.b(stage),
+                                wj * tile.wn,
+                                kk0,
+                                tile.wn,
+                                mma_k,
+                                &mut b_frag,
+                            );
+                        }
                         let site = MmaSite {
                             block,
                             warp: warp_id,
                             k_step: kt * tile.tb_k + kk0,
                             is_checksum: false,
                         };
-                        exec.mma(acc, &a_frag, &b_frag, mma_k, site, hook, ctx.counters);
+                        let live = (live_rows, live_cols);
+                        exec.mma_clipped(
+                            acc,
+                            &a_frag,
+                            &b_frag,
+                            mma_k,
+                            live,
+                            site,
+                            hook,
+                            ctx.counters,
+                        );
                         if let Some(states) = warp_states.as_mut() {
                             let col_sums = |f: usize| {
                                 let at = f * tile.tb_k + kk0..f * tile.tb_k + kk0 + mma_k;

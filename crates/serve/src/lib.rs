@@ -8,11 +8,12 @@
 //!   [`kmeans::FittedModel`]s. Registration, lookup, and hot-swap are
 //!   device-pointer-copy cheap; each model keeps its own
 //!   [`kmeans::PredictPolicy`].
-//! * [`Server`] — a request front-end whose dispatcher **micro-batches
-//!   concurrent `predict` calls into single kernel launches**: requests
-//!   for the same model queued while the dispatcher is busy (up to
-//!   [`ServerConfig::max_batch_rows`], or within an opt-in
-//!   [`ServerConfig::max_delay_us`] window) are coalesced into one query
+//! * [`Server`] — a request front-end that runs each `predict` on its
+//!   caller's thread by default and, with an opt-in
+//!   [`ServerConfig::max_delay_us`] window, **micro-batches concurrent
+//!   `predict` calls into single kernel launches**: requests for the same
+//!   model queued within the window (up to
+//!   [`ServerConfig::max_batch_rows`] rows) are coalesced into one query
 //!   upload + one assignment launch, and the label vector is scattered
 //!   back to the callers. Because every predict
 //!   path is label-exact per sample, the coalesced response is bit-identical

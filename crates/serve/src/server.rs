@@ -1,16 +1,14 @@
 //! The micro-batching request front-end.
 //!
-//! One background dispatcher thread owns the predict queue. Callers block
-//! on a per-request response slot; the dispatcher groups queued requests
-//! by model (same `Arc`, hence same resident buffers and
-//! [`kmeans::PredictPolicy`]). By default dispatch is work-conserving: a
-//! free dispatcher closes the group at once over every queued request for
-//! the head model (up to [`ServerConfig::max_batch_rows`] rows), and
-//! requests arriving while it runs form the next group, so coalescing
-//! comes from load, not from waiting. With a window
-//! ([`ServerConfig::max_delay_us`] > 0) a group instead closes when its
-//! rows reach the cap or its oldest member has waited the window. The
-//! dispatcher concatenates the group's query rows into one matrix, runs
+//! By default ([`ServerConfig::max_delay_us`] = 0) every predict runs at
+//! once on its caller's thread: no queue trip, no hand-off, no timer.
+//! Micro-batching is opt-in. With a window (`max_delay_us` > 0) one
+//! background dispatcher thread owns the predict queue. Callers block on a
+//! per-request response slot; the dispatcher groups queued requests by
+//! model (same `Arc`, hence same resident buffers and
+//! [`kmeans::PredictPolicy`]), and a group closes when its rows reach
+//! [`ServerConfig::max_batch_rows`] or its oldest member has waited the
+//! window. The dispatcher concatenates the group's query rows into one matrix, runs
 //! **one** predict — one query upload, one fused assignment launch
 //! through the model's [`kmeans::FittedModel::predict`] scratch — and
 //! scatters the label vector back to the callers.
@@ -43,16 +41,17 @@ use std::time::{Duration, Instant};
 /// Micro-batching knobs for [`Server`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// A batch closes as soon as its total rows reach this many; a request
-    /// at least this large (or any request when this is ≤ 1) bypasses the
-    /// queue and runs on the caller's thread — micro-batching only helps
-    /// when per-launch overhead dominates, i.e. for small requests.
+    /// With a batching window, a batch closes as soon as its total rows
+    /// reach this many; a request at least this large (or any request when
+    /// this is ≤ 1) bypasses the queue and runs on the caller's thread —
+    /// micro-batching only helps when per-launch overhead dominates, i.e.
+    /// for small requests.
     pub max_batch_rows: usize,
-    /// Opt-in batching window: when nonzero, a batch stays open until its
-    /// rows reach the cap or its oldest member has waited this many
-    /// microseconds, trading that latency for the chance to share a
-    /// launch. 0, the default, is work-conserving dispatch: a free
-    /// dispatcher takes whatever is queued at once, with no timer.
+    /// Opt-in batching window: when nonzero, every small request queues,
+    /// and a batch stays open until its rows reach the cap or its oldest
+    /// member has waited this many microseconds, trading that latency for
+    /// the chance to share a launch. 0, the default, runs every request on
+    /// its caller's thread at once; no dispatcher thread is started.
     pub max_delay_us: u64,
     /// Re-run every coalesced member unbatched and fail the request with
     /// [`ServeError::BatchMismatch`] if the labels differ in any bit.
@@ -80,6 +79,12 @@ impl ServerConfig {
             max_batch_rows: 1,
             ..Self::default()
         }
+    }
+
+    /// Whether small requests queue for the dispatcher: a batching window
+    /// is set and a batch can hold more than one row.
+    fn batching(&self) -> bool {
+        self.max_delay_us > 0 && self.max_batch_rows > 1
     }
 }
 
@@ -119,7 +124,7 @@ pub struct ServerStats {
     /// `queue_delay_us_total / queued_requests` is the mean queue delay.
     pub queue_delay_us_total: u64,
     /// Largest single enqueue-to-dispatch wait observed, microseconds —
-    /// bounded by the running group's time plus any
+    /// bounded by the running group's time plus the
     /// [`ServerConfig::max_delay_us`] window, plus scheduling noise.
     pub queue_delay_us_max: u64,
 }
@@ -214,8 +219,8 @@ struct ServerInner<T: Scalar> {
 /// assert_eq!(server.registry().names(), ["tenant-a", "tenant-b"]);
 /// ```
 ///
-/// Dropping the server shuts the dispatcher down after draining queued
-/// requests; [`Server::predict`] calls racing the drop get
+/// Dropping a batching server shuts the dispatcher down after draining
+/// queued requests; queued [`Server::predict`] calls racing the drop get
 /// [`ServeError::Shutdown`].
 pub struct Server<T: Scalar> {
     session: Session,
@@ -226,9 +231,11 @@ pub struct Server<T: Scalar> {
 impl<T: Scalar> Server<T> {
     /// Start a server over `registry`. `session` hosts models admitted via
     /// [`Server::fit`] (predicts always run on the session each model was
-    /// fitted under). The dispatcher thread runs under `session`'s scopes
-    /// ([`Session::run`]), so batched predicts emit into the session's
-    /// trace sink even when their model's own session has none.
+    /// fitted under). Predicts run under `session`'s scopes
+    /// ([`Session::run`]), on the caller's thread or the dispatcher's, so
+    /// they emit into the session's trace sink even when their model's own
+    /// session has none. The dispatcher thread is started only with a
+    /// batching window ([`ServerConfig::max_delay_us`] > 0).
     pub fn new(session: Session, registry: ModelRegistry<T>, config: ServerConfig) -> Self {
         let inner = Arc::new(ServerInner {
             registry,
@@ -243,7 +250,7 @@ impl<T: Scalar> Server<T> {
             groups: AtomicU64::new(0),
             metrics: ServeMetrics::new(),
         });
-        let dispatcher = {
+        let dispatcher = config.batching().then(|| {
             let inner = Arc::clone(&inner);
             let scopes = session.clone();
             std::thread::Builder::new()
@@ -252,11 +259,11 @@ impl<T: Scalar> Server<T> {
                 // Construction-time, not a request path: a host that cannot
                 // spawn a thread cannot run a server at all.
                 .expect("spawn dispatcher") // ftk-lint: allow(serve-unwrap)
-        };
+        });
         Server {
             session,
             inner,
-            dispatcher: Some(dispatcher),
+            dispatcher,
         }
     }
 
@@ -288,11 +295,12 @@ impl<T: Scalar> Server<T> {
 
     /// Label `queries` against the model registered under `name`.
     ///
-    /// Small requests are queued for the dispatcher and may share their
-    /// kernel launch with other callers ([`PredictResponse::coalesced_with`]);
-    /// requests of [`ServerConfig::max_batch_rows`] rows or more — or every
-    /// request, when batching is disabled — run directly on the calling
-    /// thread. Blocks until the response is ready.
+    /// Without a batching window every request runs directly on the
+    /// calling thread, as do requests of [`ServerConfig::max_batch_rows`]
+    /// rows or more. With a window, smaller requests are queued for the
+    /// dispatcher and may share their kernel launch with other callers
+    /// ([`PredictResponse::coalesced_with`]). Blocks until the response is
+    /// ready.
     pub fn predict(&self, name: &str, queries: &Matrix<T>) -> Result<PredictResponse, ServeError> {
         let start = Instant::now();
         let model = self
@@ -310,10 +318,11 @@ impl<T: Scalar> Server<T> {
                 coalesced_with: 1,
             });
         }
-        let out = if self.inner.config.max_batch_rows <= 1
+        let out = if !self.inner.config.batching()
             || queries.rows() >= self.inner.config.max_batch_rows
         {
-            self.inner.serve_direct(name, &model, queries)
+            self.session
+                .run(|| self.inner.serve_direct(name, &model, queries))
         } else {
             let slot = Arc::new(ResponseSlot::new());
             {
@@ -588,12 +597,10 @@ fn dispatch_loop<T: Scalar>(inner: Arc<ServerInner<T>>) {
             }
             q = inner.arrived.wait(q).unwrap_or_else(|e| e.into_inner());
         }
-        // Adopt the oldest request's model as this group's key. Without a
-        // window the group is whatever is queued now; with one, it stays
-        // open until the row budget fills or the deadline hits.
+        // Adopt the oldest request's model as this group's key; the group
+        // stays open until the row budget fills or the window closes.
         let model = Arc::clone(&q.pending[0].model);
-        let deadline = (inner.config.max_delay_us > 0)
-            .then(|| Instant::now() + Duration::from_micros(inner.config.max_delay_us));
+        let deadline = Instant::now() + Duration::from_micros(inner.config.max_delay_us);
         let mut batch: Vec<Pending<T>> = Vec::new();
         let mut rows = 0usize;
         loop {
@@ -607,7 +614,6 @@ fn dispatch_loop<T: Scalar>(inner: Arc<ServerInner<T>>) {
                     i += 1;
                 }
             }
-            let Some(deadline) = deadline else { break };
             if rows >= inner.config.max_batch_rows || q.shutdown {
                 break;
             }
@@ -815,27 +821,68 @@ mod tests {
     fn default_dispatch_is_work_conserving() {
         let (session, registry) = serving_pair();
         let server = Server::new(session, registry, ServerConfig::default());
-        // A lone client never has a partner to wait for: a free dispatcher
-        // must take each request at once instead of holding it for a timer.
+        assert!(server.dispatcher.is_none(), "no window, no dispatcher");
+        // Without a window each request runs on its caller's thread at
+        // once: never queued, never waiting for a partner or a timer.
         for i in 0..100 {
             let resp = server.predict("svc", &blobs(8, i)).unwrap();
             assert_eq!(resp.coalesced_with, 1);
         }
         let stats = server.stats();
-        assert_eq!(stats.queued_requests, 100);
-        let mean_delay_us = stats.queue_delay_us_total / stats.queued_requests;
-        assert!(
-            mean_delay_us < 200,
-            "a free dispatcher must not wait out a window: {stats:?}"
+        assert_eq!(stats.predict_requests, 100);
+        assert_eq!(stats.queued_requests, 0, "{stats:?}");
+        assert_eq!(stats.queue_delay_us_total, 0, "{stats:?}");
+        assert_eq!(stats.queue_delay_us_max, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn one_slot_executor_serves_concurrent_clients_exactly() {
+        // Eight callers run their predicts side by side against one model
+        // on a serial executor; each must get the labels of a direct
+        // predict.
+        let session = Session::a100().with_executor(gpu_sim::Executor::serial());
+        let registry = ModelRegistry::new();
+        registry.register(
+            "svc",
+            session
+                .kmeans(KMeansConfig::new(3).with_seed(1))
+                .fit_model(&blobs(120, 0))
+                .expect("fit")
+                .with_predict_policy(PredictPolicy::Int8),
         );
+        let model = registry.get("svc").unwrap();
+        let config = ServerConfig {
+            validate_batched: true,
+            ..ServerConfig::default()
+        };
+        let server = Server::new(session, registry, config);
+        std::thread::scope(|s| {
+            for t in 0..8usize {
+                let (server, model) = (&server, &model);
+                s.spawn(move || {
+                    let q = blobs(16, t * 13 + 1);
+                    let want = model.predict(&q).unwrap();
+                    let resp = server.predict("svc", &q).unwrap();
+                    assert_eq!(resp.labels, want, "client {t}");
+                });
+            }
+        });
+        let stats = server.stats();
+        assert_eq!(stats.predict_requests, 8);
+        assert_eq!(stats.queued_requests, 0, "{stats:?}");
     }
 
     #[test]
     fn shutdown_rejects_new_requests_and_drains_old_ones() {
         let (session, registry) = serving_pair();
-        let server = Server::new(session, registry, ServerConfig::default());
+        let config = ServerConfig {
+            max_delay_us: 100,
+            ..ServerConfig::default()
+        };
+        let server = Server::new(session, registry, config);
         let resp = server.predict("svc", &blobs(8, 2)).unwrap();
         assert_eq!(resp.labels.len(), 8);
+        assert_eq!(server.stats().queued_requests, 1);
         drop(server); // joins the dispatcher; must not hang
     }
 

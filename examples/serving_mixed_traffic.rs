@@ -60,11 +60,14 @@ fn main() {
             .with_predict_policy(PredictPolicy::Int8),
     );
 
+    // A 200 µs batching window, so concurrent 8-row predicts share
+    // launches. Without one, every request runs on its caller's thread.
     let server = Server::new(
         session,
         registry,
         ServerConfig {
             max_batch_rows: 512,
+            max_delay_us: 200,
             ..ServerConfig::default()
         },
     );
