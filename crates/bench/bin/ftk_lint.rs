@@ -15,6 +15,10 @@
 //!   batch) into a server-killing panic. Recover poisoned locks with
 //!   `unwrap_or_else(|e| e.into_inner())` or return a `ServeError`;
 //!   `ftk-lint: allow(serve-unwrap)` marks audited invariants.
+//! * `entry-unwrap` — the same check on the estimator's public fit/predict
+//!   entry points (`crates/kmeans/src/{driver,model,minibatch}.rs`): bad
+//!   input or a device failure there is a `KMeansError` for the caller,
+//!   not a panic. `ftk-lint: allow(entry-unwrap)` marks audited invariants.
 //! * `label-unique` — kernel-launch labels (`launch_grid_labeled`,
 //!   `launch_labeled`) must be globally unique so
 //!   sanitizer findings, trace phases and fault-campaign site attribution
@@ -88,20 +92,52 @@ fn run_lint(root: &Path) -> Vec<LintFinding> {
         let Ok(text) = std::fs::read_to_string(path) else {
             continue;
         };
-        let lines = scannable_lines(&text);
-
-        if rel_str.starts_with("crates/kmeans/src/variants/") {
-            lint_raw_access(&rel_str, &lines, &mut findings);
-        }
-        if rel_str.starts_with("crates/serve/src/") {
-            lint_serve_unwrap(&rel_str, &lines, &mut findings);
-        }
-        lint_labels(&rel_str, &lines, &mut labels, &mut findings);
-        lint_mma_sites(&rel_str, &lines, &mut findings);
+        lint_file(&rel_str, &text, &mut labels, &mut findings);
     }
 
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     findings
+}
+
+/// The estimator's public fit/predict entry points, held to `entry-unwrap`.
+const ENTRY_FILES: [&str; 3] = [
+    "crates/kmeans/src/driver.rs",
+    "crates/kmeans/src/model.rs",
+    "crates/kmeans/src/minibatch.rs",
+];
+
+/// Run every rule that applies to the file at workspace-relative `rel`.
+fn lint_file(
+    rel: &str,
+    text: &str,
+    labels: &mut HashMap<String, (String, usize)>,
+    findings: &mut Vec<LintFinding>,
+) {
+    let lines = scannable_lines(text);
+    if rel.starts_with("crates/kmeans/src/variants/") {
+        lint_raw_access(rel, &lines, findings);
+    }
+    if rel.starts_with("crates/serve/src/") {
+        lint_unwrap(
+            "serve-unwrap",
+            "on a serve request path; recover (e.g. `unwrap_or_else(|e| e.into_inner())` \
+             for locks) or return a ServeError",
+            rel,
+            &lines,
+            findings,
+        );
+    }
+    if ENTRY_FILES.contains(&rel) {
+        lint_unwrap(
+            "entry-unwrap",
+            "on a public fit/predict entry path; return a KMeansError",
+            rel,
+            &lines,
+            findings,
+        );
+    }
+    lint_labels(rel, &lines, labels, findings);
+    lint_mma_sites(rel, &lines, findings);
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -228,21 +264,25 @@ fn lint_raw_access(file: &str, lines: &[ScanLine], findings: &mut Vec<LintFindin
     }
 }
 
-fn lint_serve_unwrap(file: &str, lines: &[ScanLine], findings: &mut Vec<LintFinding>) {
+/// `.unwrap()` / `.expect(` under `rule`, unless the line allows it.
+fn lint_unwrap(
+    rule: &'static str,
+    hint: &str,
+    file: &str,
+    lines: &[ScanLine],
+    findings: &mut Vec<LintFinding>,
+) {
     for l in lines {
-        if l.allows.iter().any(|a| a == "serve-unwrap") {
+        if l.allows.iter().any(|a| a == rule) {
             continue;
         }
         for pat in [".unwrap()", ".expect("] {
             if l.code.contains(pat) {
                 findings.push(LintFinding {
-                    rule: "serve-unwrap",
+                    rule,
                     file: file.to_string(),
                     line: l.number,
-                    message: format!(
-                        "`{pat}` on a serve request path; recover (e.g. \
-                         `unwrap_or_else(|e| e.into_inner())` for locks) or return a ServeError"
-                    ),
+                    message: format!("`{pat}` {hint}"),
                 });
             }
         }
@@ -335,5 +375,49 @@ fn lint_mma_sites(file: &str, lines: &[ScanLine], findings: &mut Vec<LintFinding
                 });
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lint(rel: &str, text: &str) -> Vec<LintFinding> {
+        let mut findings = Vec::new();
+        lint_file(rel, text, &mut HashMap::new(), &mut findings);
+        findings
+    }
+
+    #[test]
+    fn unwrap_in_an_entry_file_fires() {
+        let text = "pub fn fit() {\n    let x = run().unwrap();\n}\n";
+        for rel in ENTRY_FILES {
+            let found = lint(rel, text);
+            assert_eq!(found.len(), 1, "{rel}");
+            assert_eq!((found[0].rule, found[0].line), ("entry-unwrap", 2));
+        }
+        let text = "fn f() {\n    g().expect(\"g\");\n}\n";
+        assert_eq!(lint(ENTRY_FILES[0], text)[0].rule, "entry-unwrap");
+        // Other kmeans files are not entry points.
+        assert!(lint("crates/kmeans/src/update.rs", text).is_empty());
+    }
+
+    #[test]
+    fn unwrap_in_a_test_module_is_skipped() {
+        let text = "pub fn fit() {}\n\n#[cfg(test)]\nmod tests {\n    \
+                    #[test]\n    fn t() {\n        run().unwrap();\n    }\n}\n";
+        assert!(lint(ENTRY_FILES[1], text).is_empty());
+    }
+
+    #[test]
+    fn allowed_unwrap_is_skipped() {
+        let same_line = "fn f() {\n    g().unwrap(); // ftk-lint: allow(entry-unwrap)\n}\n";
+        assert!(lint(ENTRY_FILES[2], same_line).is_empty());
+        let line_above = "fn f() {\n    // ftk-lint: allow(entry-unwrap) g never fails\n    \
+                          g().unwrap();\n}\n";
+        assert!(lint(ENTRY_FILES[2], line_above).is_empty());
+        // The serve rule's marker does not cover an entry file.
+        let other = "fn f() {\n    g().unwrap(); // ftk-lint: allow(serve-unwrap)\n}\n";
+        assert_eq!(lint(ENTRY_FILES[2], other).len(), 1);
     }
 }

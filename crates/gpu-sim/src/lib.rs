@@ -63,7 +63,7 @@ pub use matrix::Matrix;
 pub use memory::{GlobalBuffer, GlobalPackedBuffer, PackedLane};
 pub use mma::{FaultHook, FragmentMma, MmaSite, NoFault};
 pub use sanitizer::{Finding, FindingKind, SanitizeConfig, SanitizerReport};
-pub use scalar::Scalar;
+pub use scalar::{Scalar, ScalarCell};
 pub use scratch::ScratchBuf;
 pub use shared::SharedTile;
 pub use timing::model::{KernelClass, KernelTiming, TimingInput};

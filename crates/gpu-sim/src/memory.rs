@@ -1,10 +1,12 @@
 //! Simulated global (device) memory.
 //!
-//! [`GlobalBuffer`] stores every element as atomic 64-bit raw bits so that
-//! parallel threadblocks can load, store and `atomicAdd` safely — exactly the
-//! access modes CUDA kernels have. Loads and stores are relaxed atomics;
-//! `atomicAdd` is a compare-and-swap loop, which is literally how CUDA
-//! implements floating-point atomics on older hardware.
+//! [`GlobalBuffer`] stores every element as its raw bits in an atomic cell
+//! of the element's own width ([`Scalar::Cell`]: 32 bits for `f32`, 64 for
+//! `f64`), so that parallel threadblocks can load, store and `atomicAdd`
+//! safely — exactly the access modes CUDA kernels have — and the host
+//! moves the bytes the traffic counters charge. Loads and stores are
+//! relaxed atomics; `atomicAdd` is a compare-and-swap loop, which is
+//! literally how CUDA implements floating-point atomics on older hardware.
 //!
 //! Traffic accounting is explicit: kernels charge a [`crate::counters::EventSink`]
 //! (the launch's shared counters, or a worker-local sink inside kernels)
@@ -28,7 +30,7 @@
 use crate::counters::EventSink;
 use crate::matrix::Matrix;
 use crate::sanitizer;
-use crate::scalar::Scalar;
+use crate::scalar::{Scalar, ScalarCell};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,15 +39,15 @@ use std::sync::Arc;
 ///
 /// Storage is shared: [`Clone`] is a device-pointer copy (both handles
 /// alias the same memory), not a deep copy — exactly how passing a device
-/// pointer to a second kernel behaves. `Arc<[AtomicU64]>` is a fat pointer
+/// pointer to a second kernel behaves. `Arc<[T::Cell]>` is a fat pointer
 /// straight to the element array, so element access costs the same as
-/// through an owning `Vec`.
+/// through an owning `Vec`, and each cell is `size_of::<T>()` bytes.
 ///
 /// When a [`crate::sanitizer`] checker is in scope at allocation time the
 /// buffer carries shadow state and every access is checked; otherwise
 /// `shadow` is `None` and the hooks cost one branch.
 pub struct GlobalBuffer<T: Scalar> {
-    bits: Arc<[AtomicU64]>,
+    cells: Arc<[T::Cell]>,
     len: usize,
     shadow: Option<Arc<sanitizer::BufShadow>>,
     _marker: PhantomData<T>,
@@ -56,7 +58,7 @@ impl<T: Scalar> Clone for GlobalBuffer<T> {
     /// either handle are visible through both.
     fn clone(&self) -> Self {
         GlobalBuffer {
-            bits: Arc::clone(&self.bits),
+            cells: Arc::clone(&self.cells),
             len: self.len,
             shadow: self.shadow.clone(),
             _marker: PhantomData,
@@ -65,9 +67,9 @@ impl<T: Scalar> Clone for GlobalBuffer<T> {
 }
 
 impl<T: Scalar> GlobalBuffer<T> {
-    fn alloc(len: usize, raw: u64, pre_init: bool) -> Self {
+    fn alloc(len: usize, v: T, pre_init: bool) -> Self {
         GlobalBuffer {
-            bits: (0..len).map(|_| AtomicU64::new(raw)).collect(),
+            cells: (0..len).map(|_| T::Cell::new(v)).collect(),
             len,
             shadow: sanitizer::alloc_shadow(len, pre_init),
             _marker: PhantomData,
@@ -77,12 +79,12 @@ impl<T: Scalar> GlobalBuffer<T> {
     /// Zero-initialized buffer of `len` elements (the `cudaMemset` path —
     /// every cell is defined, so initcheck treats it as initialized).
     pub fn zeros(len: usize) -> Self {
-        Self::alloc(len, T::ZERO.to_raw_u64(), true)
+        Self::alloc(len, T::ZERO, true)
     }
 
     /// Buffer filled with `v`.
     pub fn filled(len: usize, v: T) -> Self {
-        Self::alloc(len, v.to_raw_u64(), true)
+        Self::alloc(len, v, true)
     }
 
     /// Uninitialized allocation (the bare `cudaMalloc` path): the storage
@@ -91,17 +93,13 @@ impl<T: Scalar> GlobalBuffer<T> {
     /// scratch buffers a kernel is supposed to fully overwrite before
     /// reading back.
     pub fn uninit(len: usize) -> Self {
-        Self::alloc(len, T::ZERO.to_raw_u64(), false)
+        Self::alloc(len, T::ZERO, false)
     }
 
     /// Upload a host slice.
     pub fn from_slice(data: &[T]) -> Self {
-        let bits = data
-            .iter()
-            .map(|v| AtomicU64::new(v.to_raw_u64()))
-            .collect();
         GlobalBuffer {
-            bits,
+            cells: data.iter().map(|&v| T::Cell::new(v)).collect(),
             len: data.len(),
             shadow: sanitizer::alloc_shadow(data.len(), true),
             _marker: PhantomData,
@@ -140,7 +138,7 @@ impl<T: Scalar> GlobalBuffer<T> {
                 return T::ZERO; // OOB reported and suppressed
             }
         }
-        T::from_raw_u64(self.bits[idx].load(Ordering::Relaxed))
+        self.cells[idx].load()
     }
 
     /// Load charging `counters` for the transaction.
@@ -158,7 +156,7 @@ impl<T: Scalar> GlobalBuffer<T> {
                 return; // OOB reported and dropped
             }
         }
-        self.bits[idx].store(v.to_raw_u64(), Ordering::Relaxed);
+        self.cells[idx].store(v);
     }
 
     /// Store charging `counters`.
@@ -177,13 +175,11 @@ impl<T: Scalar> GlobalBuffer<T> {
                 return T::ZERO; // OOB reported and dropped
             }
         }
-        let cell = &self.bits[idx];
-        let mut cur = cell.load(Ordering::Relaxed);
+        let cell = &self.cells[idx];
+        let mut cur = cell.load();
         loop {
-            let old = T::from_raw_u64(cur);
-            let new = (old + v).to_raw_u64();
-            match cell.compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Relaxed) {
-                Ok(_) => return old,
+            match cell.compare_exchange_weak(cur, cur + v) {
+                Ok(old) => return old,
                 Err(actual) => cur = actual,
             }
         }
@@ -230,9 +226,9 @@ impl<T: Scalar> GlobalBuffer<T> {
                 return;
             }
         }
-        let cells = &self.bits[start..start + out.len()];
+        let cells = &self.cells[start..start + out.len()];
         for (slot, cell) in out.iter_mut().zip(cells) {
-            *slot = T::from_raw_u64(cell.load(Ordering::Relaxed));
+            *slot = cell.load();
         }
     }
 
@@ -243,9 +239,9 @@ impl<T: Scalar> GlobalBuffer<T> {
                 return; // OOB reported and dropped
             }
         }
-        let cells = &self.bits[start..start + vals.len()];
+        let cells = &self.cells[start..start + vals.len()];
         for (&v, cell) in vals.iter().zip(cells) {
-            cell.store(v.to_raw_u64(), Ordering::Relaxed);
+            cell.store(v);
         }
     }
 
@@ -254,9 +250,8 @@ impl<T: Scalar> GlobalBuffer<T> {
         if let Some(sh) = &self.shadow {
             sanitizer::check_store(sh, 0, self.len);
         }
-        let raw = v.to_raw_u64();
-        for cell in self.bits.iter() {
-            cell.store(raw, Ordering::Relaxed);
+        for cell in self.cells.iter() {
+            cell.store(v);
         }
     }
 }
@@ -313,8 +308,8 @@ impl PackedLane for u8 {
 }
 
 /// A device-global buffer of sub-word integer lanes (`u16` / `u8`) packed
-/// into the same atomic 64-bit words [`GlobalBuffer`] uses — the storage
-/// for quantized resident state (fp16 bit patterns, int8 codes).
+/// into atomic 64-bit words — the storage for quantized resident state
+/// (fp16 bit patterns, int8 codes).
 ///
 /// Counted traffic charges the *packed* byte width (`len ×
 /// [`PackedLane::BYTES`]`), which is exactly where a quantized table's
@@ -663,6 +658,103 @@ mod tests {
         assert_eq!(b32.to_vec(), vec![1.5, -2.25, 3.0]);
         let b64 = GlobalBuffer::<f64>::from_slice(&[1e-300, 2e300]);
         assert_eq!(b64.to_vec(), vec![1e-300, 2e300]);
+    }
+
+    #[test]
+    fn cells_have_the_element_width() {
+        assert_eq!(std::mem::size_of::<<f32 as Scalar>::Cell>(), 4);
+        assert_eq!(std::mem::size_of::<<f64 as Scalar>::Cell>(), 8);
+    }
+
+    /// ±0, the extreme subnormals, ±inf, and quiet and signalling NaNs
+    /// with payloads survive every accessor bit for bit; `atomic_add`
+    /// returns the previous bits exactly and stores the sum's bits.
+    fn special_bits_roundtrip<T: Scalar>(bits: &[T::Bits]) {
+        let vals: Vec<T> = bits.iter().map(|&b| T::from_bits(b)).collect();
+        let n = vals.len();
+        let as_bits = |v: &[T]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let c = Counters::new();
+
+        let b = GlobalBuffer::from_slice(&vals);
+        assert_eq!(as_bits(&b.to_vec()), bits, "from_slice / to_vec");
+        let loaded: Vec<T> = (0..n).map(|i| b.load(i)).collect();
+        assert_eq!(as_bits(&loaded), bits, "load");
+
+        let z = GlobalBuffer::<T>::zeros(n + 2);
+        z.write_range(1, &vals);
+        let mut out = vec![T::ONE; n];
+        z.read_range(1, &mut out);
+        assert_eq!(as_bits(&out), bits, "write_range / read_range");
+
+        let r = GlobalBuffer::<T>::zeros(n);
+        r.store_run(0, &vals, &c);
+        r.load_run(0, &mut out, &c);
+        assert_eq!(as_bits(&out), bits, "store_run / load_run");
+
+        let s = GlobalBuffer::<T>::zeros(n);
+        for (i, &v) in vals.iter().enumerate() {
+            s.store(i, v);
+        }
+        assert_eq!(as_bits(&s.to_vec()), bits, "store");
+
+        for &v in &vals {
+            let f = GlobalBuffer::filled(3, v);
+            assert!(
+                f.to_vec().iter().all(|x| x.to_bits() == v.to_bits()),
+                "filled"
+            );
+            f.fill(T::ONE);
+            f.fill(v);
+            assert!(
+                f.to_vec().iter().all(|x| x.to_bits() == v.to_bits()),
+                "fill"
+            );
+        }
+
+        let a = GlobalBuffer::from_slice(&vals);
+        for (i, &v) in vals.iter().enumerate() {
+            let old = a.atomic_add(i, T::ZERO, &c);
+            assert_eq!(old.to_bits(), v.to_bits(), "atomic_add previous value");
+            assert_eq!(
+                a.load(i).to_bits(),
+                (v + T::ZERO).to_bits(),
+                "atomic_add sum"
+            );
+        }
+    }
+
+    #[test]
+    fn special_f32_bits_roundtrip_through_every_accessor() {
+        special_bits_roundtrip::<f32>(&[
+            0x0000_0000, // +0
+            0x8000_0000, // -0
+            0x0000_0001, // smallest subnormal
+            0x807F_FFFF, // largest negative subnormal
+            0x7F80_0000, // +inf
+            0xFF80_0000, // -inf
+            0x7FC0_0000, // quiet NaN
+            0xFFC1_2345, // quiet NaN, negative, with payload
+            0x7F80_0001, // signalling NaN
+            0x7FA5_A5A5, // signalling NaN with payload
+            0x3FC0_0000, // 1.5
+        ]);
+    }
+
+    #[test]
+    fn special_f64_bits_roundtrip_through_every_accessor() {
+        special_bits_roundtrip::<f64>(&[
+            0x0000_0000_0000_0000,
+            0x8000_0000_0000_0000,
+            0x0000_0000_0000_0001,
+            0x800F_FFFF_FFFF_FFFF,
+            0x7FF0_0000_0000_0000,
+            0xFFF0_0000_0000_0000,
+            0x7FF8_0000_0000_0000,
+            0xFFF8_0123_4567_89AB,
+            0x7FF0_0000_0000_0001,
+            0x7FF5_A5A5_A5A5_A5A5,
+            0xC00C_0000_0000_0000, // -3.5
+        ]);
     }
 
     #[test]

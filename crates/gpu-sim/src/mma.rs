@@ -42,18 +42,29 @@ pub struct MmaSite {
 
 /// Interception point for transient-fault injection into compute results.
 ///
-/// Implementations must be cheap in the common (no fault) case; the hook is
-/// invoked once per warp-tile MMA slab.
+/// Implementations must be cheap in the common (no fault) case. The tensor
+/// kernels call [`FaultHook::post_mma`] once per warp-tile MMA slab; the
+/// SIMT kernels and the centroid update call [`FaultHook::post_fma`] once
+/// per element they compute.
 pub trait FaultHook<T: Scalar>: Sync {
     /// Inspect/corrupt the accumulator tile (`wm x wn`, row-major) after the
     /// MMA slab at `site` completed.
     fn post_mma(&self, site: &MmaSite, acc: &mut [T], wn: usize);
 
     /// Inspect/corrupt a single SIMT FMA result (used by the CUDA-core
-    /// kernels of the step-wise variants).
+    /// kernels of the step-wise variants and by the centroid update).
     fn post_fma(&self, site: &MmaSite, value: T) -> T {
         let _ = site;
         value
+    }
+
+    /// True only if this hook never changes what it is handed: every
+    /// `post_mma` leaves the tile as it is and every `post_fma` returns its
+    /// value. A kernel may then skip the calls altogether (monomorphising
+    /// over [`NoFault`] instead of calling through `dyn`), so a hook that
+    /// counts or records its calls must keep the default `false`.
+    fn is_inert(&self) -> bool {
+        false
     }
 }
 
@@ -64,6 +75,11 @@ pub struct NoFault;
 impl<T: Scalar> FaultHook<T> for NoFault {
     #[inline]
     fn post_mma(&self, _site: &MmaSite, _acc: &mut [T], _wn: usize) {}
+
+    #[inline]
+    fn is_inert(&self) -> bool {
+        true
+    }
 }
 
 /// Functional warp-tile MMA executor.

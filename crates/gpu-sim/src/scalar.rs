@@ -8,6 +8,7 @@ use crate::device::Precision;
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// A floating-point element type usable in simulated kernels.
 ///
@@ -35,6 +36,10 @@ pub trait Scalar:
 {
     /// Raw-bits integer representation of the same width.
     type Bits: Copy + Eq + Debug;
+    /// Atomic device-memory cell of the same width (`AtomicU32` for `f32`,
+    /// `AtomicU64` for `f64`): the element storage of
+    /// [`crate::GlobalBuffer`].
+    type Cell: ScalarCell<Self>;
 
     /// Number of bits in the representation (32 or 64).
     const BITS: u32;
@@ -44,6 +49,8 @@ pub trait Scalar:
     const ONE: Self;
     /// Positive infinity, used as the initial value of min-reductions.
     const INFINITY: Self;
+    /// Largest finite value.
+    const MAX: Self;
     /// Machine epsilon of the format.
     const EPSILON: Self;
     /// Which [`Precision`] this type corresponds to.
@@ -74,19 +81,75 @@ pub trait Scalar:
     /// Round to the TF32 storage format (10-bit mantissa) as tensor cores do
     /// for FP32 inputs on Ampere. Identity for `f64`.
     fn to_tf32(self) -> Self;
-    /// Raw bits widened to `u64` (f32 bits live in the low half). Used by the
-    /// generic atomic global-memory storage.
+    /// Raw bits widened to `u64` (f32 bits live in the low half): one key
+    /// type for hashing values of either width, as the predict memo and
+    /// the quantized-table digests do. Device storage does not use it; see
+    /// [`Scalar::Cell`].
     fn to_raw_u64(self) -> u64;
-    /// Inverse of [`Scalar::to_raw_u64`].
-    fn from_raw_u64(bits: u64) -> Self;
 }
+
+/// An atomic cell holding one `T` as its raw bits, at `T`'s own width.
+///
+/// Every access is bit-exact (NaN payloads, signed zeros and subnormals
+/// survive), and the compare-exchange compares bit patterns, not float
+/// values. Loads and stores are relaxed, like plain CUDA global accesses;
+/// the compare-exchange is acquire-release, what an `atomicAdd` CAS loop
+/// needs.
+pub trait ScalarCell<T>: Send + Sync + 'static {
+    /// A cell holding `v`.
+    fn new(v: T) -> Self;
+    /// Relaxed load.
+    fn load(&self) -> T;
+    /// Relaxed store.
+    fn store(&self, v: T);
+    /// Replace the value with `new` if its bits equal those of `current`;
+    /// may fail spuriously. Returns the previous value on success and the
+    /// value found on failure.
+    fn compare_exchange_weak(&self, current: T, new: T) -> Result<T, T>;
+}
+
+macro_rules! scalar_cell {
+    ($t:ty, $atomic:ty) => {
+        impl ScalarCell<$t> for $atomic {
+            #[inline]
+            fn new(v: $t) -> Self {
+                <$atomic>::new(v.to_bits())
+            }
+            #[inline]
+            fn load(&self) -> $t {
+                <$t>::from_bits(<$atomic>::load(self, Ordering::Relaxed))
+            }
+            #[inline]
+            fn store(&self, v: $t) {
+                <$atomic>::store(self, v.to_bits(), Ordering::Relaxed)
+            }
+            #[inline]
+            fn compare_exchange_weak(&self, current: $t, new: $t) -> Result<$t, $t> {
+                <$atomic>::compare_exchange_weak(
+                    self,
+                    current.to_bits(),
+                    new.to_bits(),
+                    Ordering::AcqRel,
+                    Ordering::Relaxed,
+                )
+                .map(<$t>::from_bits)
+                .map_err(<$t>::from_bits)
+            }
+        }
+    };
+}
+
+scalar_cell!(f32, AtomicU32);
+scalar_cell!(f64, AtomicU64);
 
 impl Scalar for f32 {
     type Bits = u32;
+    type Cell = AtomicU32;
     const BITS: u32 = 32;
     const ZERO: Self = 0.0;
     const ONE: Self = 1.0;
     const INFINITY: Self = f32::INFINITY;
+    const MAX: Self = f32::MAX;
     const EPSILON: Self = f32::EPSILON;
     const PRECISION: Precision = Precision::Fp32;
 
@@ -148,18 +211,16 @@ impl Scalar for f32 {
     fn to_raw_u64(self) -> u64 {
         self.to_bits() as u64
     }
-    #[inline]
-    fn from_raw_u64(bits: u64) -> Self {
-        f32::from_bits(bits as u32)
-    }
 }
 
 impl Scalar for f64 {
     type Bits = u64;
+    type Cell = AtomicU64;
     const BITS: u32 = 64;
     const ZERO: Self = 0.0;
     const ONE: Self = 1.0;
     const INFINITY: Self = f64::INFINITY;
+    const MAX: Self = f64::MAX;
     const EPSILON: Self = f64::EPSILON;
     const PRECISION: Precision = Precision::Fp64;
 
@@ -215,10 +276,6 @@ impl Scalar for f64 {
     #[inline]
     fn to_raw_u64(self) -> u64 {
         self.to_bits()
-    }
-    #[inline]
-    fn from_raw_u64(bits: u64) -> Self {
-        f64::from_bits(bits)
     }
 }
 

@@ -6,6 +6,7 @@ use gpu_sim::mma::checksum_dot;
 use gpu_sim::warp::frag_col_sums;
 use gpu_sim::{
     AsyncPipeline, CopyPath, Counters, FragmentMma, GlobalBuffer, Matrix, MmaSite, NoFault, Scalar,
+    ScalarCell,
 };
 use proptest::prelude::*;
 
@@ -19,6 +20,16 @@ fn spread(seed: u64, i: usize) -> f64 {
     z ^= z >> 31;
     let mantissa = (z >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
     mantissa * 2f64.powi((z & 15) as i32 - 8)
+}
+
+/// `v` survives a device cell's `new`/`load` and `store`/`load` bit for
+/// bit.
+fn cell_roundtrip<T: Scalar>(v: T) {
+    let cell = T::Cell::new(v);
+    assert_eq!(cell.load().to_bits(), v.to_bits(), "new / load");
+    cell.store(T::ZERO);
+    cell.store(v);
+    assert_eq!(cell.load().to_bits(), v.to_bits(), "store / load");
 }
 
 /// The single-pass fragment sums equal a column-at-a-time reduction, and
@@ -187,10 +198,10 @@ proptest! {
         sums_and_dot_match::<f64>(rows, kk, seed);
     }
 
-    /// Raw-u64 round trip for both scalar widths.
+    /// Device-cell round trip for both scalar widths, bit for bit.
     #[test]
-    fn raw_u64_roundtrip(x in prop::num::f64::ANY, y in prop::num::f32::ANY) {
-        prop_assert_eq!(f64::from_raw_u64(x.to_raw_u64()).to_bits(), x.to_bits());
-        prop_assert_eq!(f32::from_raw_u64(y.to_raw_u64()).to_bits(), y.to_bits());
+    fn device_cell_roundtrip(x in prop::num::f64::ANY, y in prop::num::f32::ANY) {
+        cell_roundtrip(x);
+        cell_roundtrip(y);
     }
 }

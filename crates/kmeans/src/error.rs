@@ -48,6 +48,13 @@ pub enum KMeansError {
         /// Column of the offending entry.
         col: usize,
     },
+    /// An input row is finite but so large that its squared norm exceeds
+    /// `T::MAX / 8`, past which the distance identity
+    /// `‖x‖² − 2x·c + ‖c‖²` can overflow (the first such row).
+    Overflow {
+        /// The offending row.
+        row: usize,
+    },
     /// The simulated device rejected a launch (resource overflow, kernel
     /// structure violation, ...).
     Sim(SimError),
@@ -71,6 +78,9 @@ impl fmt::Display for KMeansError {
             KMeansError::NonFinite { row, col } => {
                 write!(f, "non-finite value at row {row}, column {col}")
             }
+            KMeansError::Overflow { row } => {
+                write!(f, "row {row} is too large: its squared norm overflows")
+            }
             KMeansError::Sim(e) => write!(f, "simulator error: {e}"),
         }
     }
@@ -91,18 +101,43 @@ impl From<SimError> for KMeansError {
     }
 }
 
-/// Reject a matrix holding a NaN or an infinity with
-/// [`KMeansError::NonFinite`], naming the first such entry in row-major
-/// order. Neither a training sample nor a query without a finite value has
-/// a nearest centroid.
+/// Reject a matrix no nearest centroid can be computed for, naming the
+/// first offending row in row-major order: a row holding a NaN or an
+/// infinity with [`KMeansError::NonFinite`] (and its first such column),
+/// any other row whose squared norm, computed in `T`, is not at most
+/// `T::MAX / 8` with [`KMeansError::Overflow`].
+///
+/// The bound keeps the distance identity finite: centroids are means of
+/// rows, so `‖c‖ ≤ max ‖x‖`, and every term of `‖x‖² − 2x·c + ‖c‖²` stays
+/// within about `T::MAX / 2`. Without it an overflowing `‖x‖²` gives
+/// `inf − inf = NaN` distances, and no centroid beats the argmin's
+/// sentinel. One pass, row by row; a NaN or infinity makes the row's sum
+/// non-finite, so the columns are searched only for a rejected row.
 pub(crate) fn ensure_finite<T: Scalar>(m: &Matrix<T>) -> Result<(), KMeansError> {
-    match m.as_slice().iter().position(|v| !v.is_finite_s()) {
-        Some(i) => Err(KMeansError::NonFinite {
-            row: i / m.cols(),
-            col: i % m.cols(),
-        }),
-        None => Ok(()),
+    let bound = T::MAX / T::from_usize(8);
+    let cols = m.cols().max(1);
+    for (row, x) in m.as_slice().chunks(cols).enumerate() {
+        // Eight independent partial sums, so the pass vectorises.
+        let mut acc = [T::ZERO; 8];
+        let mut lanes = x.chunks_exact(8);
+        for chunk in &mut lanes {
+            for (a, &v) in acc.iter_mut().zip(chunk) {
+                *a += v * v;
+            }
+        }
+        for (a, &v) in acc.iter_mut().zip(lanes.remainder()) {
+            *a += v * v;
+        }
+        let sq_norm: T = acc.into_iter().sum();
+        if sq_norm <= bound {
+            continue;
+        }
+        return Err(match x.iter().position(|v| !v.is_finite_s()) {
+            Some(col) => KMeansError::NonFinite { row, col },
+            None => KMeansError::Overflow { row },
+        });
     }
+    Ok(())
 }
 
 #[cfg(test)]
