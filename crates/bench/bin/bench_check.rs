@@ -1,60 +1,54 @@
-//! `bench_check` — the automated fit-throughput regression gate.
+//! `bench_check` — the one bench binary: it measures, gates and re-records
+//! every throughput baseline.
 //!
-//! Runs a (by default reduced) `fit_throughput` configuration and compares
-//! each variant's throughput against the committed
-//! `baselines/fit_throughput.csv` with tolerance bands; exits non-zero when
-//! any variant regressed beyond the band. Intended for CI (bench-smoke leg)
-//! and local pre-merge checks.
+//! ```text
+//! bench_check [fit|predict|serve|trace|figures|campaign]...
+//! bench_check --write-baseline
+//! ```
 //!
-//! Three stages, each against a committed artifact under `baselines/`:
+//! With no gate names it runs all six. Exit status is 1 when a gate fails
+//! and 2 on a usage error or an unreadable ledger.
 //!
-//! 1. **Throughput** — fresh fit rates vs `baselines/fit_throughput.csv`
-//!    with tolerance bands.
-//! 2. **Figure schemas** — a fresh `figures --fig all --quick` run must
-//!    match the column headers and row counts of `baselines/figures/*.csv`
-//!    (contents are calibration-dependent; the shape is not).
-//! 3. **Campaign table** — a fresh quick campaign must reproduce
-//!    `baselines/campaign/campaign.csv` byte for byte (the campaign is
-//!    deterministic by construction).
+//! * **fit / predict / serve** — fresh median rates ([`REPS`] reps) against
+//!   the rows of the same bench in `baselines/throughput.csv`, measured at
+//!   the committed shape (fit and predict at M = 131072, serve at 16384
+//!   rows per scenario). A row fails when it is more than [`TOLERANCE`]
+//!   times slower than its baseline, missing on either side, or measured
+//!   at another `m`. Predict and serve also check their headline claim on
+//!   the fresh run: each quantized policy at least
+//!   [`MIN_QUANT_SPEEDUP`] times the exact rate, and micro-batched
+//!   modeled device throughput at least [`MIN_BATCHING_SPEEDUP`] times
+//!   the one-call-per-launch rate.
+//! * **trace** — a fit with a recording sink attached stays within the
+//!   band of the identical untraced fit, and the phase profiler's modeled
+//!   attribution reproduces the fit ordering (naive assignment costs more
+//!   than fused) at M = 131072.
+//! * **figures** — a fresh `figures --fig all --quick` run matches the
+//!   column headers and row counts of `baselines/figures/*.csv`.
+//! * **campaign** — a fresh quick campaign reproduces
+//!   `baselines/campaign/campaign.csv` byte for byte.
 //!
-//! Three stages plus a serving-path gate: fresh predict rates per
-//! [`kmeans::PredictPolicy`] vs `baselines/predict_throughput.csv`, and the
-//! committed baseline must witness the quantized paths' >=3x speedup over
-//! the exact path.
-//!
-//! Knobs:
-//! * `FTK_BENCH_M`    — sample count for the fresh run (default 16384; the
-//!   committed baseline is 131072 — rates are compared, which is
-//!   approximately size-independent),
-//! * `FTK_BENCH_PREDICT_M` — query batch size for the predict gate
-//!   (default 16384; committed baseline is 131072),
-//! * `FTK_BENCH_REPS` — repetitions per variant (default 1),
-//! * `FTK_BENCH_TOL`  — regression tolerance factor (default 2.5),
-//! * `FTK_BENCH_SERVE_M` — rows per serving scenario for the serve gate
-//!   (default 16384),
-//! * `FTK_BENCH_TRACE_M` — sample count for the trace gate's phase-profile
-//!   attribution check (default 131072, the committed-baseline scale: the
-//!   naive-vs-fused modeled ordering only emerges once distance-matrix
-//!   traffic outweighs launch overhead),
-//! * `FTK_CHECK_FIT=0` / `FTK_CHECK_PREDICT=0` / `FTK_CHECK_SERVE=0` /
-//!   `FTK_CHECK_TRACE=0` / `FTK_CHECK_FIGURES=0` / `FTK_CHECK_CAMPAIGN=0`
-//!   — skip individual gates (e.g. `FTK_CHECK_FIT=0` plus the other skips
-//!   for a serve-only CI leg).
+//! `--write-baseline` re-measures fit, predict and serve through the same
+//! path and rewrites `baselines/throughput.csv`. It writes nothing when a
+//! claim fails on that run.
 
 use bench_harness::campaign::{campaign_table, run_campaign, CampaignGrid};
 use bench_harness::drift::{check_campaign_exact, check_figure_schemas};
 use bench_harness::figures::run_figure;
-use bench_harness::fitbench::{env_f64, env_usize, run_fit_bench, FitMeasurement};
-use bench_harness::predictbench::run_predict_bench;
+use bench_harness::fitbench::{run_fit_bench, M};
+use bench_harness::predictbench::{run_predict_bench, PredictMeasurement, MIN_QUANT_SPEEDUP};
 use bench_harness::regression::{
-    check, parse_baseline, parse_baseline_kind, BaselineRow, DEFAULT_TOLERANCE,
+    check, parse_ledger, rows_of, write_ledger, Bench, Row, REPS, TOLERANCE,
 };
 use bench_harness::servebench::{
-    as_fit_measurements, batching_speedup, parse_serve_baseline, run_serve_bench,
+    batching_speedup, run_serve_bench, ServeMeasurement, MIN_BATCHING_SPEEDUP, ROWS,
 };
-use bench_harness::tracebench::{run_trace_overhead, traced_fit, TRACE_PROFILE_M};
+use bench_harness::tracebench::{run_trace_overhead, traced_fit};
 use kmeans::Variant;
 use std::path::{Path, PathBuf};
+
+/// Every gate, in the order a bare run executes them.
+const GATES: [&str; 6] = ["fit", "predict", "serve", "trace", "figures", "campaign"];
 
 fn baselines_root() -> PathBuf {
     // crates/bench → workspace root → baselines/
@@ -63,296 +57,160 @@ fn baselines_root() -> PathBuf {
         .join("baselines")
 }
 
-fn env_enabled(key: &str) -> bool {
-    std::env::var(key).map_or(true, |v| v != "0")
+fn ledger_path() -> PathBuf {
+    baselines_root().join("throughput.csv")
 }
 
-fn check_throughput() -> bool {
-    let m = env_usize("FTK_BENCH_M", 16384);
-    let reps = env_usize("FTK_BENCH_REPS", 1);
-    let tol = env_f64("FTK_BENCH_TOL", DEFAULT_TOLERANCE);
-
-    let path = baselines_root().join("fit_throughput.csv");
-    let csv = match std::fs::read_to_string(&path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("bench_check: cannot read {}: {e}", path.display());
-            std::process::exit(2);
-        }
-    };
-    let baseline = match parse_baseline(&csv) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("bench_check: malformed baseline: {e}");
-            std::process::exit(2);
-        }
-    };
-
-    println!("bench_check: fresh run at m = {m} ({reps} rep(s)), tolerance {tol}x");
-    let fresh = run_fit_bench(m, reps);
-    let outcomes = check(&fresh, &baseline, tol);
-
-    let mut failed = false;
-    println!(
-        "{:<14} {:>14} {:>14} {:>8}  verdict",
-        "variant", "fresh rate", "baseline rate", "factor"
-    );
-    for o in &outcomes {
-        println!(
-            "{:<14} {:>14.0} {:>14.0} {:>7.2}x  {}",
-            o.name,
-            o.fresh_rate,
-            o.baseline_rate,
-            o.regression_factor,
-            if o.pass { "ok" } else { "REGRESSED" }
-        );
-        failed |= !o.pass;
-    }
-    if failed {
-        eprintln!("bench_check: throughput regression beyond {tol}x tolerance band");
-    } else {
-        println!("bench_check: all variants within the tolerance band");
-    }
-    !failed
+fn read_ledger() -> Vec<Row> {
+    let path = ledger_path();
+    let parsed = std::fs::read_to_string(&path)
+        .map_err(|e| e.to_string())
+        .and_then(|csv| parse_ledger(&csv));
+    parsed.unwrap_or_else(|e| {
+        eprintln!("bench_check: cannot use {}: {e}", path.display());
+        std::process::exit(2);
+    })
 }
 
-/// Serving-path gate: fresh predict rates for every policy against the
-/// committed `baselines/predict_throughput.csv` with the same tolerance
-/// band, plus the headline claim itself — the committed quantized rates
-/// must be at least 3x the committed exact rate (the baseline is the
-/// measured evidence for that claim; regenerate it deliberately with
-/// `FTK_WRITE_BASELINE=1 cargo bench -p bench_harness --bench
-/// predict_throughput`).
-fn check_predict() -> bool {
-    let m = env_usize("FTK_BENCH_PREDICT_M", 16384);
-    let reps = env_usize("FTK_BENCH_REPS", 1);
-    let tol = env_f64("FTK_BENCH_TOL", DEFAULT_TOLERANCE);
-
-    let path = baselines_root().join("predict_throughput.csv");
-    let csv = match std::fs::read_to_string(&path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("bench_check: cannot read {}: {e}", path.display());
-            std::process::exit(2);
-        }
-    };
-    let baseline = match parse_baseline_kind(&csv, "predict") {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("bench_check: malformed predict baseline: {e}");
-            std::process::exit(2);
-        }
-    };
-
-    let mut failed = false;
-    // The committed baseline must itself witness the >=3x serving speedup.
-    if let Some(exact) = baseline.iter().find(|b| b.name == "exact") {
-        for b in baseline.iter().filter(|b| b.name != "exact") {
-            let speedup = b.rate / exact.rate;
-            let pass = speedup >= 3.0;
-            println!(
-                "predict baseline {:<6} {:>7.2}x vs exact  {}",
-                b.name,
-                speedup,
-                if pass { "ok" } else { "BELOW 3x" }
-            );
-            failed |= !pass;
-        }
+fn verdict(pass: bool) -> &'static str {
+    if pass {
+        "ok"
     } else {
-        eprintln!("bench_check: predict baseline has no exact row");
-        failed = true;
+        "FAILED"
     }
+}
 
-    println!("bench_check: fresh predict run at m = {m} ({reps} rep(s)), tolerance {tol}x");
-    let fresh: Vec<FitMeasurement> = run_predict_bench(m, reps)
-        .into_iter()
-        .map(|p| {
-            println!(
-                "  {:<6} {:>12.0} samples/s  fallback {:.3}%",
-                p.name,
-                p.rate,
-                p.fallback_rate * 100.0
-            );
-            FitMeasurement {
-                name: p.name,
-                m: p.m,
-                median_s: p.median_s,
-                rate: p.rate,
-                inertia: 0.0,
+/// Measure one throughput bench at its committed shape, print its detail
+/// lines, and check its headline claim on this fresh run. Returns the
+/// ledger rows and whether the claim holds.
+fn measure(bench: Bench) -> (Vec<Row>, bool) {
+    match bench {
+        Bench::Fit => {
+            println!("bench_check: fit at m = {M}, median of {REPS}");
+            (run_fit_bench(M, REPS), true)
+        }
+        Bench::Predict => {
+            println!("bench_check: predict at m = {M}, median of {REPS}");
+            let out = run_predict_bench(M, REPS);
+            let exact = out[0].rate; // POLICY_NAMES puts exact first
+            let mut claim = true;
+            for p in &out {
+                let speedup = p.rate / exact;
+                let pass = p.name == "exact" || speedup >= MIN_QUANT_SPEEDUP;
+                println!(
+                    "  {:<6} {:>12.0} samples/s  {:>5.2}x vs exact (claim >= {MIN_QUANT_SPEEDUP}x)  \
+                     fallback {:.3}%  {}",
+                    p.name,
+                    p.rate,
+                    speedup,
+                    p.fallback_rate * 100.0,
+                    verdict(pass)
+                );
+                claim &= pass;
             }
-        })
-        .collect();
-    let outcomes = check(&fresh, &baseline, tol);
-    println!(
-        "{:<14} {:>14} {:>14} {:>8}  verdict",
-        "policy", "fresh rate", "baseline rate", "factor"
-    );
-    for o in &outcomes {
-        println!(
-            "{:<14} {:>14.0} {:>14.0} {:>7.2}x  {}",
-            o.name,
-            o.fresh_rate,
-            o.baseline_rate,
-            o.regression_factor,
-            if o.pass { "ok" } else { "REGRESSED" }
-        );
-        failed |= !o.pass;
+            (out.iter().map(PredictMeasurement::row).collect(), claim)
+        }
+        Bench::Serve => {
+            println!("bench_check: serve at {ROWS} rows per scenario, median of {REPS}");
+            let out = run_serve_bench(ROWS, REPS);
+            println!(
+                "  {:<12} {:>9} {:>9} {:>10} {:>10} {:>14} {:>12}",
+                "scenario",
+                "requests",
+                "launches",
+                "p50 us",
+                "p99 us",
+                "device rows/s",
+                "wall rows/s"
+            );
+            for s in &out {
+                println!(
+                    "  {:<12} {:>9} {:>9} {:>10.1} {:>10.1} {:>14.0} {:>12.0}",
+                    s.name,
+                    s.requests,
+                    s.launches,
+                    s.p50_us,
+                    s.p99_us,
+                    s.rows_per_s,
+                    s.wall_rows_per_s
+                );
+            }
+            let speedup = batching_speedup(&out).unwrap_or(0.0);
+            let claim = speedup >= MIN_BATCHING_SPEEDUP;
+            println!(
+                "  micro-batching speedup (batched64 / unbatched64) {speedup:.2}x \
+                 (claim >= {MIN_BATCHING_SPEEDUP}x)  {}",
+                verdict(claim)
+            );
+            (out.iter().map(ServeMeasurement::row).collect(), claim)
+        }
     }
-    if failed {
-        eprintln!("bench_check: serving-path gate failed");
-    } else {
-        println!("bench_check: serving path within bands, speedup claim holds");
-    }
-    !failed
 }
 
-/// Serving-layer gate: the committed `baselines/serve_throughput.csv` must
-/// witness the headline claim — micro-batched aggregate device throughput
-/// at least 2x the one-call-per-launch baseline at 64 concurrent clients
-/// of small requests — and a fresh mixed-traffic run must both reproduce
-/// the >=2x ratio and stay within the tolerance band per scenario.
-/// Regenerate the baseline deliberately with `FTK_WRITE_BASELINE=1 cargo
-/// run --release -p bench_harness --bin serve_bench`.
-fn check_serve() -> bool {
-    let serve_m = env_usize("FTK_BENCH_SERVE_M", 16384);
-    let tol = env_f64("FTK_BENCH_TOL", DEFAULT_TOLERANCE);
-
-    let path = baselines_root().join("serve_throughput.csv");
-    let csv = match std::fs::read_to_string(&path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("bench_check: cannot read {}: {e}", path.display());
-            std::process::exit(2);
-        }
-    };
-    let baseline = match parse_serve_baseline(&csv) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("bench_check: malformed serve baseline: {e}");
-            std::process::exit(2);
-        }
-    };
-
-    let mut failed = false;
-    match batching_speedup(&baseline) {
-        Some(speedup) => {
-            let pass = speedup >= 2.0;
-            println!(
-                "serve baseline micro-batching speedup {:>6.2}x  {}",
-                speedup,
-                if pass { "ok" } else { "BELOW 2x" }
-            );
-            failed |= !pass;
-        }
-        None => {
-            eprintln!("bench_check: serve baseline lacks unbatched64/batched64 rows");
-            failed = true;
-        }
-    }
-
-    println!("bench_check: fresh serve run at {serve_m} rows/scenario, tolerance {tol}x");
-    let fresh = run_serve_bench(serve_m);
-    for s in &fresh {
-        println!(
-            "  {:<12} {:>5} launches  p50 {:>8.1} us  p99 {:>8.1} us  {:>14.0} device rows/s",
-            s.name, s.launches, s.p50_us, s.p99_us, s.rows_per_s
-        );
-    }
-    match batching_speedup(&fresh) {
-        Some(speedup) => {
-            let pass = speedup >= 2.0;
-            println!(
-                "serve fresh micro-batching speedup {:>6.2}x  {}",
-                speedup,
-                if pass { "ok" } else { "BELOW 2x" }
-            );
-            failed |= !pass;
-        }
-        None => {
-            eprintln!("bench_check: fresh serve run lacks unbatched64/batched64 rows");
-            failed = true;
-        }
-    }
-    let baseline_rows: Vec<BaselineRow> = baseline
-        .iter()
-        .map(|s| BaselineRow {
-            name: s.name.clone(),
-            m: s.requests * s.rows,
-            median_s: s.p50_us / 1e6,
-            rate: s.rows_per_s,
-        })
-        .collect();
-    let outcomes = check(&as_fit_measurements(&fresh), &baseline_rows, tol);
+/// A throughput gate: the fresh run's claim plus every row within the band
+/// of its same-shape baseline row.
+fn check_throughput(bench: Bench, ledger: &[Row]) -> bool {
+    let (fresh, mut ok) = measure(bench);
     println!(
-        "{:<14} {:>14} {:>14} {:>8}  verdict",
-        "scenario", "fresh rate", "baseline rate", "factor"
+        "  {:<14} {:>14} {:>14} {:>8}  verdict (band {TOLERANCE}x)",
+        "name", "fresh rate", "baseline rate", "factor"
     );
-    for o in &outcomes {
+    for o in check(&fresh, &rows_of(ledger, bench), TOLERANCE) {
         println!(
-            "{:<14} {:>14.0} {:>14.0} {:>7.2}x  {}",
+            "  {:<14} {:>14.0} {:>14.0} {:>7.2}x  {}",
             o.name,
             o.fresh_rate,
             o.baseline_rate,
             o.regression_factor,
-            if o.pass { "ok" } else { "REGRESSED" }
+            verdict(o.pass)
         );
-        failed |= !o.pass;
+        ok &= o.pass;
     }
-    if failed {
-        eprintln!("bench_check: serve gate failed");
-    } else {
-        println!("bench_check: serve gate green, micro-batching claim holds");
+    if !ok {
+        eprintln!(
+            "bench_check: {} gate failed (an infinite factor means the row is missing \
+             on one side or its baseline was taken at another m)",
+            bench.name()
+        );
     }
-    !failed
+    ok
 }
 
 /// Trace gate: attaching a recording sink must not push fit wall time out
-/// of the tolerance band, and the phase profiler's modeled-time attribution
-/// must reproduce the committed fit-throughput ordering (naive assignment
-/// costs more than fused) at the committed baseline scale.
+/// of the band, and the phase profiler's modeled-time attribution must
+/// reproduce the ledger's fit ordering (naive assignment costs more than
+/// fused) at the committed scale.
 fn check_trace() -> bool {
-    let m = env_usize("FTK_BENCH_M", 16384);
-    let reps = env_usize("FTK_BENCH_REPS", 1);
-    let tol = env_f64("FTK_BENCH_TOL", DEFAULT_TOLERANCE);
-    let mut failed = false;
-
-    println!("bench_check: recording-sink overhead at m = {m} ({reps} rep(s)), tolerance {tol}x");
-    let o = run_trace_overhead(m, reps);
-    let pass = o.factor() <= tol;
+    println!("bench_check: recording-sink overhead at m = {M}, median of {REPS}");
+    let o = run_trace_overhead(M, REPS);
+    let mut ok = o.factor() <= TOLERANCE;
     println!(
-        "trace overhead  untraced {:>9.6} s  traced {:>9.6} s  {:>5.2}x  ({} events)  {}",
+        "  untraced {:>9.6} s  traced {:>9.6} s  {:>5.2}x (band {TOLERANCE}x, {} events)  {}",
         o.untraced_s,
         o.traced_s,
         o.factor(),
         o.events,
-        if pass { "ok" } else { "REGRESSED" }
+        verdict(ok)
     );
-    failed |= !pass;
 
-    let profile_m = env_usize("FTK_BENCH_TRACE_M", TRACE_PROFILE_M);
-    println!(
-        "bench_check: phase-profile attribution at m = {profile_m} (committed-baseline scale)"
-    );
-    let naive = traced_fit(profile_m, Variant::Naive).0.phase_profile();
-    let fused = traced_fit(profile_m, Variant::FusedV2).0.phase_profile();
+    println!("bench_check: phase-profile attribution at m = {M}");
+    let naive = traced_fit(M, Variant::Naive).0.phase_profile();
+    let fused = traced_fit(M, Variant::FusedV2).0.phase_profile();
     let assignment = trace::phases::ASSIGNMENT;
     let (na, fa) = (naive.modeled_s(assignment), fused.modeled_s(assignment));
-    let pass = na > fa && fa > 0.0;
+    let ordered = na > fa && fa > 0.0;
     println!(
-        "assignment modeled  naive {:>9.3} ms  fused_v2 {:>9.3} ms  {}",
+        "  assignment modeled  naive {:>9.3} ms  fused_v2 {:>9.3} ms  {}",
         na * 1e3,
         fa * 1e3,
-        if pass { "ok" } else { "ORDER VIOLATED" }
+        verdict(ordered)
     );
-    failed |= !pass;
     print!("{}", fused.to_table());
-
-    if failed {
+    ok &= ordered;
+    if !ok {
         eprintln!("bench_check: trace gate failed");
-    } else {
-        println!("bench_check: trace gate green — overhead bounded, attribution matches baseline ordering");
     }
-    !failed
+    ok
 }
 
 fn check_figures() -> bool {
@@ -403,25 +261,70 @@ fn check_campaign() -> bool {
     o.pass
 }
 
+/// Re-measure every throughput bench and rewrite the ledger, unless a claim
+/// fails on this run.
+fn write_baseline() -> bool {
+    let mut rows = Vec::new();
+    let mut claims = true;
+    for bench in Bench::ALL {
+        let (fresh, claim) = measure(bench);
+        rows.extend(fresh);
+        claims &= claim;
+    }
+    if !claims {
+        eprintln!("bench_check: a claim fails on this run; the baseline is not written");
+        return false;
+    }
+    let (path, csv) = (ledger_path(), write_ledger(&rows));
+    print!("{csv}");
+    if let Err(e) = std::fs::write(&path, csv) {
+        eprintln!("bench_check: cannot write {}: {e}", path.display());
+        std::process::exit(2);
+    }
+    println!("bench_check: baseline written to {}", path.display());
+    true
+}
+
+fn usage() -> ! {
+    eprintln!(
+        "usage: bench_check [{}]...\n       bench_check --write-baseline",
+        GATES.join("|")
+    );
+    std::process::exit(2);
+}
+
 fn main() {
+    let mut write = false;
+    let mut gates = Vec::new();
+    for arg in std::env::args().skip(1) {
+        match GATES.iter().find(|g| **g == arg) {
+            Some(gate) => gates.push(*gate),
+            None if arg == "--write-baseline" => write = true,
+            None => usage(),
+        }
+    }
+    if write {
+        if !gates.is_empty() {
+            usage();
+        }
+        std::process::exit(if write_baseline() { 0 } else { 1 });
+    }
+    if gates.is_empty() {
+        gates = GATES.to_vec();
+    }
+    let ledger = if gates.iter().any(|g| Bench::parse(g).is_some()) {
+        read_ledger()
+    } else {
+        Vec::new()
+    };
     let mut ok = true;
-    if env_enabled("FTK_CHECK_FIT") {
-        ok &= check_throughput();
-    }
-    if env_enabled("FTK_CHECK_PREDICT") {
-        ok &= check_predict();
-    }
-    if env_enabled("FTK_CHECK_SERVE") {
-        ok &= check_serve();
-    }
-    if env_enabled("FTK_CHECK_TRACE") {
-        ok &= check_trace();
-    }
-    if env_enabled("FTK_CHECK_FIGURES") {
-        ok &= check_figures();
-    }
-    if env_enabled("FTK_CHECK_CAMPAIGN") {
-        ok &= check_campaign();
+    for gate in gates {
+        ok &= match gate {
+            "trace" => check_trace(),
+            "figures" => check_figures(),
+            "campaign" => check_campaign(),
+            bench => check_throughput(Bench::parse(bench).expect("a GATES entry"), &ledger),
+        };
     }
     if !ok {
         std::process::exit(1);

@@ -27,6 +27,12 @@
 //! * `site-unique` — two textually identical `MmaSite { .. }` literals in
 //!   one file alias the same fault-injection site id, so an injection
 //!   targeting one silently hits both.
+//! * `env-knob` — a string literal naming an `FTK_*` environment variable
+//!   must name one of [`KNOBS`]: the executor, trace and sanitizer
+//!   bootstrap set plus the selector-cache deployment path. Anything else
+//!   is a constant or a flag of the binary that needs it. Unlike the rules
+//!   above, which cover `crates/*/src`, this one covers every Rust file in
+//!   the workspace: bins, tests, examples and the facade too.
 //!
 //! Doc comments, line comments and `#[cfg(test)] mod` bodies are skipped.
 //! Findings print one per line sorted by `(file, line)`; exit status is 1
@@ -72,7 +78,9 @@ fn main() {
 
 fn run_lint(root: &Path) -> Vec<LintFinding> {
     let mut files = Vec::new();
-    collect_rs(&root.join("crates"), &mut files);
+    for dir in ["crates", "src", "tests", "examples"] {
+        collect_rs(&root.join(dir), &mut files);
+    }
     files.sort();
 
     let mut findings = Vec::new();
@@ -81,14 +89,8 @@ fn run_lint(root: &Path) -> Vec<LintFinding> {
     let mut labels: HashMap<String, (String, usize)> = HashMap::new();
 
     for path in &files {
-        // Lint covers shipped code only: crates/*/src, not tests/ or bin/
-        // (this linter and the harness bins drive the checks, they are not
-        // kernel or request-path code).
         let rel = path.strip_prefix(root).unwrap_or(path);
         let rel_str = rel.to_string_lossy().replace('\\', "/");
-        if !rel_str.contains("/src/") {
-            continue;
-        }
         let Ok(text) = std::fs::read_to_string(path) else {
             continue;
         };
@@ -106,6 +108,15 @@ const ENTRY_FILES: [&str; 3] = [
     "crates/kmeans/src/minibatch.rs",
 ];
 
+/// The `FTK_*` environment variables the workspace reads.
+const KNOBS: [&str; 5] = [
+    "FTK_EXEC",
+    "FTK_WORKERS",
+    "FTK_TRACE",
+    "FTK_SANITIZE",
+    "FTK_SELECTOR_CACHE",
+];
+
 /// Run every rule that applies to the file at workspace-relative `rel`.
 fn lint_file(
     rel: &str,
@@ -114,6 +125,13 @@ fn lint_file(
     findings: &mut Vec<LintFinding>,
 ) {
     let lines = scannable_lines(text);
+    lint_env_knobs(rel, &lines, findings);
+    // The other rules cover shipped code only: crates/*/src, not tests/ or
+    // bin/ (this linter and the harness bins drive the checks, they are
+    // not kernel or request-path code).
+    if !rel.starts_with("crates/") || !rel.contains("/src/") {
+        return;
+    }
     if rel.starts_with("crates/kmeans/src/variants/") {
         lint_raw_access(rel, &lines, findings);
     }
@@ -328,6 +346,36 @@ fn lint_labels(
     }
 }
 
+/// The variable-name prefix, split so this line is not itself a literal
+/// the rule matches.
+const KNOB_PREFIX: &str = concat!("FTK", "_");
+
+fn lint_env_knobs(file: &str, lines: &[ScanLine], findings: &mut Vec<LintFinding>) {
+    for l in lines {
+        for (pos, _) in l.code.match_indices(KNOB_PREFIX) {
+            if !l.code[..pos].ends_with('"') {
+                continue;
+            }
+            let name: String = l.code[pos..]
+                .chars()
+                .take_while(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || *c == '_')
+                .collect();
+            if !KNOBS.contains(&name.as_str()) {
+                findings.push(LintFinding {
+                    rule: "env-knob",
+                    file: file.to_string(),
+                    line: l.number,
+                    message: format!(
+                        "`{name}` is not one of the workspace's environment variables ({}); \
+                         make it a constant or a flag of the binary that needs it",
+                        KNOBS.join(", ")
+                    ),
+                });
+            }
+        }
+    }
+}
+
 fn extract_str_literal(code: &str) -> Option<String> {
     let start = code.find('"')?;
     let rest = &code[start + 1..];
@@ -419,5 +467,47 @@ mod tests {
         // The serve rule's marker does not cover an entry file.
         let other = "fn f() {\n    g().unwrap(); // ftk-lint: allow(serve-unwrap)\n}\n";
         assert_eq!(lint(ENTRY_FILES[2], other).len(), 1);
+    }
+
+    #[test]
+    fn unknown_knob_literal_fires() {
+        let text =
+            format!("fn main() {{\n    let m = env_usize(\"{KNOB_PREFIX}BENCH_M\", 1);\n}}\n");
+        // In a bin and in shipped code alike.
+        for rel in [
+            "crates/bench/bin/bench_check.rs",
+            "crates/kmeans/src/session.rs",
+        ] {
+            let found = lint(rel, &text);
+            assert_eq!(found.len(), 1, "{rel}");
+            assert_eq!((found[0].rule, found[0].line), ("env-knob", 2));
+            assert!(found[0].message.contains("BENCH_M"));
+        }
+    }
+
+    #[test]
+    fn allowed_knob_literals_pass() {
+        for knob in KNOBS {
+            let text = format!("fn f() {{\n    std::env::var(\"{knob}\");\n}}\n");
+            assert!(
+                lint("crates/gpu-sim/src/exec.rs", &text).is_empty(),
+                "{knob}"
+            );
+        }
+        // A value after the name is still the allowed name; a longer name
+        // is not.
+        let text = format!("const A: &str = \"{}=serial\";\n", KNOBS[0]);
+        assert!(lint("src/lib.rs", &text).is_empty());
+        let text = format!("const A: &str = \"{}_M\";\n", KNOBS[3]);
+        assert_eq!(lint("src/lib.rs", &text).len(), 1);
+    }
+
+    #[test]
+    fn knob_literal_in_a_test_module_is_skipped() {
+        let text = format!(
+            "pub fn f() {{}}\n\n#[cfg(test)]\nmod tests {{\n    #[test]\n    fn t() {{\n        \
+             std::env::set_var(\"{KNOB_PREFIX}BENCH_M\", \"8\");\n    }}\n}}\n"
+        );
+        assert!(lint("crates/bench/src/fitbench.rs", &text).is_empty());
     }
 }

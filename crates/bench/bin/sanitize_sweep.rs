@@ -8,39 +8,35 @@
 //! non-zero when it is non-empty. Intended for the CI `sanitize-smoke` leg
 //! and local pre-merge checks.
 //!
-//! Knobs:
-//! * `FTK_SANITIZE`        — checks to run (default `race,init,oob`;
-//!   `leak` and `all` also accepted). The leak check is not in the default
-//!   gate: a fit legitimately leaves e.g. `sample_norms` unread under
-//!   variants that never use norms, and the serve path retains resident
-//!   buffers past the sweep.
-//! * `FTK_SANITIZE_M`      — sample count for the fits (default 2048).
-//! * `FTK_SANITIZE_REPORT` — also write the report text to this path.
+//! Usage: `sanitize_sweep [REPORT]` — also writes the report text to the
+//! `REPORT` path when given. `FTK_SANITIZE` picks the checks (default
+//! `race,init,oob`; `leak` and `all` also accepted). The leak check is not
+//! in the default gate: a fit legitimately leaves e.g. `sample_norms`
+//! unread under variants that never use norms, and the serve path retains
+//! resident buffers past the sweep.
 
-use bench_harness::fitbench::env_usize;
 use bench_harness::sanitize::run_sanitize_sweep;
 use gpu_sim::sanitizer::SanitizeConfig;
 
-fn main() {
-    let m = env_usize("FTK_SANITIZE_M", 2048);
-    let cfg = std::env::var("FTK_SANITIZE")
-        .ok()
-        .filter(|s| !s.trim().is_empty())
-        .map(|s| SanitizeConfig::parse(&s))
-        .unwrap_or(SanitizeConfig {
-            race: true,
-            init: true,
-            oob: true,
-            leak: false,
-        });
+/// Samples in each fit of the sweep.
+const M: usize = 2048;
 
-    let (report, phases) = run_sanitize_sweep(m, cfg);
+fn main() {
+    let report_path = std::env::args().nth(1);
+    let cfg = SanitizeConfig::from_env().unwrap_or(SanitizeConfig {
+        race: true,
+        init: true,
+        oob: true,
+        leak: false,
+    });
+
+    let (report, phases) = run_sanitize_sweep(M, cfg);
     for p in &phases {
         eprintln!("sanitize_sweep: ran {}", p.name);
     }
     let text = report.to_text();
     print!("{text}");
-    if let Ok(path) = std::env::var("FTK_SANITIZE_REPORT") {
+    if let Some(path) = report_path {
         if let Some(parent) = std::path::Path::new(&path).parent() {
             if !parent.as_os_str().is_empty() {
                 let _ = std::fs::create_dir_all(parent);
@@ -53,10 +49,10 @@ fn main() {
     }
     if !report.is_empty() {
         eprintln!(
-            "sanitize_sweep: FAILED — {} finding(s) at m={m}",
+            "sanitize_sweep: FAILED — {} finding(s) at m={M}",
             report.findings.len()
         );
         std::process::exit(1);
     }
-    eprintln!("sanitize_sweep: OK — no findings at m={m}");
+    eprintln!("sanitize_sweep: OK — no findings at m={M}");
 }

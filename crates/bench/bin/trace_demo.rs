@@ -11,11 +11,8 @@
 //!
 //! The CI serve-smoke leg uploads all three as build artifacts; locally the
 //! same files are a quick way to eyeball what the trace subsystem records.
-//!
-//! Knobs: `FTK_BENCH_M` (fit sample count, default 16384),
-//! `FTK_BENCH_SERVE_M` (total storm rows, default 16384).
 
-use bench_harness::fitbench::{blobs, env_usize, DIM};
+use bench_harness::fitbench::{blobs, DIM};
 use bench_harness::tracebench::traced_fit;
 use gpu_sim::DeviceProfile;
 use kmeans::{KMeansConfig, PredictPolicy, Session, Variant};
@@ -23,6 +20,11 @@ use serve::{ModelRegistry, Server, ServerConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 use trace::RecordingSink;
+
+/// Samples in the traced fit.
+const FIT_M: usize = 16_384;
+/// Rows across the serve storm's clients.
+const STORM_ROWS: usize = 16_384;
 
 fn main() {
     let out: PathBuf = std::env::args()
@@ -32,9 +34,8 @@ fn main() {
     std::fs::create_dir_all(&out).expect("create output directory");
 
     // 1. Traced fit: phase spans, launch spans, fault events.
-    let m = env_usize("FTK_BENCH_M", 16384);
-    println!("trace_demo: traced fused fit at m = {m} (d = {DIM})");
-    let (fit_sink, elapsed) = traced_fit(m, Variant::FusedV2);
+    println!("trace_demo: traced fused fit at m = {FIT_M} (d = {DIM})");
+    let (fit_sink, elapsed) = traced_fit(FIT_M, Variant::FusedV2);
     println!(
         "trace_demo: fit took {elapsed:.3} s wall, {} records",
         fit_sink.len()
@@ -42,7 +43,6 @@ fn main() {
 
     // 2. Serve storm into its own sink (the server's session carries it to
     //    the dispatcher thread), scraping the metrics registry afterwards.
-    let serve_m = env_usize("FTK_BENCH_SERVE_M", 16384);
     let session = Session::new(DeviceProfile::a100());
     let registry = ModelRegistry::new();
     registry.register(
@@ -65,7 +65,7 @@ fn main() {
         },
     );
     let clients = 8usize;
-    let rows = (serve_m / clients).max(1);
+    let rows = STORM_ROWS / clients;
     println!("trace_demo: serve storm — {clients} clients x {rows} rows");
     std::thread::scope(|s| {
         for _ in 0..clients {

@@ -16,7 +16,9 @@
 //! a declarative sweep over injection rates × schemes × precisions ×
 //! variants × shapes with SDC classification against fault-free twin fits
 //! (§V-C tables; `campaign` bin), and [`drift`] gates generated tables
-//! against committed baselines (`bench_check` bin).
+//! against committed baselines (`bench_check` bin). The same bin gates
+//! fit, predict and serve throughput against the one ledger that
+//! [`regression`] reads and writes.
 //!
 //! Run `cargo run -p bench_harness --release --bin figures -- --fig all` to
 //! write `results/figNN.csv` plus a printed summary per figure, and

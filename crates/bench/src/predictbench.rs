@@ -1,5 +1,4 @@
-//! Shared predict-throughput measurement used by the `predict_throughput`
-//! bench and the `bench_check` serving-path gate.
+//! Predict-throughput measurement behind `bench_check`'s predict gate.
 //!
 //! One measurement serves `m` query samples through a fitted model's
 //! [`FittedModel::predict`] under one [`PredictPolicy`] — the steady-state
@@ -16,6 +15,7 @@
 //! taken from the [`quant_fallbacks`](gpu_sim::CounterSnapshot) counter.
 
 use crate::fitbench::{blobs, median, DIM, K, MAX_ITER};
+use crate::regression::{Bench, Row};
 use gpu_sim::{DeviceProfile, Matrix};
 use kmeans::{FittedModel, KMeansConfig, PredictPolicy, Session};
 use std::time::Instant;
@@ -25,6 +25,10 @@ pub const TRAIN_M: usize = 8192;
 
 /// The serving policies measured, exact first (the fp32 reference path).
 pub const POLICY_NAMES: [&str; 3] = ["exact", "fp16", "int8"];
+
+/// The serving claim, checked on every fresh same-shape run: each quantized
+/// policy serves at least this many times the exact policy's rate.
+pub const MIN_QUANT_SPEEDUP: f64 = 1.5;
 
 /// One policy's serving throughput at one query-batch size.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,13 +118,17 @@ pub fn run_predict_bench(m: usize, reps: usize) -> Vec<PredictMeasurement> {
         .collect()
 }
 
-/// Render one predict measurement as a CSV row (same 8-field schema as the
-/// fit rows; `iters` is 1 — a predict is a single pass).
-pub fn predict_csv_row(p: &PredictMeasurement) -> String {
-    format!(
-        "predict,{},{},{DIM},{K},1,{:.6},{:.1}\n",
-        p.name, p.m, p.median_s, p.rate
-    )
+impl PredictMeasurement {
+    /// The ledger row: `rate` is samples per second.
+    pub fn row(&self) -> Row {
+        Row {
+            bench: Bench::Predict,
+            name: self.name.clone(),
+            m: self.m,
+            median_s: self.median_s,
+            rate: self.rate,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -138,14 +146,15 @@ mod tests {
 
     #[test]
     fn csv_row_matches_baseline_schema() {
-        let row = predict_csv_row(&PredictMeasurement {
+        let row = PredictMeasurement {
             name: "int8".into(),
             m: 131072,
             median_s: 0.25,
             rate: 524288.0,
             fallback_rate: 0.01,
-        });
-        assert_eq!(row, "predict,int8,131072,64,16,1,0.250000,524288.0\n");
+        }
+        .row();
+        assert_eq!(row.to_csv(), "predict,int8,131072,0.250000000,524288.0\n");
     }
 
     #[test]

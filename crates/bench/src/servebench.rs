@@ -1,6 +1,6 @@
 //! Mixed-traffic serving benchmark: latency/throughput of the
-//! multi-tenant [`serve::Server`] under concurrent clients, used by the
-//! `serve_bench` bin and the `bench_check` serve gate.
+//! multi-tenant [`serve::Server`] under concurrent clients, behind
+//! `bench_check`'s serve gate (`bench_check serve` prints the table).
 //!
 //! Four scenarios over the same serving model (the paper shape, d = 64,
 //! k = 16, int8 resident policy — see
@@ -36,16 +36,22 @@
 //!   launch-amortization claim; the timing model is what does.
 //!
 //! Query matrices are pre-generated per client before the clock starts,
-//! so host-side data synthesis is excluded from every number.
+//! so host-side data synthesis is excluded from every number. The
+//! scenarios run [`REPS`](crate::regression::REPS) times and each reports
+//! its median-rate run.
 
-use crate::fitbench::{blobs, FitMeasurement, DIM, K};
+use crate::fitbench::{blobs, median, DIM, K};
 use crate::predictbench::{queries, serving_model};
+use crate::regression::{Bench, Row};
 use gpu_sim::timing::{estimate, GemmShape, KernelClass, TimingInput};
 use gpu_sim::{DeviceProfile, Matrix, Precision};
 use kmeans::{FittedModel, PredictPolicy, Session};
 use serve::{ModelRegistry, Server, ServerConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Rows served per scenario by the serve gate: 16 requests per client.
+pub const ROWS: usize = 16_384;
 
 /// Concurrent clients in every scenario.
 pub const CLIENTS: usize = 64;
@@ -78,12 +84,26 @@ pub struct ServeMeasurement {
     /// Modeled device throughput, rows per second: measured launch count
     /// priced by the calibrated timing model (see module docs).
     pub rows_per_s: f64,
-    /// Kernel launches the scenario actually issued (measured; not part
-    /// of the CSV row — `requests / launches` is the mean group size).
+    /// Kernel launches the scenario actually issued (measured;
+    /// `requests / launches` is the mean group size).
     pub launches: usize,
-    /// Host wall-clock aggregate throughput, rows per second (diagnostic;
-    /// not part of the CSV row).
+    /// Host wall-clock aggregate throughput, rows per second (diagnostic).
     pub wall_rows_per_s: f64,
+}
+
+impl ServeMeasurement {
+    /// The ledger row: `m` is requests x rows, `median_s` the p50 request
+    /// latency and `rate` the modeled device rows per second. Tail latency,
+    /// launches and wall-clock rate are printed, not recorded.
+    pub fn row(&self) -> Row {
+        Row {
+            bench: Bench::Serve,
+            name: self.name.clone(),
+            m: self.requests * self.rows,
+            median_s: self.p50_us / 1e6,
+            rate: self.rows_per_s,
+        }
+    }
 }
 
 /// Nearest-rank percentile of an unsorted latency sample, `p` in `[0, 1]`.
@@ -117,7 +137,7 @@ pub fn modeled_device_s(launches: usize, total_rows: usize) -> f64 {
 /// It keeps an explicit 200 µs window although the server's default has
 /// none (every request runs on its caller's thread, unbatched): these
 /// scenarios gate *modeled* device throughput against
-/// `baselines/serve_throughput.csv`, and without a window nothing
+/// `baselines/throughput.csv`, and without a window nothing
 /// coalesces; under the earlier window-free queue, `paced64` (open loop)
 /// and `mixed64` (refit load) already fell 3–9x below the committed
 /// baselines, outside the gate's band.
@@ -222,9 +242,27 @@ fn measure(
     }
 }
 
-/// Run all four scenarios serving ~`total_rows` rows each (the
-/// `FTK_BENCH_SERVE_M` knob; requests per client is derived from it).
-pub fn run_serve_bench(total_rows: usize) -> Vec<ServeMeasurement> {
+/// Run all four scenarios `reps` times, serving ~`total_rows` rows each
+/// (requests per client is derived from it), and report each scenario's
+/// median-rate run.
+pub fn run_serve_bench(total_rows: usize, reps: usize) -> Vec<ServeMeasurement> {
+    let runs: Vec<Vec<ServeMeasurement>> = (0..reps.max(1))
+        .map(|_| run_scenarios(total_rows))
+        .collect();
+    (0..SCENARIO_NAMES.len())
+        .map(|i| {
+            let mut rates: Vec<f64> = runs.iter().map(|run| run[i].rows_per_s).collect();
+            let mid = median(&mut rates);
+            runs.iter()
+                .map(|run| &run[i])
+                .find(|m| m.rows_per_s == mid)
+                .expect("the median is one of the runs")
+                .clone()
+        })
+        .collect()
+}
+
+fn run_scenarios(total_rows: usize) -> Vec<ServeMeasurement> {
     let reqs_per_client = (total_rows / (CLIENTS * ROWS_PER_REQUEST)).max(2);
     let mut out = Vec::with_capacity(SCENARIO_NAMES.len());
 
@@ -286,73 +324,9 @@ pub fn run_serve_bench(total_rows: usize) -> Vec<ServeMeasurement> {
     out
 }
 
-/// CSV header for `serve_throughput.csv` — 8 fields like every other
-/// baseline, with serve-specific columns.
-pub const SERVE_CSV_HEADER: &str = "bench,name,clients,rows,requests,p50_us,p99_us,rows_per_s\n";
-
-/// Render one measurement as a `serve_throughput.csv` row. The measured
-/// `launches` and host-side `wall_rows_per_s` are diagnostics, not part of
-/// the committed schema.
-pub fn serve_csv_row(s: &ServeMeasurement) -> String {
-    format!(
-        "serve,{},{},{},{},{:.1},{:.1},{:.1}\n",
-        s.name, s.clients, s.rows, s.requests, s.p50_us, s.p99_us, s.rows_per_s
-    )
-}
-
-/// Parse a committed `serve_throughput.csv`. Returns an error string naming
-/// the first malformed line; fails closed on an empty table. The two
-/// diagnostic fields absent from the schema parse as zero.
-pub fn parse_serve_baseline(csv: &str) -> Result<Vec<ServeMeasurement>, String> {
-    let mut rows = Vec::new();
-    for (idx, line) in csv.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with("bench,") {
-            continue; // header
-        }
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != 8 {
-            return Err(format!("line {}: expected 8 fields, got {line:?}", idx + 1));
-        }
-        if fields[0] != "serve" {
-            continue;
-        }
-        let num = |s: &str, what: &str| {
-            s.parse::<f64>()
-                .map_err(|_| format!("line {}: bad {what} {s:?}", idx + 1))
-        };
-        rows.push(ServeMeasurement {
-            name: fields[1].to_string(),
-            clients: num(fields[2], "clients")? as usize,
-            rows: num(fields[3], "rows")? as usize,
-            requests: num(fields[4], "requests")? as usize,
-            p50_us: num(fields[5], "p50_us")?,
-            p99_us: num(fields[6], "p99_us")?,
-            rows_per_s: num(fields[7], "rows_per_s")?,
-            launches: 0,
-            wall_rows_per_s: 0.0,
-        });
-    }
-    if rows.is_empty() {
-        return Err("no serve rows found in baseline CSV".into());
-    }
-    Ok(rows)
-}
-
-/// Adapt serve measurements into the generic regression-band machinery
-/// ([`crate::regression::check`] compares on `rate`).
-pub fn as_fit_measurements(serve: &[ServeMeasurement]) -> Vec<FitMeasurement> {
-    serve
-        .iter()
-        .map(|s| FitMeasurement {
-            name: s.name.clone(),
-            m: s.requests * s.rows,
-            median_s: s.p50_us / 1e6,
-            rate: s.rows_per_s,
-            inertia: 0.0,
-        })
-        .collect()
-}
+/// The micro-batching claim, checked on every fresh run: `batched64`
+/// reaches at least this many times `unbatched64`'s modeled device rate.
+pub const MIN_BATCHING_SPEEDUP: f64 = 2.0;
 
 /// The headline ratio: batched modeled device throughput over the
 /// one-call-per-launch baseline. `None` when either scenario is missing.
@@ -364,6 +338,7 @@ pub fn batching_speedup(rows: &[ServeMeasurement]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regression::{parse_ledger, write_ledger};
 
     fn meas(name: &str, rate: f64) -> ServeMeasurement {
         ServeMeasurement {
@@ -406,15 +381,11 @@ mod tests {
 
     #[test]
     fn csv_round_trips_through_the_parser() {
-        let m = meas("batched64", 123456.7);
-        let csv = format!("{}{}", SERVE_CSV_HEADER, serve_csv_row(&m));
-        let parsed = parse_serve_baseline(&csv).unwrap();
-        assert_eq!(parsed, vec![m]);
-        assert!(
-            parse_serve_baseline(SERVE_CSV_HEADER).is_err(),
-            "fails closed when empty"
-        );
-        assert!(parse_serve_baseline("serve,x,1,2,3\n").is_err());
+        let row = meas("batched64", 123456.7).row();
+        assert_eq!(row.m, 1024 * ROWS_PER_REQUEST, "requests x rows");
+        assert_eq!(row.median_s, 150e-6, "p50 latency in seconds");
+        let parsed = parse_ledger(&write_ledger(std::slice::from_ref(&row))).unwrap();
+        assert_eq!(parsed, vec![row]);
     }
 
     #[test]
@@ -427,10 +398,9 @@ mod tests {
     #[test]
     fn bench_runs_at_tiny_scale_and_batching_coalesces() {
         // Smallest meaningful traffic: 2 requests per client. The full-size
-        // throughput claim lives in bench_check against the committed
-        // baseline; here we assert shape, sanity and that batching actually
-        // reduced launches.
-        let out = run_serve_bench(CLIENTS * ROWS_PER_REQUEST * 2);
+        // throughput claim and bands live in `bench_check serve`; here we
+        // assert shape, sanity and that batching actually reduced launches.
+        let out = run_serve_bench(CLIENTS * ROWS_PER_REQUEST * 2, 1);
         assert_eq!(out.len(), SCENARIO_NAMES.len());
         for (m, name) in out.iter().zip(SCENARIO_NAMES) {
             assert_eq!(m.name, name);

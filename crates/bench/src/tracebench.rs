@@ -4,20 +4,21 @@
 //! Two properties are gated:
 //!
 //! 1. **Overhead** — a fit with a [`trace::RecordingSink`] attached must
-//!    stay within the regression tolerance band of the identical untraced
-//!    fit. The instrumentation is branch-gated on [`trace::active`], so the
+//!    stay within the regression band
+//!    ([`TOLERANCE`](crate::regression::TOLERANCE)) of the identical
+//!    untraced fit. The instrumentation is branch-gated on [`trace::active`], so the
 //!    *untraced* cost is already covered by the fit-throughput gate; this
 //!    measures the enabled path (snapshotting counters, formatting modeled
 //!    times, ring-buffer pushes).
 //! 2. **Attribution consistency** — the phase profiler's modeled-time
-//!    breakdown must reproduce the committed `baselines/fit_throughput.csv`
-//!    ordering at the committed scale: the naive variant's assignment phase
+//!    breakdown must reproduce the fit ordering of `baselines/throughput.csv`
+//!    at its committed scale: the naive variant's assignment phase
 //!    (which materializes the m×k distance matrix) must cost more modeled
 //!    time than the fused variant's. This ordering only holds once the
 //!    extra distance-matrix traffic (2·m·k·4 bytes per iteration) outweighs
 //!    the fused path's extra per-iteration launch (~4 us on the A100
-//!    profile), i.e. m·k ≳ 1.7M — which is why the check runs at the
-//!    baseline's m = 131072 rather than the reduced `FTK_BENCH_M`.
+//!    profile), i.e. m·k ≳ 1.7M, which the gate's m = 131072
+//!    ([`fitbench::M`](crate::fitbench::M)) clears.
 
 use crate::fitbench::{blobs, median, K, MAX_ITER};
 use gpu_sim::DeviceProfile;
@@ -25,11 +26,6 @@ use kmeans::{KMeansConfig, Session, Variant};
 use std::sync::Arc;
 use std::time::Instant;
 use trace::RecordingSink;
-
-/// Sample count for the attribution-consistency check: the committed
-/// `baselines/fit_throughput.csv` scale (see module docs for why the
-/// reduced bench size is not enough).
-pub const TRACE_PROFILE_M: usize = 131_072;
 
 /// Overhead of running a fit with a recording sink attached, versus the
 /// identical fit untraced.

@@ -8,9 +8,10 @@
 //! own disjoint output range (per-block partials), and a follow-up launch
 //! reduces the partials in block-index order; an order-invariant merge such
 //! as [`crate::atomics::ArgminStore`] may share a location across blocks.
-//! A float `atomic_add` from several blocks to one cell is not
-//! order-invariant (rounding depends on arrival order), and plain stores
-//! to overlapping locations are a bug, as on hardware.
+//! Integer atomics such as [`crate::memory::GlobalIndexBuffer::atomic_inc`]
+//! are order-invariant too. Device memory has no float atomic add, whose
+//! rounding would depend on arrival order, and plain stores to
+//! overlapping locations are a bug, as on hardware.
 
 use crate::counters::{CounterSink, Counters};
 use crate::device::DeviceProfile;
@@ -115,14 +116,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::GlobalBuffer;
+    use crate::memory::GlobalIndexBuffer;
 
     #[test]
     fn all_blocks_execute_exactly_once() {
         let dev = DeviceProfile::a100();
         let c = Counters::new();
         let grid = Dim3::xy(7, 5);
-        let hits = GlobalBuffer::<f64>::zeros(grid.volume());
+        let hits = GlobalIndexBuffer::zeros(grid.volume());
         launch_grid(
             &dev,
             LaunchConfig {
@@ -133,11 +134,11 @@ mod tests {
             &c,
             |ctx| {
                 let idx = grid.linear(ctx.bx, ctx.by, ctx.bz);
-                hits.atomic_add(idx, 1.0, ctx.counters);
+                hits.atomic_inc(idx, ctx.counters);
             },
         )
         .unwrap();
-        assert!(hits.to_vec().iter().all(|&v| v == 1.0));
+        assert!(hits.to_vec().iter().all(|&v| v == 1));
         assert_eq!(c.snapshot().kernel_launches, 1);
     }
 

@@ -2,11 +2,14 @@
 //!
 //! [`GlobalBuffer`] stores every element as its raw bits in an atomic cell
 //! of the element's own width ([`Scalar::Cell`]: 32 bits for `f32`, 64 for
-//! `f64`), so that parallel threadblocks can load, store and `atomicAdd`
-//! safely — exactly the access modes CUDA kernels have — and the host
-//! moves the bytes the traffic counters charge. Loads and stores are
-//! relaxed atomics; `atomicAdd` is a compare-and-swap loop, which is
-//! literally how CUDA implements floating-point atomics on older hardware.
+//! `f64`), so that parallel threadblocks can load and store safely, as
+//! plain CUDA global accesses do, and the host moves the bytes the traffic
+//! counters charge. Loads and stores are relaxed atomics. There is no
+//! float `atomicAdd`: its rounding depends on arrival order, so kernels
+//! reduce per-block partials in block order instead (see [`crate::launch`]).
+//! The read-modify-write atomics are integer ones:
+//! [`GlobalIndexBuffer::atomic_inc`] and the order-invariant
+//! [`crate::atomics::ArgminStore`].
 //!
 //! Traffic accounting is explicit: kernels charge a [`crate::counters::EventSink`]
 //! (the launch's shared counters, or a worker-local sink inside kernels)
@@ -164,25 +167,6 @@ impl<T: Scalar> GlobalBuffer<T> {
     pub fn store_counted<C: EventSink + ?Sized>(&self, idx: usize, v: T, counters: &C) {
         counters.add_stored(std::mem::size_of::<T>() as u64);
         self.store(idx, v);
-    }
-
-    /// Atomic floating-point add via a CAS loop (CUDA `atomicAdd` semantics).
-    /// Returns the previous value.
-    pub fn atomic_add<C: EventSink + ?Sized>(&self, idx: usize, v: T, counters: &C) -> T {
-        counters.add_atomic(1);
-        if let Some(sh) = &self.shadow {
-            if !sanitizer::check_atomic(sh, idx) {
-                return T::ZERO; // OOB reported and dropped
-            }
-        }
-        let cell = &self.cells[idx];
-        let mut cur = cell.load();
-        loop {
-            match cell.compare_exchange_weak(cur, cur + v) {
-                Ok(old) => return old,
-                Err(actual) => cur = actual,
-            }
-        }
     }
 
     /// Bulk load of a contiguous run into `out`, charging `counters` once
@@ -667,8 +651,7 @@ mod tests {
     }
 
     /// ±0, the extreme subnormals, ±inf, and quiet and signalling NaNs
-    /// with payloads survive every accessor bit for bit; `atomic_add`
-    /// returns the previous bits exactly and stores the sum's bits.
+    /// with payloads survive every accessor bit for bit.
     fn special_bits_roundtrip<T: Scalar>(bits: &[T::Bits]) {
         let vals: Vec<T> = bits.iter().map(|&b| T::from_bits(b)).collect();
         let n = vals.len();
@@ -708,17 +691,6 @@ mod tests {
             assert!(
                 f.to_vec().iter().all(|x| x.to_bits() == v.to_bits()),
                 "fill"
-            );
-        }
-
-        let a = GlobalBuffer::from_slice(&vals);
-        for (i, &v) in vals.iter().enumerate() {
-            let old = a.atomic_add(i, T::ZERO, &c);
-            assert_eq!(old.to_bits(), v.to_bits(), "atomic_add previous value");
-            assert_eq!(
-                a.load(i).to_bits(),
-                (v + T::ZERO).to_bits(),
-                "atomic_add sum"
             );
         }
     }
@@ -767,41 +739,6 @@ mod tests {
         let s = c.snapshot();
         assert_eq!(s.bytes_stored, 8);
         assert_eq!(s.bytes_loaded, 8);
-    }
-
-    #[test]
-    fn atomic_add_is_exact_under_contention() {
-        let c = Counters::new();
-        let b = GlobalBuffer::<f64>::zeros(1);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for _ in 0..1000 {
-                        b.atomic_add(0, 1.0, &c);
-                    }
-                });
-            }
-        });
-        assert_eq!(b.load(0), 8000.0);
-        assert_eq!(c.snapshot().atomic_ops, 8000);
-    }
-
-    #[test]
-    fn atomic_add_f32_under_contention() {
-        let c = Counters::new();
-        let b = GlobalBuffer::<f32>::zeros(2);
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let b = &b;
-                let c = &c;
-                s.spawn(move || {
-                    for _ in 0..500 {
-                        b.atomic_add(t % 2, 1.0f32, c);
-                    }
-                });
-            }
-        });
-        assert_eq!(b.load(0) + b.load(1), 2000.0);
     }
 
     #[test]

@@ -91,10 +91,9 @@ pub trait Scalar:
 /// An atomic cell holding one `T` as its raw bits, at `T`'s own width.
 ///
 /// Every access is bit-exact (NaN payloads, signed zeros and subnormals
-/// survive), and the compare-exchange compares bit patterns, not float
-/// values. Loads and stores are relaxed, like plain CUDA global accesses;
-/// the compare-exchange is acquire-release, what an `atomicAdd` CAS loop
-/// needs.
+/// survive). Loads and stores are relaxed, like plain CUDA global
+/// accesses; device memory has no float read-modify-write (see
+/// [`crate::memory`]).
 pub trait ScalarCell<T>: Send + Sync + 'static {
     /// A cell holding `v`.
     fn new(v: T) -> Self;
@@ -102,10 +101,6 @@ pub trait ScalarCell<T>: Send + Sync + 'static {
     fn load(&self) -> T;
     /// Relaxed store.
     fn store(&self, v: T);
-    /// Replace the value with `new` if its bits equal those of `current`;
-    /// may fail spuriously. Returns the previous value on success and the
-    /// value found on failure.
-    fn compare_exchange_weak(&self, current: T, new: T) -> Result<T, T>;
 }
 
 macro_rules! scalar_cell {
@@ -122,18 +117,6 @@ macro_rules! scalar_cell {
             #[inline]
             fn store(&self, v: $t) {
                 <$atomic>::store(self, v.to_bits(), Ordering::Relaxed)
-            }
-            #[inline]
-            fn compare_exchange_weak(&self, current: $t, new: $t) -> Result<$t, $t> {
-                <$atomic>::compare_exchange_weak(
-                    self,
-                    current.to_bits(),
-                    new.to_bits(),
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                )
-                .map(<$t>::from_bits)
-                .map_err(<$t>::from_bits)
             }
         }
     };

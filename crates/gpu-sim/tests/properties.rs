@@ -2,11 +2,11 @@
 
 use gpu_sim::atomics::ArgminStore;
 use gpu_sim::matrix::gemm_abt_reference;
+use gpu_sim::memory::GlobalIndexBuffer;
 use gpu_sim::mma::checksum_dot;
 use gpu_sim::warp::frag_col_sums;
 use gpu_sim::{
-    AsyncPipeline, CopyPath, Counters, FragmentMma, GlobalBuffer, Matrix, MmaSite, NoFault, Scalar,
-    ScalarCell,
+    AsyncPipeline, CopyPath, Counters, FragmentMma, Matrix, MmaSite, NoFault, Scalar, ScalarCell,
 };
 use proptest::prelude::*;
 
@@ -116,24 +116,24 @@ proptest! {
         prop_assert_eq!(p.pending_groups(), 0);
     }
 
-    /// Concurrent atomic adds are lossless for any partition of work.
+    /// Concurrent atomic increments are lossless for any partition of work.
     #[test]
     fn atomic_add_total_is_exact(
         threads in 1usize..8,
         per_thread in 1usize..200,
     ) {
         let c = Counters::new();
-        let buf = GlobalBuffer::<f64>::zeros(1);
+        let buf = GlobalIndexBuffer::zeros(1);
         std::thread::scope(|s| {
             for _ in 0..threads {
                 s.spawn(|| {
                     for _ in 0..per_thread {
-                        buf.atomic_add(0, 1.0, &c);
+                        buf.atomic_inc(0, &c);
                     }
                 });
             }
         });
-        prop_assert_eq!(buf.load(0), (threads * per_thread) as f64);
+        prop_assert_eq!(buf.load(0), (threads * per_thread) as u32);
     }
 
     /// ArgminStore finds the same winner as a sequential scan, for any

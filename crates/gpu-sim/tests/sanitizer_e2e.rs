@@ -58,20 +58,20 @@ fn racy_accumulate_kernel_is_reported() {
 
 #[test]
 fn disjoint_writes_and_atomics_are_clean() {
-    // Each block writes its own cell and atomicAdds a shared cell — the
-    // correct pattern; racecheck must stay quiet.
+    // Each block writes its own cell and atomically increments a shared
+    // counter — the correct pattern; racecheck must stay quiet.
     let c = checker();
     let report = sanitizer::with_checker(&c, || {
         let exec = Executor::with_workers(4);
         let dev = DeviceProfile::a100();
         let counters = Counters::new();
         let out = GlobalBuffer::<f32>::zeros(16);
-        let total = GlobalBuffer::<f32>::zeros(1);
+        let total = GlobalIndexBuffer::zeros(1);
         out.set_sanitizer_label("out");
         total.set_sanitizer_label("total");
         exec.launch_labeled(&dev, cfg(16), &counters, "disjoint", |ctx| {
             out.store(ctx.bx, ctx.bx as f32);
-            total.atomic_add(0, 1.0, ctx.counters);
+            total.atomic_inc(0, ctx.counters);
         })
         .unwrap();
         let _ = (out.to_vec(), total.to_vec());
@@ -91,13 +91,13 @@ fn atomic_mixed_with_plain_store_is_reported() {
         let exec = Executor::serial();
         let dev = DeviceProfile::a100();
         let counters = Counters::new();
-        let buf = GlobalBuffer::<f64>::zeros(2);
+        let buf = GlobalIndexBuffer::zeros(2);
         buf.set_sanitizer_label("mixed");
         exec.launch_labeled(&dev, cfg(4), &counters, "atomic_mix", |ctx| {
             if ctx.bx == 0 {
-                buf.store(0, 7.0); // plain store...
+                buf.store(0, 7); // plain store...
             } else {
-                buf.atomic_add(0, 1.0, ctx.counters); // ...races the atomics
+                buf.atomic_inc(0, ctx.counters); // ...races the atomics
             }
         })
         .unwrap();

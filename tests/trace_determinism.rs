@@ -74,7 +74,8 @@ fn pool_fit_phase_counts_match_serial() {
 
 #[test]
 fn fit_phase_profile_matches_committed_variant_ordering() {
-    // The committed fit-throughput baselines (baselines/fit_throughput.csv)
+    // The committed fit-throughput baselines (`fit` rows of
+    // baselines/throughput.csv)
     // order naive slowest because it materializes the m×k distance matrix
     // that the fused variant never writes. At toy scale the modeled *time*
     // gap is swamped by per-launch overhead (bench_check's trace gate
