@@ -36,17 +36,22 @@ impl<T: Scalar> ChecksumTriple<T> {
         }
     }
 
-    /// Compute the triple directly from a row-major `rows x cols` tile.
-    pub fn from_tile(acc: &[T], rows: usize, cols: usize) -> Self {
-        debug_assert_eq!(acc.len(), rows * cols);
+    /// Compute the triple directly from the live `rows x cols` corner of
+    /// a row-major tile with row stride `wn`; `live = (tile rows, wn)`
+    /// covers the whole tile. Lanes outside the corner are not read. A
+    /// caller passes a smaller corner only where those lanes hold `+0.0`:
+    /// they would add exact zeros to sums that start at `+0.0` (and so are
+    /// never `-0.0`), so the triple is the whole tile's, bit for bit.
+    pub fn from_tile(acc: &[T], wn: usize, (rows, cols): (usize, usize)) -> Self {
+        debug_assert!(cols <= wn && rows * wn <= acc.len());
         let mut t = Self::zero();
         let mut wc = ScratchBuf::<T, 256>::filled(cols, T::ZERO);
         for (j, w) in wc.iter_mut().enumerate() {
             *w = T::from_usize(j + 1);
         }
-        for (i, row) in acc.chunks_exact(cols.max(1)).enumerate() {
+        for i in 0..rows {
             let wr = T::from_usize(i + 1);
-            for (&v, &w) in row.iter().zip(wc.iter()) {
+            for (&v, &w) in acc[i * wn..i * wn + cols].iter().zip(wc.iter()) {
                 t.s11 += v;
                 t.s21 += wr * v;
                 t.s12 += w * v;
@@ -94,7 +99,7 @@ mod tests {
     fn triple_from_tile_small() {
         // C = [[1,2],[3,4]]
         let acc = [1.0f64, 2.0, 3.0, 4.0];
-        let t = ChecksumTriple::from_tile(&acc, 2, 2);
+        let t = ChecksumTriple::from_tile(&acc, 2, (2, 2));
         assert_eq!(t.s11, 10.0);
         assert_eq!(t.s21, 1.0 * (1.0 + 2.0) + 2.0 * (3.0 + 4.0));
         assert_eq!(t.s12, 1.0 * (1.0 + 3.0) + 2.0 * (2.0 + 4.0));
@@ -107,7 +112,7 @@ mod tests {
         let a = Matrix::<f64>::from_fn(4, 6, |r, c| (r as f64 + 1.0) * 0.3 - c as f64 * 0.11);
         let b = Matrix::<f64>::from_fn(3, 6, |r, c| 0.7 - r as f64 * 0.2 + c as f64 * 0.05);
         let c = gemm_abt_reference(&a, &b);
-        let direct = ChecksumTriple::from_tile(c.as_slice(), 4, 3);
+        let direct = ChecksumTriple::from_tile(c.as_slice(), 3, (4, 3));
 
         let mut online = ChecksumTriple::zero();
         for k in 0..6 {

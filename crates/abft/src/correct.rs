@@ -39,13 +39,13 @@ mod tests {
         // Reference tile and checksums.
         let clean = [1.5f64, -2.0, 0.25, 4.0, 1.0, -3.5];
         let (rows, cols) = (2, 3);
-        let reference = ChecksumTriple::from_tile(&clean, rows, cols);
+        let reference = ChecksumTriple::from_tile(&clean, cols, (rows, cols));
 
         // Corrupt one element.
         let mut acc = clean;
         acc[4] += 7.25; // (row 1, col 1)
 
-        let observed = ChecksumTriple::from_tile(&acc, rows, cols);
+        let observed = ChecksumTriple::from_tile(&acc, cols, (rows, cols));
         let policy = ThresholdPolicy::for_precision(Precision::Fp64);
         let disc = compare(&observed, &reference, &policy).expect("detected");
         let Located::At { row, col } = locate(&disc, rows, cols) else {

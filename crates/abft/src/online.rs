@@ -18,7 +18,10 @@
 //! tensor kernel computes each fragment's sums once per k-slab and shares
 //! them across the warps that consume that fragment, in stack scratch with
 //! no heap allocation per slab; [`WarpOnlineState::accumulate`] composes
-//! the two steps for a single warp.
+//! the two steps for a single warp. [`WarpOnlineState::check`] verifies
+//! only a tile's live corner when the caller vouches that its padded lanes
+//! still hold `+0.0`, and falls back to the whole tile on any verdict but
+//! clean.
 
 use crate::checksum::ChecksumTriple;
 use crate::correct::correct_in_place;
@@ -68,6 +71,10 @@ pub struct WarpOnlineState<T> {
     policy: ThresholdPolicy,
     mode: OnlineMode,
     last_verified_k: usize,
+    /// Set by the first verdict other than clean: a correction or a
+    /// recomputation may have written padded lanes, so every later check
+    /// sums the whole tile.
+    full_tile: bool,
 }
 
 impl<T: Scalar> WarpOnlineState<T> {
@@ -80,6 +87,7 @@ impl<T: Scalar> WarpOnlineState<T> {
             policy,
             mode,
             last_verified_k: 0,
+            full_tile: false,
         }
     }
 
@@ -151,9 +159,58 @@ impl<T: Scalar> WarpOnlineState<T> {
 
     /// Verify the accumulator tile at K-position `k_now` and, in
     /// `DetectCorrect` mode, repair a located error in place (Fig. 6 lines
-    /// 25–31).
+    /// 25–31). A clean verdict is charged `3·wm·wn` CUDA-core adds
+    /// however it is reached.
     ///
-    /// Decision tree (all under the single-event-upset assumption):
+    /// `live` is the corner of `acc` the caller computed. A caller passes
+    /// less than `(wm, wn)` only when the lanes outside it hold `+0.0`
+    /// that nothing wrote since the tile was zeroed (zero padding under an
+    /// inert hook): the non-finite scan and the checksums then cover the
+    /// corner alone, which reaches the whole tile's clean verdict bit for
+    /// bit (see [`ChecksumTriple::from_tile`]). Any other verdict re-runs
+    /// the whole-tile check, and once a check was not clean every later
+    /// one sums the whole tile.
+    pub fn check<C: EventSink + ?Sized>(
+        &mut self,
+        acc: &mut [T],
+        live: (usize, usize),
+        k_now: usize,
+        counters: &C,
+    ) -> CheckOutcome {
+        debug_assert_eq!(acc.len(), self.wm * self.wn);
+        if !self.full_tile && live != (self.wm, self.wn) {
+            debug_assert!(
+                acc.iter().enumerate().all(|(e, v)| {
+                    (e / self.wn < live.0 && e % self.wn < live.1) || v.to_raw_u64() == 0
+                }),
+                "a lane outside the live corner {live:?} is not +0.0"
+            );
+            if self.corner_clean(acc, live) {
+                counters.add_ft_cuda((3 * self.wm * self.wn) as u64);
+                self.last_verified_k = k_now;
+                return CheckOutcome::Clean;
+            }
+        }
+        let outcome = self.check_tile(acc, k_now, counters);
+        if outcome != CheckOutcome::Clean {
+            self.full_tile = true;
+        }
+        outcome
+    }
+
+    /// True when the `live` corner is finite and its checksums agree with
+    /// the reference.
+    fn corner_clean(&self, acc: &[T], (rows, cols): (usize, usize)) -> bool {
+        let row = |i: usize| &acc[i * self.wn..i * self.wn + cols];
+        if !(0..rows).all(|i| row(i).iter().all(|v| v.is_finite_s())) {
+            return false;
+        }
+        let observed = self.triple(acc, (rows, cols));
+        compare(&observed, &self.reference, &self.policy).is_none()
+    }
+
+    /// [`check`](Self::check) over the whole tile. Decision tree (all
+    /// under the single-event-upset assumption):
     ///
     /// 1. payload contains Inf/NaN → in-place arithmetic cannot restore it:
     ///    request recomputation;
@@ -167,13 +224,12 @@ impl<T: Scalar> WarpOnlineState<T> {
     ///    error magnitude must not survive — fall back to recomputation);
     /// 6. `s11` deviates but location decoding fails (overflowed weighted
     ///    sums, multi-error) → request recomputation.
-    pub fn check<C: EventSink + ?Sized>(
+    fn check_tile<C: EventSink + ?Sized>(
         &mut self,
         acc: &mut [T],
         k_now: usize,
         counters: &C,
     ) -> CheckOutcome {
-        debug_assert_eq!(acc.len(), self.wm * self.wn);
         // (1) Inf/NaN in the payload: no subtraction can repair it.
         if acc.iter().any(|v| !v.is_finite_s()) {
             return CheckOutcome::RecomputeRequired {
@@ -244,11 +300,17 @@ impl<T: Scalar> WarpOnlineState<T> {
     /// (after an external recompute, or when the checksums were corrupted).
     pub fn rebaseline<C: EventSink + ?Sized>(&mut self, acc: &[T], counters: &C) {
         self.reference = self.observed(acc, counters);
+        self.full_tile = true;
     }
 
     fn observed<C: EventSink + ?Sized>(&self, acc: &[T], counters: &C) -> ChecksumTriple<T> {
         counters.add_ft_cuda((3 * self.wm * self.wn) as u64);
-        let mut t = ChecksumTriple::from_tile(acc, self.wm, self.wn);
+        self.triple(acc, (self.wm, self.wn))
+    }
+
+    /// The observed checksums of the `live` corner, uncharged.
+    fn triple(&self, acc: &[T], live: (usize, usize)) -> ChecksumTriple<T> {
+        let mut t = ChecksumTriple::from_tile(acc, self.wn, live);
         if self.mode == OnlineMode::DetectOnly {
             // Detection-only states never accumulated the weighted
             // references; comparing them against zero would false-alarm.
@@ -304,7 +366,7 @@ mod tests {
     fn clean_run_verifies_clean() {
         let c = Counters::new();
         let (mut st, mut acc) = run_clean(OnlineMode::DetectCorrect);
-        assert_eq!(st.check(&mut acc, 12, &c), CheckOutcome::Clean);
+        assert_eq!(st.check(&mut acc, (WM, WN), 12, &c), CheckOutcome::Clean);
     }
 
     #[test]
@@ -313,7 +375,7 @@ mod tests {
         let (mut st, mut acc) = run_clean(OnlineMode::DetectCorrect);
         let clean = acc.clone();
         acc[2 * WN + 1] += 13.5; // corrupt (2,1)
-        match st.check(&mut acc, 12, &c) {
+        match st.check(&mut acc, (WM, WN), 12, &c) {
             CheckOutcome::Corrected {
                 row,
                 col,
@@ -328,7 +390,7 @@ mod tests {
             assert!((a - b).abs() < 1e-9, "tile restored");
         }
         // A subsequent sweep is clean.
-        assert_eq!(st.check(&mut acc, 12, &c), CheckOutcome::Clean);
+        assert_eq!(st.check(&mut acc, (WM, WN), 12, &c), CheckOutcome::Clean);
     }
 
     #[test]
@@ -338,7 +400,7 @@ mod tests {
         let clean = acc.clone();
         acc[0] -= 42.0;
         assert!(matches!(
-            st.check(&mut acc, 12, &c),
+            st.check(&mut acc, (WM, WN), 12, &c),
             CheckOutcome::Corrected { row: 0, col: 0, .. }
         ));
         assert!((acc[0] - clean[0]).abs() < 1e-9);
@@ -351,9 +413,12 @@ mod tests {
         let clean = acc.clone();
         // Corrupt the reference checksum (as if the fault hit a checksum MMA).
         st.reference.s11 += 99.0;
-        assert_eq!(st.check(&mut acc, 12, &c), CheckOutcome::Rebaselined);
+        assert_eq!(
+            st.check(&mut acc, (WM, WN), 12, &c),
+            CheckOutcome::Rebaselined
+        );
         assert_eq!(acc, clean, "payload untouched");
-        assert_eq!(st.check(&mut acc, 12, &c), CheckOutcome::Clean);
+        assert_eq!(st.check(&mut acc, (WM, WN), 12, &c), CheckOutcome::Clean);
     }
 
     #[test]
@@ -362,13 +427,13 @@ mod tests {
         let (mut st, mut acc) = run_clean(OnlineMode::DetectOnly);
         acc[5] += 7.0;
         assert_eq!(
-            st.check(&mut acc, 12, &c),
+            st.check(&mut acc, (WM, WN), 12, &c),
             CheckOutcome::RecomputeRequired { since_k: 0 }
         );
         // After the caller recomputes, it re-baselines and proceeds.
         acc[5] -= 7.0;
         st.rebaseline(&acc, &c);
-        assert_eq!(st.check(&mut acc, 16, &c), CheckOutcome::Clean);
+        assert_eq!(st.check(&mut acc, (WM, WN), 16, &c), CheckOutcome::Clean);
     }
 
     #[test]
@@ -383,6 +448,79 @@ mod tests {
         assert_eq!(st.reference().s12, 0.0, "weighted col checksum skipped");
         // s11 = Σ_k (Σ_i 1)(Σ_j 2) = KK * WM * 2*WN
         assert_eq!(st.reference().s11, (KK * WM * 2 * WN) as f64);
+    }
+
+    /// An 8x6 warp tile with a 5x4 live corner after three slabs: A rows
+    /// from 5 and B rows from 4 are zero padding, so the padded lanes stay
+    /// +0.0.
+    fn padded_tile() -> (WarpOnlineState<f64>, Vec<f64>, (usize, usize)) {
+        let (wm, wn, live) = (8, 6, (5, 4));
+        let policy = ThresholdPolicy::for_precision(Precision::Fp64);
+        let mut st = WarpOnlineState::<f64>::new(wm, wn, policy, OnlineMode::DetectCorrect);
+        let exec = FragmentMma::new::<f64>(wm, wn);
+        let c = Counters::new();
+        let mut acc = vec![0.0f64; wm * wn];
+        for slab in 0..3 {
+            let frag = |rows: usize, live: usize| -> Vec<f64> {
+                (0..rows * KK)
+                    .map(|i| {
+                        if i / KK < live {
+                            ((i + slab * 5) % 9) as f64 * 0.5 - 2.0
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect()
+            };
+            let (a, b) = (frag(wm, live.0), frag(wn, live.1));
+            exec.mma(&mut acc, &a, &b, KK, site(), &NoFault, &c);
+            st.accumulate(&a, &b, KK, site(), &NoFault, &c);
+        }
+        (st, acc, live)
+    }
+
+    #[test]
+    fn live_corner_check_matches_the_full_tile_and_then_sums_it() {
+        let (mut st, mut acc, live) = padded_tile();
+        let (wm, wn) = (8, 6);
+        let c = Counters::new();
+        // Fold one wrong slab: a lone product a[1]·b[2] = 6 the payload never
+        // received, so the payload reads as 6 short at (1, 2).
+        let (mut a, mut b) = (vec![0.0f64; wm * KK], vec![0.0f64; wn * KK]);
+        a[KK] = 2.0;
+        b[2 * KK] = 3.0;
+        st.accumulate(&a, &b, KK, site(), &NoFault, &c);
+
+        let (mut whole, mut whole_acc) = (st.clone(), acc.clone());
+        let (c_live, c_whole) = (Counters::new(), Counters::new());
+        let got = st.check(&mut acc, live, 12, &c_live);
+        let want = whole.check(&mut whole_acc, (wm, wn), 12, &c_whole);
+        assert_eq!(got, want);
+        assert!(
+            matches!(got, CheckOutcome::Corrected { row: 1, col: 2, .. }),
+            "{got:?}"
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&acc), bits(&whole_acc), "corrected tile");
+        assert_eq!(c_live.snapshot(), c_whole.snapshot(), "charges");
+
+        // A later error in a padded lane: the corrected warp sums the whole
+        // tile and sees it.
+        acc[(wm - 1) * wn + wn - 1] += 5.0;
+        let later = st.check(&mut acc, live, 16, &c_live);
+        assert_ne!(later, CheckOutcome::Clean);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside the live corner")]
+    fn live_corner_check_rejects_a_written_padded_lane() {
+        // A warp never corrected checks only its live corner, which is
+        // sound only while the padded lanes hold +0.0.
+        let (mut st, mut acc, live) = padded_tile();
+        let last = acc.len() - 1;
+        acc[last] = 5.0;
+        st.check(&mut acc, live, 12, &Counters::new());
     }
 
     #[test]

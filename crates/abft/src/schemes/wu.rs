@@ -108,7 +108,7 @@ impl<T: Scalar> WuBlockState<T> {
         if tile.iter().any(|v| !v.is_finite_s()) {
             return CheckOutcome::RecomputeRequired { since_k: 0 };
         }
-        let observed = ChecksumTriple::from_tile(&tile, self.tb_m, self.tb_n);
+        let observed = ChecksumTriple::from_tile(&tile, self.tb_n, (self.tb_m, self.tb_n));
         let Some(disc) = compare(&observed, &self.reference, &self.policy) else {
             return CheckOutcome::Clean;
         };
@@ -121,7 +121,7 @@ impl<T: Scalar> WuBlockState<T> {
             Located::At { row, col } => {
                 let fixed = correct_in_place(&mut tile, self.tb_n, row, col, disc.d);
                 set(row, col, fixed);
-                let after = ChecksumTriple::from_tile(&tile, self.tb_m, self.tb_n);
+                let after = ChecksumTriple::from_tile(&tile, self.tb_n, (self.tb_m, self.tb_n));
                 if compare(&after, &self.reference, &self.policy).is_none() {
                     CheckOutcome::Corrected {
                         row,
@@ -159,7 +159,7 @@ impl<T: Scalar> WuBlockState<T> {
             }
         }
         counters.add_ft_cuda((3 * self.tb_m * self.tb_n) as u64);
-        self.reference = ChecksumTriple::from_tile(&tile, self.tb_m, self.tb_n);
+        self.reference = ChecksumTriple::from_tile(&tile, self.tb_n, (self.tb_m, self.tb_n));
     }
 }
 

@@ -6,10 +6,15 @@
 //! accumulators and each call performs `acc[i][j] += Σ_k a[i][k] * b[j][k]`
 //! for a `kk`-deep slab, applying TF32 input truncation for `f32`.
 //!
-//! Every MMA call passes through a [`FaultHook`], the interception point the
+//! Operands are staged once per k-tile as TF32 [`Panels`] and multiplied by
+//! one register-blocked micro-kernel, whether a caller hands in fragments
+//! ([`FragmentMma::mma`]) or whole staged tiles ([`FragmentMma::mma_panel`]).
+//!
+//! Every MMA slab passes through a [`FaultHook`], the interception point the
 //! fault injector (crate `ftk-fault`) uses to flip bits in accumulator
 //! outputs — errors born *inside the compute units*, exactly the paper's
-//! fail-continue fault model (§II-A).
+//! fail-continue fault model (§II-A). Only an inert hook lets a kernel skip
+//! the call.
 
 use crate::counters::EventSink;
 use crate::scalar::Scalar;
@@ -45,7 +50,8 @@ pub struct MmaSite {
 /// Implementations must be cheap in the common (no fault) case. The tensor
 /// kernels call [`FaultHook::post_mma`] once per warp-tile MMA slab; the
 /// SIMT kernels and the centroid update call [`FaultHook::post_fma`] once
-/// per element they compute.
+/// per element they compute. Kernels may skip both for a hook that is
+/// [inert](FaultHook::is_inert).
 pub trait FaultHook<T: Scalar>: Sync {
     /// Inspect/corrupt the accumulator tile (`wm x wn`, row-major) after the
     /// MMA slab at `site` completed.
@@ -62,7 +68,11 @@ pub trait FaultHook<T: Scalar>: Sync {
     /// `post_mma` leaves the tile as it is and every `post_fma` returns its
     /// value. A kernel may then skip the calls altogether (monomorphising
     /// over [`NoFault`] instead of calling through `dyn`), so a hook that
-    /// counts or records its calls must keep the default `false`.
+    /// counts or records its calls must keep the default `false`. The
+    /// centroid update runs its inert path over [`NoFault`]; the tensor
+    /// assignment kernel skips `post_mma` and verifies a warp's checksums
+    /// over its live corner, since no hook can have written its padded
+    /// lanes.
     fn is_inert(&self) -> bool {
         false
     }
@@ -126,10 +136,9 @@ impl FragmentMma {
     /// * `b` — `wn*kk` row-major B fragment (rows of Y),
     /// * `kk` — slab depth.
     ///
-    /// This is [`FragmentMma::mma_clipped`] over the whole `wm x wn` tile;
-    /// a caller that knows trailing A or B rows are zero padding passes the
-    /// live extent there instead and skips their host arithmetic, with the
-    /// same charge and hook call.
+    /// The fragments are staged as [`Panels`] and multiplied by the same
+    /// micro-kernel as [`FragmentMma::mma_panel`], so both paths give the
+    /// same bits. A checksum `site` is charged as checksum MMAs.
     #[allow(clippy::too_many_arguments)]
     pub fn mma<T: Scalar, H: FaultHook<T> + ?Sized, C: EventSink + ?Sized>(
         &self,
@@ -141,122 +150,158 @@ impl FragmentMma {
         hook: &H,
         counters: &C,
     ) {
-        let live = (self.wm, self.wn);
-        self.mma_clipped(acc, a, b, kk, live, site, hook, counters);
-    }
-
-    /// [`FragmentMma::mma`] for a tile whose A rows at or beyond
-    /// `live.0` and B rows (output columns) at or beyond `live.1` are zero
-    /// padding: only the live `live.0 x live.1` corner of `acc` is
-    /// computed, and the padded lanes keep their values (the full MMA would
-    /// add `±0` to them, which changes at most the sign of a zero).
-    /// Everything else is the full tile's: every `mma.sync` of the
-    /// `wm x wn` tile is charged and `hook` sees the whole accumulator, so
-    /// counters, fault sites and modeled time do not depend on the clip. `a` and `b` keep
-    /// their full shapes; padded rows are never read.
-    ///
-    /// The micro-kernel is register-blocked four output columns wide: the
-    /// four dot products run as independent accumulation chains over the
-    /// contiguous fragment rows. Every output still accumulates its `k`
-    /// terms in ascending order, so results are bitwise identical to the
-    /// scalar triple loop — only instruction-level parallelism changes.
-    #[allow(clippy::too_many_arguments)]
-    pub fn mma_clipped<T: Scalar, H: FaultHook<T> + ?Sized, C: EventSink + ?Sized>(
-        &self,
-        acc: &mut [T],
-        a: &[T],
-        b: &[T],
-        kk: usize,
-        live: (usize, usize),
-        site: MmaSite,
-        hook: &H,
-        counters: &C,
-    ) {
         debug_assert_eq!(acc.len(), self.wm * self.wn);
-        debug_assert_eq!(a.len(), self.wm * kk);
-        debug_assert_eq!(b.len(), self.wn * kk);
-        let (rows, cols) = live;
-        debug_assert!(rows <= self.wm && cols <= self.wn);
-        let wn = self.wn;
-        // Fast path: stage the live B rows transposed to k-major
-        // (`bt[k*cols + j]`) in registers/local scratch, TF32-converted
-        // exactly once per element. The inner loop then walks contiguous
-        // j-runs, which vectorizes across output columns; every output
-        // still accumulates its k terms in ascending order, so results stay
-        // bitwise identical to the scalar triple loop (TF32 conversion is
-        // elementwise and deterministic).
-        const AMAX: usize = 64;
-        const BT_MAX: usize = 512;
-        if kk <= AMAX && cols * kk <= BT_MAX {
-            let mut bt = [T::ZERO; BT_MAX];
-            for j in 0..cols {
-                let brow = &b[j * kk..(j + 1) * kk];
-                for (k, &v) in brow.iter().enumerate() {
-                    bt[k * cols + j] = v.to_tf32();
-                }
-            }
-            // One zero-init per slab, refilled (first kk slots) per row.
-            let mut at = [T::ZERO; AMAX];
-            for i in 0..rows {
-                for (d, s) in at[..kk].iter_mut().zip(&a[i * kk..(i + 1) * kk]) {
-                    *d = s.to_tf32();
-                }
-                let crow = &mut acc[i * wn..i * wn + cols];
-                let mut j = 0;
-                while j + 16 <= cols {
-                    dot_block::<T, 16>(crow, &at[..kk], &bt, cols, j);
-                    j += 16;
-                }
-                while j + 4 <= cols {
-                    dot_block::<T, 4>(crow, &at[..kk], &bt, cols, j);
-                    j += 4;
-                }
-                while j < cols {
-                    dot_block::<T, 1>(crow, &at[..kk], &bt, cols, j);
-                    j += 1;
-                }
-            }
-        } else {
-            // Fallback for oversized fragments: the scalar triple loop.
-            for i in 0..rows {
-                let arow = &a[i * kk..(i + 1) * kk];
-                let crow = &mut acc[i * wn..i * wn + cols];
-                for (j, cj) in crow.iter_mut().enumerate() {
-                    let brow = &b[j * kk..(j + 1) * kk];
-                    let mut sum = T::ZERO;
-                    for k in 0..kk {
-                        sum += arow[k].to_tf32() * brow[k].to_tf32();
-                    }
-                    *cj += sum;
-                }
-            }
-        }
+        let mut panels = Panels::default();
+        panels.stage(a, b, kk);
+        panel_kernel(acc, self.wn, &panels, (0, 0, 0), (self.wm, self.wn), kk);
         let n = self.hw_mma_count(kk);
         if site.is_checksum {
             counters.add_ft_mma(n);
         } else {
             counters.add_mma(n);
         }
-        hook.post_mma(&site, acc, wn);
+        hook.post_mma(&site, acc, self.wn);
+    }
+
+    /// One `kk`-deep payload MMA slab of one warp over staged [`Panels`]:
+    /// `acc[i][j] += Σ_k a[row0+i][k0+k] · b[k0+k][col0+j]`, the sum
+    /// starting at zero, where `at = (row0, col0, k0)` places the warp tile
+    /// in the panels.
+    ///
+    /// Only the `live.0 x live.1` corner of `acc` is computed: panel rows
+    /// and columns past it are zero padding, whose lanes keep their values
+    /// (the full MMA would add `±0` to them, which changes at most the sign
+    /// of a zero). Every `mma.sync` of the whole `wm x wn` tile is charged
+    /// so counters and modeled time do not depend on the clip.
+    ///
+    /// No hook is called: a caller with a live [`FaultHook`] hands the
+    /// whole tile to [`FaultHook::post_mma`] after the slab.
+    pub fn mma_panel<T: Scalar, C: EventSink + ?Sized>(
+        &self,
+        acc: &mut [T],
+        panels: &Panels<T>,
+        at: (usize, usize, usize),
+        live: (usize, usize),
+        kk: usize,
+        counters: &C,
+    ) {
+        debug_assert_eq!(acc.len(), self.wm * self.wn);
+        debug_assert!(live.0 <= self.wm && live.1 <= self.wn);
+        panel_kernel(acc, self.wn, panels, at, live, kk);
+        counters.add_mma(self.hw_mma_count(kk));
     }
 }
 
-/// `W` independent dot-product chains over a k-major transposed B panel of
-/// row stride `wn`: `crow[j+l] += Σ_k at[k] * bt[k*wn + j+l]` for
-/// `l in 0..W`. Each output's k terms accumulate in ascending order,
-/// preserving the bitwise-identity contract of [`FragmentMma::mma`] at
-/// every block width.
-#[inline]
-fn dot_block<T: Scalar, const W: usize>(crow: &mut [T], at: &[T], bt: &[T], wn: usize, j: usize) {
-    let mut s = [T::ZERO; W];
-    for (k, &av) in at.iter().enumerate() {
-        let brun = &bt[k * wn + j..k * wn + j + W];
-        for (sl, &bv) in s.iter_mut().zip(brun) {
-            *sl += av * bv;
+/// The operands of one staged k-tile, TF32-converted once (identity for
+/// `f64`) for every warp and slab that reads them: A rows row-major
+/// (`a[i*kk + k]`), B rows transposed k-major (`b[k*cols + j]`), so a
+/// slab's B values for consecutive output columns are contiguous. Empty
+/// by default; [`Panels::stage`] sizes them.
+#[derive(Debug, Clone, Default)]
+pub struct Panels<T> {
+    a: Vec<T>,
+    b: Vec<T>,
+    kk: usize,
+    cols: usize,
+}
+
+impl<T: Scalar> Panels<T> {
+    /// Stage `a` (row-major rows of A, `kk` deep) and `b` (row-major rows
+    /// of B, `kk` deep), reusing the buffers. Pass only the live rows:
+    /// padding rows are never read.
+    pub fn stage(&mut self, a: &[T], b: &[T], kk: usize) {
+        debug_assert!(kk > 0 && a.len().is_multiple_of(kk) && b.len().is_multiple_of(kk));
+        self.kk = kk;
+        self.cols = b.len() / kk;
+        self.a.clear();
+        self.a.extend(a.iter().map(|v| v.to_tf32()));
+        self.b.clear();
+        self.b.resize(b.len(), T::ZERO);
+        for (j, brow) in b.chunks_exact(kk).enumerate() {
+            for (k, &v) in brow.iter().enumerate() {
+                self.b[k * self.cols + j] = v.to_tf32();
+            }
         }
     }
-    for (cj, &sl) in crow[j..j + W].iter_mut().zip(&s) {
-        *cj += sl;
+}
+
+/// The one MMA micro-kernel (see [`FragmentMma::mma_panel`]). Rows run two
+/// at a time and columns in blocks of 16, 4 and 1. Every output still sums
+/// the slab's `k` terms from zero in ascending order and then adds the sum
+/// to `acc`, so the blocking changes only instruction-level parallelism,
+/// never a bit of the result.
+fn panel_kernel<T: Scalar>(
+    acc: &mut [T],
+    wn: usize,
+    p: &Panels<T>,
+    (row0, col0, k0): (usize, usize, usize),
+    (rows, cols): (usize, usize),
+    kk: usize,
+) {
+    if rows == 0 || cols == 0 {
+        return;
+    }
+    debug_assert!(k0 + kk <= p.kk && col0 + cols <= p.cols);
+    let a_row = |i: usize| &p.a[(row0 + i) * p.kk + k0..][..kk];
+    let b = &p.b[k0 * p.cols + col0..];
+    let mut i = 0;
+    while i + 2 <= rows {
+        let (c0, c1) = acc[i * wn..(i + 2) * wn].split_at_mut(wn);
+        let out = [&mut c0[..cols], &mut c1[..cols]];
+        row_block(out, [a_row(i), a_row(i + 1)], b, p.cols);
+        i += 2;
+    }
+    if i < rows {
+        let out = [&mut acc[i * wn..i * wn + cols]];
+        row_block(out, [a_row(i)], b, p.cols);
+    }
+}
+
+/// `R` output rows of [`panel_kernel`], walked in column blocks.
+#[inline(always)]
+fn row_block<T: Scalar, const R: usize>(mut out: [&mut [T]; R], a: [&[T]; R], b: &[T], ldb: usize) {
+    let cols = out[0].len();
+    let mut j = 0;
+    while j + 16 <= cols {
+        dot_block::<T, R, 16>(&mut out, &a, b, ldb, j);
+        j += 16;
+    }
+    while j + 4 <= cols {
+        dot_block::<T, R, 4>(&mut out, &a, b, ldb, j);
+        j += 4;
+    }
+    while j < cols {
+        dot_block::<T, R, 1>(&mut out, &a, b, ldb, j);
+        j += 1;
+    }
+}
+
+/// `R x W` independent dot-product chains:
+/// `out[r][j+l] += Σ_k a[r][k] · b[k*ldb + j+l]`.
+#[inline(always)]
+fn dot_block<T: Scalar, const R: usize, const W: usize>(
+    out: &mut [&mut [T]; R],
+    a: &[&[T]; R],
+    b: &[T],
+    ldb: usize,
+    j: usize,
+) {
+    let mut sum = [[T::ZERO; W]; R];
+    for k in 0..a[0].len() {
+        let brun: &[T; W] = b[k * ldb + j..k * ldb + j + W]
+            .try_into()
+            .expect("a W-wide run");
+        for (sr, ar) in sum.iter_mut().zip(a) {
+            let av = ar[k];
+            for (sl, &bv) in sr.iter_mut().zip(brun) {
+                *sl += av * bv;
+            }
+        }
+    }
+    for (o, sr) in out.iter_mut().zip(&sum) {
+        for (ol, &sl) in o[j..j + W].iter_mut().zip(sr) {
+            *ol += sl;
+        }
     }
 }
 
@@ -341,9 +386,10 @@ mod tests {
 
     #[test]
     fn register_blocked_path_matches_scalar_reference_bitwise() {
-        // wn = 9 exercises both the 4-wide blocked loop and the scalar tail;
-        // equality must be bitwise, not approximate — the register blocking
-        // may not change any output's accumulation order.
+        // wn = 9 exercises both the 4-wide blocked columns and the scalar
+        // tail, wm = 5 the paired rows and the odd one; equality must be
+        // bitwise, not approximate — the register blocking may not change
+        // any output's accumulation order.
         let (wm, wn, kk) = (5, 9, 7);
         let exec = FragmentMma::new::<f32>(wm, wn);
         let a: Vec<f32> = (0..wm * kk).map(|i| (i as f32).sin()).collect();
@@ -366,21 +412,13 @@ mod tests {
         }
     }
 
-    /// Records every `post_mma` call: site, tile length and row width.
-    #[derive(Default)]
-    struct Recorder(std::sync::Mutex<Vec<(MmaSite, usize, usize)>>);
-
-    impl<T: Scalar> FaultHook<T> for Recorder {
-        fn post_mma(&self, site: &MmaSite, acc: &mut [T], wn: usize) {
-            self.0.lock().unwrap().push((*site, acc.len(), wn));
-        }
-    }
-
-    /// Random fragments whose A rows from `live.0` and B rows from `live.1`
-    /// are zero: the clipped MMA must equal the full one bit for bit on
-    /// every live lane, leave padded lanes as they were, and charge and
-    /// hook exactly what the full one does, slab after slab.
-    fn clipped_matches_full<T: Scalar>(wm: usize, wn: usize, kk: usize) {
+    /// Random slabs whose A rows from `live.0` and B rows from `live.1`
+    /// are zero, run slab by slab through the fragment MMA and through
+    /// panels staged from the live rows only, placed at an offset inside
+    /// bigger panels: the panel slabs must equal the fragment MMA bit for
+    /// bit on every live lane, leave padded lanes as they were, and charge
+    /// the same.
+    fn panel_matches_full<T: Scalar>(wm: usize, wn: usize, kk: usize) {
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut draw = || {
             state = state
@@ -389,51 +427,70 @@ mod tests {
             T::from_f64((state >> 11) as f64 / (1u64 << 53) as f64 * 8.0 - 4.0)
         };
         let exec = FragmentMma::new::<T>(wm, wn);
+        let (slabs, depth, at) = (3, 3 * kk, (2, 3));
         let extents = [(wm, wn), (0, wn), (wm, 0), (1, 1), (wm / 2 + 1, wn / 3 + 1)];
         for live in extents {
             let acc0: Vec<T> = (0..wm * wn).map(|_| draw()).collect();
-            let (mut full, mut clipped) = (acc0.clone(), acc0.clone());
-            let (c_full, c_clipped) = (Counters::new(), Counters::new());
-            let (h_full, h_clipped) = (Recorder::default(), Recorder::default());
-            for slab in 0..3 {
-                let a: Vec<T> = (0..wm * kk)
-                    .map(|e| if e / kk < live.0 { draw() } else { T::ZERO })
-                    .collect();
-                let b: Vec<T> = (0..wn * kk)
-                    .map(|e| if e / kk < live.1 { draw() } else { T::ZERO })
-                    .collect();
+            let mut full = acc0.clone();
+            let c_full = Counters::new();
+            // Panel rows of all three slabs side by side, behind `at`
+            // leading rows that the warp does not own.
+            let mut a_rows = vec![T::ZERO; (at.0 + live.0) * depth];
+            let mut b_rows = vec![T::ZERO; (at.1 + live.1) * depth];
+            a_rows.iter_mut().for_each(|v| *v = draw());
+            b_rows.iter_mut().for_each(|v| *v = draw());
+            for slab in 0..slabs {
+                let frag = |rows: &[T], first: usize, live: usize, n: usize| -> Vec<T> {
+                    (0..n * kk)
+                        .map(|e| {
+                            let (r, k) = (e / kk, e % kk);
+                            if r < live {
+                                rows[(first + r) * depth + slab * kk + k]
+                            } else {
+                                T::ZERO
+                            }
+                        })
+                        .collect()
+                };
+                let a = frag(&a_rows, at.0, live.0, wm);
+                let b = frag(&b_rows, at.1, live.1, wn);
                 let site = MmaSite {
                     k_step: slab * kk,
                     ..site()
                 };
-                exec.mma(&mut full, &a, &b, kk, site, &h_full, &c_full);
-                exec.mma_clipped(&mut clipped, &a, &b, kk, live, site, &h_clipped, &c_clipped);
+                exec.mma(&mut full, &a, &b, kk, site, &NoFault, &c_full);
             }
-            for (e, ((&f, &c), &o)) in full.iter().zip(&clipped).zip(&acc0).enumerate() {
+            let mut panels = Panels::default();
+            panels.stage(&a_rows, &b_rows, depth);
+            let mut got = acc0.clone();
+            let c_panel = Counters::new();
+            for slab in 0..slabs {
+                let origin = (at.0, at.1, slab * kk);
+                exec.mma_panel(&mut got, &panels, origin, live, kk, &c_panel);
+            }
+            for (e, ((&f, &g), &o)) in full.iter().zip(&got).zip(&acc0).enumerate() {
                 let (i, j) = (e / wn, e % wn);
                 if i < live.0 && j < live.1 {
-                    assert_eq!(c.to_raw_u64(), f.to_raw_u64(), "{live:?} lane ({i}, {j})");
+                    assert_eq!(g.to_raw_u64(), f.to_raw_u64(), "{live:?} lane ({i}, {j})");
                 } else {
-                    assert_eq!(c.to_raw_u64(), o.to_raw_u64(), "{live:?} padded ({i}, {j})");
+                    assert_eq!(g.to_raw_u64(), o.to_raw_u64(), "{live:?} padded ({i}, {j})");
                     assert_eq!(f, o, "the full MMA adds only zeros to ({i}, {j})");
                 }
             }
-            assert_eq!(c_clipped.snapshot(), c_full.snapshot(), "{live:?} counters");
-            let calls = h_clipped.0.into_inner().unwrap();
-            assert_eq!(calls.len(), 3);
-            assert_eq!(calls, h_full.0.into_inner().unwrap(), "{live:?} hook calls");
+            assert_eq!(c_panel.snapshot(), c_full.snapshot(), "{live:?} counters");
         }
     }
 
     #[test]
-    fn clipped_mma_matches_full_mma_on_live_lanes() {
-        // 8-deep slabs take the transposed fast path; 80-deep ones the
-        // scalar fallback.
+    fn panel_mma_matches_full_mma_on_live_lanes() {
+        // 8-deep slabs as the tensor kernel runs them, 80-deep ones, and
+        // shapes that leave 4- and 1-wide column tails and an odd row.
         for kk in [8, 80] {
-            clipped_matches_full::<f32>(16, 24, kk);
-            clipped_matches_full::<f64>(8, 9, kk);
+            panel_matches_full::<f32>(16, 24, kk);
+            panel_matches_full::<f64>(8, 9, kk);
         }
-        clipped_matches_full::<f32>(64, 32, 8);
+        panel_matches_full::<f32>(64, 32, 8);
+        panel_matches_full::<f64>(7, 21, 4);
     }
 
     #[test]

@@ -1,37 +1,6 @@
-//! Warp-level helpers: fragment loading from shared tiles and the shuffle
-//! reductions the ABFT encodings rely on.
+//! Warp-level helpers: the shuffle reductions the ABFT encodings rely on.
 
 use crate::scalar::Scalar;
-use crate::shared::SharedTile;
-
-/// Load a `rows x kk` register fragment (rows `row0..row0+rows` of a shared
-/// tile at columns `k0..k0+kk`: samples for A, centroids for B) into
-/// `frag`, row-major. Rows beyond the tile are zero-filled (edge tiles).
-/// Each in-bounds row is one contiguous slice copy (`ldmatrix` moves whole
-/// rows, not scalars).
-pub fn load_fragment<T: Scalar>(
-    tile: &SharedTile<T>,
-    row0: usize,
-    k0: usize,
-    rows: usize,
-    kk: usize,
-    frag: &mut [T],
-) {
-    debug_assert_eq!(frag.len(), rows * kk);
-    if kk == 0 {
-        return;
-    }
-    for (i, dst) in frag.chunks_exact_mut(kk).enumerate() {
-        let r = row0 + i;
-        if r < tile.rows() && k0 < tile.cols() {
-            let run = kk.min(tile.cols() - k0);
-            dst[..run].copy_from_slice(&tile.row(r)[k0..k0 + run]);
-            dst[run..].fill(T::ZERO);
-        } else {
-            dst.fill(T::ZERO);
-        }
-    }
-}
 
 /// Warp reduction: the input checksums of a row-major fragment of
 /// `kk = plain.len()` columns in one row-major pass: `plain[k] = e1ᵀ·frag[:,k]`
@@ -88,32 +57,6 @@ pub fn tile_col_weighted_sum<T: Scalar>(acc: &[T], wn: usize) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tile_3x4() -> SharedTile<f64> {
-        let mut t = SharedTile::new(3, 4);
-        for r in 0..3 {
-            for c in 0..4 {
-                t.set(r, c, (r * 4 + c) as f64);
-            }
-        }
-        t
-    }
-
-    #[test]
-    fn fragment_load_in_bounds() {
-        let t = tile_3x4();
-        let mut frag = vec![0.0f64; 2 * 2];
-        load_fragment(&t, 1, 1, 2, 2, &mut frag);
-        assert_eq!(frag, vec![5.0, 6.0, 9.0, 10.0]);
-    }
-
-    #[test]
-    fn fragment_load_zero_pads_edges() {
-        let t = tile_3x4();
-        let mut frag = vec![7.0f64; 2 * 2];
-        load_fragment(&t, 2, 3, 2, 2, &mut frag);
-        assert_eq!(frag, vec![11.0, 0.0, 0.0, 0.0]);
-    }
 
     #[test]
     fn column_sums() {

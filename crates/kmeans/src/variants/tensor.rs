@@ -6,22 +6,32 @@
 //! 1. a `k_stage`-deep asynchronous copy pipeline stages A/B tiles into
 //!    shared memory (`cp.async` + commit/wait groups, lines 03–09, 13–14,
 //!    18–19),
-//! 2. each warp loads register fragments and issues tensor-core MMA slabs
-//!    over its `wm x wn` accumulator (line 17). Where the tile overhangs
-//!    the problem (fewer than `tb_m` samples or `tb_n` centroids left), the
-//!    padded lanes are charged and hooked like any other but not computed:
-//!    the warp multiplies only its live rows and columns, and a warp with
-//!    no live column skips its B fragment load,
+//! 2. each staged k-tile is TF32-converted once per block into
+//!    [`Panels`]: the live A rows row-major, the live B rows (centroids)
+//!    k-major. Every warp then issues its tensor-core MMA slabs over its
+//!    `wm x wn` accumulator from the panels (line 17). Where the tile
+//!    overhangs the problem (fewer than `tb_m` samples or `tb_n`
+//!    centroids left), the padded lanes are charged like any other but not
+//!    computed: a warp multiplies only its live rows and columns. A hook
+//!    sees every slab of every warp in (warp row, slab, warp column) order,
+//!    which its fault sites key on; an inert hook
+//!    ([`FaultHook::is_inert`]) is not called,
 //! 3. with FT enabled, input checksums are folded from the *register
 //!    fragments* (lines 15–18 — no extra memory traffic, which is why the
 //!    scheme survives `cp.async`) and three checksum MMAs accumulate the
 //!    protected sums (lines 22–24). Each fragment's sums are computed once
-//!    per k-slab, in one pass into stack scratch (no heap allocation per
-//!    slab), and shared by every warp that consumes the fragment; each
-//!    warp is still charged its own CUDA-core adds,
+//!    per k-tile over its live rows (staged padding is `+0.0` and never
+//!    hooked, so it would add nothing), in one pass into stack scratch, and
+//!    shared by every warp that consumes the fragment; each warp is still
+//!    charged its own CUDA-core adds,
 //! 4. every `DETECT_INTERVAL_K` steps and at the loop end the accumulator
 //!    is verified and, for FT K-means, corrected in place via location
-//!    encoding (lines 25–31),
+//!    encoding (lines 25–31). Under an inert hook the padded lanes still
+//!    hold the `+0.0` they started with, so the non-finite scan and the
+//!    observed checksums cover only a warp's live corner for the clean
+//!    verdict. Any other verdict re-runs the whole-tile check, and a warp
+//!    once corrected, re-baselined or recomputed sums its whole tile for
+//!    the rest of the launch. Every check is charged the whole tile,
 //! 5. the fused epilogue performs the row-minimum with the norm identity
 //!    and merges into the global argmin store (threadblock broadcast).
 //!
@@ -39,9 +49,9 @@ use abft::schemes::wu::WuBlockState;
 use abft::SchemeKind;
 use fault::CampaignStats;
 use gpu_sim::atomics::ArgminStore;
-use gpu_sim::mma::{shapes, FaultHook, FragmentMma, MmaSite};
+use gpu_sim::mma::{shapes, FaultHook, FragmentMma, MmaSite, NoFault, Panels};
 use gpu_sim::timing::TileConfig;
-use gpu_sim::warp::{frag_col_sums, load_fragment};
+use gpu_sim::warp::frag_col_sums;
 use gpu_sim::{
     launch_grid_labeled, AsyncPipeline, CopyPath, Counters, DeviceProfile, Dim3, LaunchConfig,
     Precision, Scalar, ScratchBuf, SimError,
@@ -125,6 +135,7 @@ pub fn tensor_assign<T: Scalar>(
     let store = ArgminStore::<T>::new(m);
     let exec = FragmentMma::new::<T>(tile.wm, tile.wn);
     let elem = std::mem::size_of::<T>();
+    let inert = hook.is_inert();
 
     let cfg = LaunchConfig {
         grid: Dim3::xy(bn.max(1), bm.max(1)),
@@ -192,8 +203,6 @@ pub fn tensor_assign<T: Scalar>(
         }
         let mut committed = prologue;
 
-        let mut a_frag = ScratchBuf::<T, 1024>::filled(tile.wm * mma_k, T::ZERO);
-        let mut b_frag = ScratchBuf::<T, 1024>::filled(tile.wn * mma_k, T::ZERO);
         // Input sums of every warp row's A fragments and every warp
         // column's B fragments across one k-tile: `sums[f*tb_k + k]` for
         // fragment row `f` (A rows first, then B), `wsums` the weighted
@@ -208,7 +217,14 @@ pub fn tensor_assign<T: Scalar>(
         };
         let mut sums = ScratchBuf::<T, 256>::filled(n_sums, T::ZERO);
         let mut wsums = ScratchBuf::<T, 256>::filled(n_sums, T::ZERO);
+        let mut panels = Panels::default();
         let mut ledger = CampaignStats::default();
+        // The live extent of warp (wi, wj): its rows and columns inside the
+        // problem. Lanes past it are zero padding.
+        let live_of = |wi: usize, wj: usize| {
+            let rows = rows_valid.saturating_sub(wi * tile.wm).min(tile.wm);
+            (rows, cols_valid.saturating_sub(wj * tile.wn).min(tile.wn))
+        };
 
         for kt in 0..n_ktiles {
             // Prefetch the tile k_stages-1 ahead (Fig. 4 lines 13-14).
@@ -230,6 +246,7 @@ pub fn tensor_assign<T: Scalar>(
             ctx.barrier();
 
             let stage = kt % tile.k_stages;
+            let (a_tile, b_tile) = (pipeline.a(stage), pipeline.b(stage));
 
             // Wu's threadblock-level checksums: absorb the staged tiles. On
             // cp.async devices the values must be re-read from global.
@@ -238,91 +255,70 @@ pub fn tensor_assign<T: Scalar>(
                     ctx.counters
                         .add_ft_extra_loads(((tile.tb_m + tile.tb_n) * tile.tb_k * elem) as u64);
                 }
-                wu.absorb_tiles(
-                    pipeline.a(stage),
-                    pipeline.b(stage),
-                    tile.tb_k,
-                    ctx.counters,
-                );
+                wu.absorb_tiles(a_tile, b_tile, tile.tb_k, ctx.counters);
             }
 
             // Input checksums (Fig. 6 lines 15-18), once per fragment: the
             // staged tiles hold every warp's fragments for this k-tile
             // (tb_k is a multiple of the MMA K, so fragments are never
             // zero-padded), and a fragment row's column sums over the
-            // whole tile are its fragments' sums side by side.
+            // whole tile are its fragments' sums side by side. Rows past
+            // the problem edge are staged as +0.0 and no hook touches
+            // them, so summing the live prefix gives the same bits.
             if n_sums > 0 {
                 let parts = [
-                    (pipeline.a(stage), tile.wm, 0),
-                    (pipeline.b(stage), tile.wn, warps_m),
+                    (a_tile, tile.wm, 0, rows_valid),
+                    (b_tile, tile.wn, warps_m, cols_valid),
                 ];
-                for (src, rows, f0) in parts {
+                for (src, rows, f0, valid) in parts {
                     let run = rows * tile.tb_k;
                     for (f, frag) in src.as_slice().chunks_exact(run).enumerate() {
+                        let live = valid.saturating_sub(f * rows).min(rows);
                         let at = (f0 + f) * tile.tb_k..(f0 + f + 1) * tile.tb_k;
                         let w = weighted.then(|| &mut wsums[at.clone()]);
-                        frag_col_sums(frag, &mut sums[at], w);
+                        frag_col_sums(&frag[..live * tile.tb_k], &mut sums[at], w);
                     }
                 }
             }
+            let col_sums = |f: usize, kk0: usize| {
+                let at = f * tile.tb_k + kk0..f * tile.tb_k + kk0 + mma_k;
+                [&sums[at.clone()], &wsums[at]]
+            };
+            let mma_site = |warp: usize, kk0: usize| MmaSite {
+                block,
+                warp,
+                k_step: kt * tile.tb_k + kk0,
+                is_checksum: false,
+            };
 
-            // Warp MMA main loop (Fig. 4 lines 15-17). Fragment rows past
-            // the problem edge are zero padding (`fill_tile_from_global`),
-            // so each warp computes only its live corner; the MMA is still
-            // issued, charged and hooked over the whole warp tile.
+            // Warp MMA main loop (Fig. 4 lines 15-17) over the live rows
+            // and columns, TF32-converted once for every warp and slab.
+            panels.stage(
+                &a_tile.as_slice()[..rows_valid * tile.tb_k],
+                &b_tile.as_slice()[..cols_valid * tile.tb_k],
+                tile.tb_k,
+            );
+            // The hook sees every slab of every warp, in the order (warp
+            // row, slab, warp column) its fault sites key on; an inert hook
+            // is not called at all.
             for wi in 0..warps_m {
-                let live_rows = rows_valid.saturating_sub(wi * tile.wm).min(tile.wm);
                 for kk0 in (0..tile.tb_k).step_by(mma_k) {
-                    // The A fragment depends only on (wi, kk0): load it once
-                    // and share it across this warp row's column warps.
-                    if live_rows > 0 {
-                        load_fragment(
-                            pipeline.a(stage),
-                            wi * tile.wm,
-                            kk0,
-                            tile.wm,
-                            mma_k,
-                            &mut a_frag,
-                        );
-                    }
                     for wj in 0..warps_n {
                         let warp_id = wi * warps_n + wj;
                         let acc = &mut accs[warp_id * wsize..(warp_id + 1) * wsize];
-                        let live_cols = cols_valid.saturating_sub(wj * tile.wn).min(tile.wn);
-                        if live_cols > 0 {
-                            load_fragment(
-                                pipeline.b(stage),
-                                wj * tile.wn,
-                                kk0,
-                                tile.wn,
-                                mma_k,
-                                &mut b_frag,
-                            );
+                        let at = (wi * tile.wm, wj * tile.wn, kk0);
+                        exec.mma_panel(acc, &panels, at, live_of(wi, wj), mma_k, ctx.counters);
+                        let site = mma_site(warp_id, kk0);
+                        if !inert {
+                            hook.post_mma(&site, acc, tile.wn);
                         }
-                        let site = MmaSite {
-                            block,
-                            warp: warp_id,
-                            k_step: kt * tile.tb_k + kk0,
-                            is_checksum: false,
-                        };
-                        let live = (live_rows, live_cols);
-                        exec.mma_clipped(
-                            acc,
-                            &a_frag,
-                            &b_frag,
-                            mma_k,
-                            live,
-                            site,
-                            hook,
-                            ctx.counters,
-                        );
                         if let Some(states) = warp_states.as_mut() {
-                            let col_sums = |f: usize| {
-                                let at = f * tile.tb_k + kk0..f * tile.tb_k + kk0 + mma_k;
-                                [&sums[at.clone()], &wsums[at]]
-                            };
-                            let (a, b) = (col_sums(wi), col_sums(warps_m + wj));
-                            states[warp_id].fold(a, b, site, hook, ctx.counters);
+                            let (a, b) = (col_sums(wi, kk0), col_sums(warps_m + wj, kk0));
+                            if inert {
+                                states[warp_id].fold(a, b, site, &NoFault, ctx.counters);
+                            } else {
+                                states[warp_id].fold(a, b, site, hook, ctx.counters);
+                            }
                         }
                     }
                 }
@@ -338,7 +334,14 @@ pub fn tensor_assign<T: Scalar>(
                         for wj in 0..warps_n {
                             let warp_id = wi * warps_n + wj;
                             let acc = &mut accs[warp_id * wsize..(warp_id + 1) * wsize];
-                            let outcome = states[warp_id].check(acc, k_end, ctx.counters);
+                            // Under an inert hook the padded lanes are
+                            // still the +0.0 they started as.
+                            let live = if inert {
+                                live_of(wi, wj)
+                            } else {
+                                (tile.wm, tile.wn)
+                            };
+                            let outcome = states[warp_id].check(acc, live, k_end, ctx.counters);
                             record_outcome(&mut ledger, outcome);
                             if let CheckOutcome::RecomputeRequired { .. } = outcome {
                                 // Detection-only scheme: time-redundant
@@ -352,8 +355,6 @@ pub fn tensor_assign<T: Scalar>(
                                     mma_k,
                                     k_end,
                                     &exec,
-                                    block,
-                                    warp_id,
                                     ctx.counters,
                                     acc,
                                 );
@@ -396,8 +397,6 @@ pub fn tensor_assign<T: Scalar>(
                                     mma_k,
                                     k_end,
                                     &exec,
-                                    block,
-                                    warp_id,
                                     ctx.counters,
                                     &mut accs[warp_id * wsize..(warp_id + 1) * wsize],
                                 );
@@ -479,7 +478,9 @@ fn record_outcome(s: &mut CampaignStats, outcome: CheckOutcome) {
 
 /// Time-redundant recomputation of one warp tile's accumulator from global
 /// memory over `[0, k_end)` — the correction path of detection-only
-/// schemes. Charges the extra global loads it performs.
+/// schemes. Charges the extra global loads it performs. Recomputation
+/// bypasses the fault hook: under SEU at most one error strikes per
+/// interval and it already fired.
 #[allow(clippy::too_many_arguments)]
 fn recompute_warp<T: Scalar, C: gpu_sim::EventSink + ?Sized>(
     data: &DeviceData<T>,
@@ -489,14 +490,13 @@ fn recompute_warp<T: Scalar, C: gpu_sim::EventSink + ?Sized>(
     mma_k: usize,
     k_end: usize,
     exec: &FragmentMma,
-    block: (usize, usize),
-    warp_id: usize,
     counters: &C,
     acc: &mut [T],
 ) {
     acc.fill(T::ZERO);
     let mut a_frag = ScratchBuf::<T, 1024>::filled(tile.wm * mma_k, T::ZERO);
     let mut b_frag = ScratchBuf::<T, 1024>::filled(tile.wn * mma_k, T::ZERO);
+    let mut panels = Panels::default();
     let elem = std::mem::size_of::<T>() as u64;
     // Stage each fragment row as a contiguous run (zero-padded at the
     // problem edge), charging in-bounds elements in bulk.
@@ -526,23 +526,8 @@ fn recompute_warp<T: Scalar, C: gpu_sim::EventSink + ?Sized>(
         }
         counters.add_loaded(loaded * elem);
         counters.add_ft_extra_loads(loaded * elem);
-        let site = MmaSite {
-            block,
-            warp: warp_id,
-            k_step: k0,
-            is_checksum: false,
-        };
-        // Recomputation bypasses the fault hook: under SEU at most one
-        // error strikes per interval and it already fired.
-        exec.mma(
-            acc,
-            &a_frag,
-            &b_frag,
-            mma_k,
-            site,
-            &gpu_sim::NoFault,
-            counters,
-        );
+        panels.stage(&a_frag, &b_frag, mma_k);
+        exec.mma_panel(acc, &panels, (0, 0, 0), (tile.wm, tile.wn), mma_k, counters);
     }
 }
 

@@ -5,16 +5,17 @@
 //! charged and passed to the fault hook.
 //!
 //! These tests pin what must not move: labels against the reference scan,
-//! the payload MMA count in closed form (padding MMAs included), and
+//! the payload MMA count in closed form (padding MMAs included),
 //! detection and correction of a fault struck into a warp with no live
-//! column.
+//! column, and that the inert-hook path (no `post_mma` calls, live-corner
+//! checksums) gives the bits, counters and ledger of the hooked path.
 //!
 //! The fixtures are small integers, exact in TF32 and in both distance
 //! formulas, so labels must agree bit for bit, ties included.
 
 use abft::SchemeKind;
 use fault::{CampaignStats, Injector, PlannedInjection};
-use gpu_sim::mma::{shapes, FaultHook, FragmentMma, NoFault};
+use gpu_sim::mma::{shapes, FaultHook, FragmentMma, MmaSite, NoFault};
 use gpu_sim::timing::TileConfig;
 use gpu_sim::{CounterSnapshot, Counters, DeviceProfile, Matrix, Precision, Scalar};
 use kmeans::assign::{default_tile, AssignmentResult};
@@ -22,11 +23,16 @@ use kmeans::device_data::DeviceData;
 use kmeans::reference::assign_reference;
 use kmeans::variants::tensor::tensor_assign;
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Not a multiple of any tile's `tb_m`.
 const M: usize = 1000;
 /// 24 = one full 16-deep k-tile plus a zero-padded one.
 const DIM: usize = 24;
+/// Two online detection intervals of 256, the second ending mid k-tile;
+/// run on fewer samples (three full 64-row blocks and a padded one) to
+/// keep the debug-build test short.
+const LONG: (usize, usize) = (200, 300);
 const KS: [usize; 5] = [1, 16, 17, 129, 200];
 const SCHEMES: [SchemeKind; 4] = [
     SchemeKind::None,
@@ -35,11 +41,11 @@ const SCHEMES: [SchemeKind; 4] = [
     SchemeKind::Wu,
 ];
 
-fn fixture<T: Scalar>(k: usize) -> (Matrix<T>, Matrix<T>) {
-    let samples = Matrix::from_fn(M, DIM, |r, c| {
+fn fixture<T: Scalar>(m: usize, k: usize, dim: usize) -> (Matrix<T>, Matrix<T>) {
+    let samples = Matrix::from_fn(m, dim, |r, c| {
         T::from_f64(((r * 31 + c * 7) % 17) as f64 - 8.0)
     });
-    let cents = Matrix::from_fn(k, DIM, |r, c| {
+    let cents = Matrix::from_fn(k, dim, |r, c| {
         T::from_f64(((r * 13 + c * 5) % 15) as f64 - 7.0)
     });
     (samples, cents)
@@ -61,24 +67,31 @@ fn run<T: Scalar>(
     (out, c.snapshot().since(&before), stats.into_inner())
 }
 
-/// Payload `mma.sync` count of one launch: every warp of every block
-/// issues every k-slab, padded or not.
-fn closed_form_mma_ops<T: Scalar>(tile: TileConfig, k: usize) -> u64 {
-    let mma_k = match T::PRECISION {
+/// Warp MMA slabs of one launch: every warp of every block issues every
+/// k-slab, padded or not.
+fn closed_form_slabs<T: Scalar>(tile: TileConfig, (m, k, dim): (usize, usize, usize)) -> u64 {
+    let blocks = m.div_ceil(tile.tb_m) * k.div_ceil(tile.tb_n);
+    let warps = (tile.tb_m / tile.wm) * (tile.tb_n / tile.wn);
+    (blocks * warps * (dim.div_ceil(tile.tb_k) * tile.tb_k / mma_k::<T>())) as u64
+}
+
+fn mma_k<T: Scalar>() -> usize {
+    match T::PRECISION {
         Precision::Fp32 => shapes::FP32_MMA.2,
         Precision::Fp64 => shapes::FP64_MMA.2,
-    };
-    let blocks = M.div_ceil(tile.tb_m) * k.div_ceil(tile.tb_n);
-    let warps = (tile.tb_m / tile.wm) * (tile.tb_n / tile.wn);
-    let slabs = DIM.div_ceil(tile.tb_k) * tile.tb_k / mma_k;
-    let per_slab = FragmentMma::new::<T>(tile.wm, tile.wn).hw_mma_count(mma_k);
-    (blocks * warps * slabs) as u64 * per_slab
+    }
+}
+
+/// Payload `mma.sync` count of one launch.
+fn closed_form_mma_ops<T: Scalar>(tile: TileConfig, k: usize) -> u64 {
+    let per_slab = FragmentMma::new::<T>(tile.wm, tile.wn).hw_mma_count(mma_k::<T>());
+    closed_form_slabs::<T>(tile, (M, k, DIM)) * per_slab
 }
 
 fn check_precision<T: Scalar>() {
     let tile = default_tile(T::PRECISION);
     for k in KS {
-        let (samples, cents) = fixture::<T>(k);
+        let (samples, cents) = fixture::<T>(M, k, DIM);
         let (want, _) = assign_reference(&samples, &cents);
         for scheme in SCHEMES {
             let (out, c, stats) = run(tile, &samples, &cents, scheme, &NoFault);
@@ -111,7 +124,7 @@ fn padded_tiles_match_reference_and_charge_every_mma_fp64() {
 /// still see and repair.
 fn strike_dead_warp<T: Scalar>() {
     let tile = default_tile(T::PRECISION);
-    let (samples, cents) = fixture::<T>(16);
+    let (samples, cents) = fixture::<T>(M, 16, DIM);
     let (clean, _, _) = run(tile, &samples, &cents, SchemeKind::FtKMeans, &NoFault);
     let inj = Injector::planned(vec![PlannedInjection {
         block: (0, 0),
@@ -135,4 +148,65 @@ fn fault_in_a_warp_with_no_live_column_is_corrected_fp32() {
 #[test]
 fn fault_in_a_warp_with_no_live_column_is_corrected_fp64() {
     strike_dead_warp::<f64>();
+}
+
+/// Returns every value unchanged but does not declare itself inert, so the
+/// kernel hooks every slab; counts the payload and checksum calls.
+#[derive(Default)]
+struct Forwarding {
+    payload: AtomicU64,
+    checksum: AtomicU64,
+}
+
+impl<T: Scalar> FaultHook<T> for Forwarding {
+    fn post_mma(&self, site: &MmaSite, _acc: &mut [T], _wn: usize) {
+        let calls = if site.is_checksum {
+            &self.checksum
+        } else {
+            &self.payload
+        };
+        calls.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The inert path and the hooked path must agree on labels, distance
+/// bits, counters and the campaign ledger, and the hooked path must call
+/// the hook once per warp slab plus once per checksum MMA (three per slab
+/// for FT K-means, one for detection-only Kosaian, none for the others).
+fn inert_matches_forwarding<T: Scalar>() {
+    let tile = default_tile(T::PRECISION);
+    for (m, dim) in [(M, DIM), LONG] {
+        for k in KS {
+            let (samples, cents) = fixture::<T>(m, k, dim);
+            for scheme in SCHEMES {
+                let what = format!("{:?} m={m} dim={dim} k={k} {scheme:?}", T::PRECISION);
+                let hook = Forwarding::default();
+                let (inert, inert_c, inert_s) = run(tile, &samples, &cents, scheme, &NoFault);
+                let (fwd, fwd_c, fwd_s) = run(tile, &samples, &cents, scheme, &hook);
+                assert_eq!(inert.labels, fwd.labels, "{what}: labels");
+                let bits = |d: &[T]| d.iter().map(|v| v.to_raw_u64()).collect::<Vec<_>>();
+                assert_eq!(bits(&inert.distances), bits(&fwd.distances), "{what}");
+                assert_eq!(inert_c, fwd_c, "{what}: counters");
+                assert_eq!(inert_s, fwd_s, "{what}: ledger");
+                let slabs = closed_form_slabs::<T>(tile, (m, k, dim));
+                let per_slab = match scheme {
+                    SchemeKind::FtKMeans => 3,
+                    SchemeKind::Kosaian => 1,
+                    _ => 0,
+                };
+                let calls = (hook.payload.into_inner(), hook.checksum.into_inner());
+                assert_eq!(calls, (slabs, per_slab * slabs), "{what}: hook calls");
+            }
+        }
+    }
+}
+
+#[test]
+fn inert_hook_matches_forwarding_hook_fp32() {
+    inert_matches_forwarding::<f32>();
+}
+
+#[test]
+fn inert_hook_matches_forwarding_hook_fp64() {
+    inert_matches_forwarding::<f64>();
 }

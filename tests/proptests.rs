@@ -44,7 +44,7 @@ proptest! {
             (((r * 13 + c * 29 + seed as usize) % 89) as f64 - 44.0) / 11.0
         });
         let c = gemm_abt_reference(&a, &b);
-        let direct = ChecksumTriple::from_tile(c.as_slice(), rows, cols);
+        let direct = ChecksumTriple::from_tile(c.as_slice(), cols, (rows, cols));
         let mut online = ChecksumTriple::<f64>::zero();
         for k in 0..depth {
             let a1: f64 = (0..rows).map(|i| a.get(i, k)).sum();
@@ -74,10 +74,10 @@ proptest! {
         let clean: Vec<f64> = (0..rows * cols)
             .map(|i| (((i * 37 + seed as usize) % 41) as f64 - 20.0) / 7.0)
             .collect();
-        let reference = ChecksumTriple::from_tile(&clean, rows, cols);
+        let reference = ChecksumTriple::from_tile(&clean, cols, (rows, cols));
         let mut acc = clean.clone();
         acc[row * cols + col] += magnitude;
-        let observed = ChecksumTriple::from_tile(&acc, rows, cols);
+        let observed = ChecksumTriple::from_tile(&acc, cols, (rows, cols));
         let disc = compare(&observed, &reference, &policy());
         prop_assert!(disc.is_some(), "error of {magnitude} must be detected");
         let disc = disc.unwrap();
@@ -105,7 +105,7 @@ proptest! {
         let tile: Vec<f64> = (0..rows * cols)
             .map(|i| (((i * 53 + seed as usize) % 71) as f64 - 35.0) * scale)
             .collect();
-        let t = ChecksumTriple::from_tile(&tile, rows, cols);
+        let t = ChecksumTriple::from_tile(&tile, cols, (rows, cols));
         prop_assert!(compare(&t, &t.clone(), &policy()).is_none());
     }
 
