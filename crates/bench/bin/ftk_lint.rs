@@ -4,12 +4,13 @@
 //! invariants that live above the language level:
 //!
 //! * `raw-access`  — in `crates/kmeans/src/variants/`, per-element
-//!   `.load(` / `.store(` bypass the coalesced-run accessors and (on scalar
-//!   buffers) the byte counters feeding the timing model. Use
+//!   `.load(` / `.store(` bypass the coalesced-run accessors and the byte
+//!   counters feeding the timing model. Use
 //!   `load_counted` / `store_counted` / `read_range` / `write_range` /
 //!   `load_run` / `store_run`, or annotate the line with
-//!   `ftk-lint: allow(raw-access)` and say why (index traffic is not
-//!   byte-counted by design; host-side single-cell readbacks are fine).
+//!   `ftk-lint: allow(raw-access)` and say why (index traffic — labels
+//!   and counts in a `GlobalBuffer<u32>` — is not byte-counted by design;
+//!   host-side single-cell readbacks are fine).
 //! * `serve-unwrap` — in `crates/serve/src/`, `.unwrap()` / `.expect(` on a
 //!   request path turns a recoverable condition (lock poisoning, a malformed
 //!   batch) into a server-killing panic. Recover poisoned locks with
@@ -274,7 +275,8 @@ fn lint_raw_access(file: &str, lines: &[ScanLine], findings: &mut Vec<LintFindin
                     line: l.number,
                     message: format!(
                         "per-element `{pat}..)` in a variant hot path; use the counted or \
-                         run accessors, or annotate `ftk-lint: allow(raw-access)` with a reason"
+                         run accessors, or annotate `ftk-lint: allow(raw-access)` with a reason \
+                         (index traffic on a `GlobalBuffer<u32>` is not byte-counted by design)"
                     ),
                 });
             }

@@ -1,5 +1,5 @@
 //! Quantized-resident-state fault campaign: bit flips in the serving
-//! path's quantized centroid tables (packed codes, per-centroid scales,
+//! path's quantized centroid tables (fp16/int8 codes, per-centroid scales,
 //! cached norms), classified against host-reference labels.
 //!
 //! The fit-time campaign ([`super::runner`]) strikes the distance-kernel
@@ -23,7 +23,7 @@ use kmeans::{FittedModel, KMeansConfig, PredictPolicy, Session};
 /// Which piece of resident quantized state a rep corrupts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuantTarget {
-    /// The packed fp16/int8 code words.
+    /// The fp16/int8 codes.
     Codes,
     /// The per-centroid int8 dequantization scales.
     Scales,

@@ -225,7 +225,6 @@ fn worker_loop(shared: &PoolShared) {
 pub struct Executor {
     policy: ExecPolicy,
     pool: Option<Pool>,
-    sanitizer: Option<Arc<sanitizer::Checker>>,
 }
 
 impl std::fmt::Debug for Executor {
@@ -241,30 +240,15 @@ impl Executor {
     /// is clamped to one worker.
     pub fn new(policy: ExecPolicy) -> Self {
         match policy {
-            ExecPolicy::Serial => Executor {
-                policy,
-                pool: None,
-                sanitizer: None,
-            },
+            ExecPolicy::Serial => Executor { policy, pool: None },
             ExecPolicy::Parallel { workers } => {
                 let workers = workers.max(1);
                 Executor {
                     policy: ExecPolicy::Parallel { workers },
                     pool: Some(Pool::new(workers)),
-                    sanitizer: None,
                 }
             }
         }
-    }
-
-    /// Attach a sanitizer checker to this executor: every launch it runs is
-    /// checked against `checker` (unless a [`sanitizer::with_checker`]
-    /// scope on the launching thread overrides it). Buffer *allocations*
-    /// are scoped by [`sanitizer::with_checker`] / the global checker, not
-    /// by the executor — an executor only sees launches.
-    pub fn with_sanitizer(mut self, checker: Arc<sanitizer::Checker>) -> Self {
-        self.sanitizer = Some(checker);
-        self
     }
 
     /// A serial executor (deterministic block order, no threads).
@@ -419,7 +403,7 @@ impl Executor {
         if total == 0 {
             return Ok(());
         }
-        let san = sanitizer::launch_begin(self.sanitizer.as_ref(), label);
+        let san = sanitizer::launch_begin(label);
         self.run_chunked(total, |start, end| {
             let sink = CounterSink::new(counters);
             for idx in start..end {

@@ -8,8 +8,8 @@
 //! own disjoint output range (per-block partials), and a follow-up launch
 //! reduces the partials in block-index order; an order-invariant merge such
 //! as [`crate::atomics::ArgminStore`] may share a location across blocks.
-//! Integer atomics such as [`crate::memory::GlobalIndexBuffer::atomic_inc`]
-//! are order-invariant too. Device memory has no float atomic add, whose
+//! Integer atomics such as [`crate::GlobalBuffer::atomic_inc`] (on a
+//! `GlobalBuffer<u32>`) are order-invariant too. Device memory has no float atomic add, whose
 //! rounding would depend on arrival order, and plain stores to
 //! overlapping locations are a bug, as on hardware.
 
@@ -116,14 +116,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::GlobalIndexBuffer;
+    use crate::memory::GlobalBuffer;
 
     #[test]
     fn all_blocks_execute_exactly_once() {
         let dev = DeviceProfile::a100();
         let c = Counters::new();
         let grid = Dim3::xy(7, 5);
-        let hits = GlobalIndexBuffer::zeros(grid.volume());
+        let hits = GlobalBuffer::<u32>::zeros(grid.volume());
         launch_grid(
             &dev,
             LaunchConfig {

@@ -60,10 +60,10 @@ pub use error::SimError;
 pub use exec::{ExecPolicy, Executor};
 pub use launch::{launch_grid, launch_grid_labeled, BlockCtx, LaunchConfig};
 pub use matrix::Matrix;
-pub use memory::{GlobalBuffer, GlobalPackedBuffer, PackedLane};
+pub use memory::{Element, GlobalBuffer};
 pub use mma::{FaultHook, FragmentMma, MmaSite, NoFault};
 pub use sanitizer::{Finding, FindingKind, SanitizeConfig, SanitizerReport};
-pub use scalar::{Scalar, ScalarCell};
+pub use scalar::Scalar;
 pub use scratch::ScratchBuf;
 pub use shared::SharedTile;
 pub use timing::model::{KernelClass, KernelTiming, TimingInput};

@@ -1,15 +1,17 @@
 //! Simulated global (device) memory.
 //!
-//! [`GlobalBuffer`] stores every element as its raw bits in an atomic cell
-//! of the element's own width ([`Scalar::Cell`]: 32 bits for `f32`, 64 for
-//! `f64`), so that parallel threadblocks can load and store safely, as
-//! plain CUDA global accesses do, and the host moves the bytes the traffic
-//! counters charge. Loads and stores are relaxed atomics. There is no
-//! float `atomicAdd`: its rounding depends on arrival order, so kernels
-//! reduce per-block partials in block order instead (see [`crate::launch`]).
-//! The read-modify-write atomics are integer ones:
-//! [`GlobalIndexBuffer::atomic_inc`] and the order-invariant
-//! [`crate::atomics::ArgminStore`].
+//! [`GlobalBuffer`] is the one device buffer type. It holds any
+//! [`Element`]: the float [`Scalar`]s (`f32`, `f64`), labels and counts
+//! (`u32`), fp16 codes (`u16`) and int8 codes (`u8`). Each element is
+//! stored as its raw bits in an atomic cell of its own width
+//! ([`Element::Cell`]), so that parallel threadblocks can load and store
+//! safely, as plain CUDA global accesses do, and the host moves the bytes
+//! the traffic counters charge. Loads and stores are relaxed atomics. There
+//! is no float `atomicAdd`: its rounding depends on arrival order, so
+//! kernels reduce per-block partials in block order instead (see
+//! [`crate::launch`]). The read-modify-write atomics are integer ones:
+//! [`GlobalBuffer::atomic_inc`] on a `GlobalBuffer<u32>` and the
+//! order-invariant [`crate::atomics::ArgminStore`].
 //!
 //! Traffic accounting is explicit: kernels charge a [`crate::counters::EventSink`]
 //! (the launch's shared counters, or a worker-local sink inside kernels)
@@ -19,7 +21,7 @@
 //! Two charging granularities exist:
 //!
 //! * **Per element** — [`GlobalBuffer::load_counted`] /
-//!   [`GlobalBuffer::store_counted`], one sink charge per scalar. This is
+//!   [`GlobalBuffer::store_counted`], one sink charge per element. This is
 //!   the uncoalesced access pattern (strided or data-dependent addressing).
 //! * **Per run** — [`GlobalBuffer::load_run`] / [`GlobalBuffer::store_run`],
 //!   which move a contiguous run of elements with one sink charge for the
@@ -29,65 +31,126 @@
 //!   addition is exact), so counter-based structural tests and the
 //!   serial-vs-parallel counter-identity invariant are agnostic to which
 //!   path a kernel uses.
+//!
+//! Both charge `size_of::<E>()` bytes per element, so a quantized code
+//! table shows its 2–4x traffic advantage over an fp32 table in the
+//! counters. Index traffic (a `GlobalBuffer<u32>` of labels or counts) is
+//! not byte-counted: kernels move it only with the uncounted
+//! [`GlobalBuffer::load`] / [`GlobalBuffer::store`] /
+//! [`GlobalBuffer::read_range`] / [`GlobalBuffer::write_range`], and
+//! `ftk-lint`'s `raw-access` rule asks for an annotation at each such
+//! per-element access in the kernel variants.
 
 use crate::counters::EventSink;
 use crate::matrix::Matrix;
 use crate::sanitizer;
-use crate::scalar::{Scalar, ScalarCell};
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::scalar::Scalar;
+use std::convert::identity;
+use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-/// A device-global buffer of `T` with atomic element access.
+/// An element type a [`GlobalBuffer`] can hold.
+///
+/// Every access is bit-exact (NaN payloads, signed zeros and subnormals
+/// survive): the cell holds the element's raw bits at its own width.
+pub trait Element: Copy + Default + std::fmt::Debug + Send + Sync + 'static {
+    /// Atomic cell of the element's width: `AtomicU32` for `f32` and `u32`,
+    /// `AtomicU64` for `f64`, `AtomicU16` for `u16`, `AtomicU8` for `u8`.
+    type Cell: Send + Sync + 'static;
+    /// A cell holding `v`.
+    fn cell(v: Self) -> Self::Cell;
+    /// Relaxed load of a cell.
+    fn load_cell(cell: &Self::Cell) -> Self;
+    /// Relaxed store into a cell.
+    fn store_cell(cell: &Self::Cell, v: Self);
+    /// Raw bits widened to `u64` (narrower types live in the low bits): one
+    /// key type for hashing values of any width, as the predict memo and
+    /// the quantized-table digests do.
+    fn to_raw_u64(self) -> u64;
+    /// The element whose raw bits are the low bits of `bits`.
+    fn from_raw_u64(bits: u64) -> Self;
+}
+
+macro_rules! element {
+    ($($t:ty => $atomic:ty, $bits:ty, $to:path, $from:path;)*) => {$(
+        impl Element for $t {
+            type Cell = $atomic;
+            #[inline]
+            fn cell(v: $t) -> $atomic {
+                <$atomic>::new($to(v))
+            }
+            #[inline]
+            fn load_cell(cell: &$atomic) -> $t {
+                $from(cell.load(Ordering::Relaxed))
+            }
+            #[inline]
+            fn store_cell(cell: &$atomic, v: $t) {
+                cell.store($to(v), Ordering::Relaxed)
+            }
+            #[inline]
+            fn to_raw_u64(self) -> u64 {
+                $to(self) as u64
+            }
+            #[inline]
+            fn from_raw_u64(bits: u64) -> $t {
+                $from(bits as $bits)
+            }
+        }
+    )*};
+}
+
+element! {
+    f32 => AtomicU32, u32, f32::to_bits, f32::from_bits;
+    f64 => AtomicU64, u64, f64::to_bits, f64::from_bits;
+    u32 => AtomicU32, u32, identity, identity;
+    u16 => AtomicU16, u16, identity, identity;
+    u8 => AtomicU8, u8, identity, identity;
+}
+
+/// A device-global buffer of `E` with atomic element access.
 ///
 /// Storage is shared: [`Clone`] is a device-pointer copy (both handles
 /// alias the same memory), not a deep copy — exactly how passing a device
-/// pointer to a second kernel behaves. `Arc<[T::Cell]>` is a fat pointer
+/// pointer to a second kernel behaves. `Arc<[E::Cell]>` is a fat pointer
 /// straight to the element array, so element access costs the same as
-/// through an owning `Vec`, and each cell is `size_of::<T>()` bytes.
+/// through an owning `Vec`, and each cell is `size_of::<E>()` bytes.
 ///
 /// When a [`crate::sanitizer`] checker is in scope at allocation time the
 /// buffer carries shadow state and every access is checked; otherwise
 /// `shadow` is `None` and the hooks cost one branch.
-pub struct GlobalBuffer<T: Scalar> {
-    cells: Arc<[T::Cell]>,
-    len: usize,
+pub struct GlobalBuffer<E: Element> {
+    cells: Arc<[E::Cell]>,
     shadow: Option<Arc<sanitizer::BufShadow>>,
-    _marker: PhantomData<T>,
 }
 
-impl<T: Scalar> Clone for GlobalBuffer<T> {
+impl<E: Element> Clone for GlobalBuffer<E> {
     /// Alias the same device memory (a device-pointer copy): writes through
     /// either handle are visible through both.
     fn clone(&self) -> Self {
         GlobalBuffer {
             cells: Arc::clone(&self.cells),
-            len: self.len,
             shadow: self.shadow.clone(),
-            _marker: PhantomData,
         }
     }
 }
 
-impl<T: Scalar> GlobalBuffer<T> {
-    fn alloc(len: usize, v: T, pre_init: bool) -> Self {
+impl<E: Element> GlobalBuffer<E> {
+    fn alloc(cells: Arc<[E::Cell]>, pre_init: bool) -> Self {
         GlobalBuffer {
-            cells: (0..len).map(|_| T::Cell::new(v)).collect(),
-            len,
-            shadow: sanitizer::alloc_shadow(len, pre_init),
-            _marker: PhantomData,
+            shadow: sanitizer::alloc_shadow(cells.len(), pre_init),
+            cells,
         }
     }
 
     /// Zero-initialized buffer of `len` elements (the `cudaMemset` path —
     /// every cell is defined, so initcheck treats it as initialized).
     pub fn zeros(len: usize) -> Self {
-        Self::alloc(len, T::ZERO, true)
+        Self::filled(len, E::default())
     }
 
     /// Buffer filled with `v`.
-    pub fn filled(len: usize, v: T) -> Self {
-        Self::alloc(len, v, true)
+    pub fn filled(len: usize, v: E) -> Self {
+        Self::alloc((0..len).map(|_| E::cell(v)).collect(), true)
     }
 
     /// Uninitialized allocation (the bare `cudaMalloc` path): the storage
@@ -96,17 +159,12 @@ impl<T: Scalar> GlobalBuffer<T> {
     /// scratch buffers a kernel is supposed to fully overwrite before
     /// reading back.
     pub fn uninit(len: usize) -> Self {
-        Self::alloc(len, T::ZERO, false)
+        Self::alloc((0..len).map(|_| E::cell(E::default())).collect(), false)
     }
 
     /// Upload a host slice.
-    pub fn from_slice(data: &[T]) -> Self {
-        GlobalBuffer {
-            cells: data.iter().map(|&v| T::Cell::new(v)).collect(),
-            len: data.len(),
-            shadow: sanitizer::alloc_shadow(data.len(), true),
-            _marker: PhantomData,
-        }
+    pub fn from_slice(data: &[E]) -> Self {
+        Self::alloc(data.iter().map(|&v| E::cell(v)).collect(), true)
     }
 
     /// Name this buffer in sanitizer reports. No-op when the buffer was
@@ -117,55 +175,50 @@ impl<T: Scalar> GlobalBuffer<T> {
         }
     }
 
-    /// Upload a host matrix (row-major).
-    pub fn from_matrix(m: &Matrix<T>) -> Self {
-        Self::from_slice(m.as_slice())
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.len
+        self.cells.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.cells.is_empty()
     }
 
     /// Plain load (no traffic charged — use [`GlobalBuffer::load_counted`]
-    /// inside kernels).
+    /// inside kernels, except for uncounted index traffic).
     #[inline]
-    pub fn load(&self, idx: usize) -> T {
+    pub fn load(&self, idx: usize) -> E {
         if let Some(sh) = &self.shadow {
             if !sanitizer::check_load(sh, idx, 1) {
-                return T::ZERO; // OOB reported and suppressed
+                return E::default(); // OOB reported and suppressed
             }
         }
-        self.cells[idx].load()
+        E::load_cell(&self.cells[idx])
     }
 
     /// Load charging `counters` for the transaction.
     #[inline]
-    pub fn load_counted<C: EventSink + ?Sized>(&self, idx: usize, counters: &C) -> T {
-        counters.add_loaded(std::mem::size_of::<T>() as u64);
+    pub fn load_counted<C: EventSink + ?Sized>(&self, idx: usize, counters: &C) -> E {
+        counters.add_loaded(std::mem::size_of::<E>() as u64);
         self.load(idx)
     }
 
     /// Plain store.
     #[inline]
-    pub fn store(&self, idx: usize, v: T) {
+    pub fn store(&self, idx: usize, v: E) {
         if let Some(sh) = &self.shadow {
             if !sanitizer::check_store(sh, idx, 1) {
                 return; // OOB reported and dropped
             }
         }
-        self.cells[idx].store(v);
+        E::store_cell(&self.cells[idx], v);
     }
 
     /// Store charging `counters`.
     #[inline]
-    pub fn store_counted<C: EventSink + ?Sized>(&self, idx: usize, v: T, counters: &C) {
-        counters.add_stored(std::mem::size_of::<T>() as u64);
+    pub fn store_counted<C: EventSink + ?Sized>(&self, idx: usize, v: E, counters: &C) {
+        counters.add_stored(std::mem::size_of::<E>() as u64);
         self.store(idx, v);
     }
 
@@ -174,8 +227,8 @@ impl<T: Scalar> GlobalBuffer<T> {
     /// element). Byte totals equal `out.len()` individual
     /// [`GlobalBuffer::load_counted`] calls.
     #[inline]
-    pub fn load_run<C: EventSink + ?Sized>(&self, start: usize, out: &mut [T], counters: &C) {
-        counters.add_loaded(std::mem::size_of_val::<[T]>(out) as u64);
+    pub fn load_run<C: EventSink + ?Sized>(&self, start: usize, out: &mut [E], counters: &C) {
+        counters.add_loaded(std::mem::size_of_val::<[E]>(out) as u64);
         self.read_range(start, out);
     }
 
@@ -183,41 +236,37 @@ impl<T: Scalar> GlobalBuffer<T> {
     /// for the whole run. Byte totals equal `vals.len()` individual
     /// [`GlobalBuffer::store_counted`] calls.
     #[inline]
-    pub fn store_run<C: EventSink + ?Sized>(&self, start: usize, vals: &[T], counters: &C) {
-        counters.add_stored(std::mem::size_of_val::<[T]>(vals) as u64);
+    pub fn store_run<C: EventSink + ?Sized>(&self, start: usize, vals: &[E], counters: &C) {
+        counters.add_stored(std::mem::size_of_val::<[E]>(vals) as u64);
         self.write_range(start, vals);
     }
 
-    /// Download a contiguous range into a vector.
-    pub fn to_vec(&self) -> Vec<T> {
-        (0..self.len).map(|i| self.load(i)).collect()
-    }
-
-    /// Download as a row-major matrix of the given shape.
-    pub fn to_matrix(&self, rows: usize, cols: usize) -> Matrix<T> {
-        assert_eq!(rows * cols, self.len, "matrix shape must cover the buffer");
-        Matrix::from_vec(rows, cols, self.to_vec()).expect("shape checked above")
+    /// Download the whole buffer into a vector.
+    pub fn to_vec(&self) -> Vec<E> {
+        let mut out = vec![E::default(); self.len()];
+        self.read_range(0, &mut out);
+        out
     }
 
     /// Copy a contiguous range into `out` without counting (host access, or
     /// kernel reads that are deliberately uncounted — see the charging rules
     /// at each call site). The relaxed per-element atomic loads compile to
     /// plain loads on mainstream ISAs, so this is the cheap bulk path.
-    pub fn read_range(&self, start: usize, out: &mut [T]) {
+    pub fn read_range(&self, start: usize, out: &mut [E]) {
         if let Some(sh) = &self.shadow {
             if !sanitizer::check_load(sh, start, out.len()) {
-                out.fill(T::ZERO); // OOB reported and suppressed
+                out.fill(E::default()); // OOB reported and suppressed
                 return;
             }
         }
         let cells = &self.cells[start..start + out.len()];
         for (slot, cell) in out.iter_mut().zip(cells) {
-            *slot = cell.load();
+            *slot = E::load_cell(cell);
         }
     }
 
     /// Overwrite a contiguous range from `vals` without counting.
-    pub fn write_range(&self, start: usize, vals: &[T]) {
+    pub fn write_range(&self, start: usize, vals: &[E]) {
         if let Some(sh) = &self.shadow {
             if !sanitizer::check_store(sh, start, vals.len()) {
                 return; // OOB reported and dropped
@@ -225,351 +274,56 @@ impl<T: Scalar> GlobalBuffer<T> {
         }
         let cells = &self.cells[start..start + vals.len()];
         for (&v, cell) in vals.iter().zip(cells) {
-            cell.store(v);
+            E::store_cell(cell, v);
         }
     }
 
     /// Overwrite every element with `v` (host-side reset between iterations).
-    pub fn fill(&self, v: T) {
+    pub fn fill(&self, v: E) {
         if let Some(sh) = &self.shadow {
-            sanitizer::check_store(sh, 0, self.len);
+            sanitizer::check_store(sh, 0, self.len());
         }
         for cell in self.cells.iter() {
-            cell.store(v);
-        }
-    }
-}
-
-impl<T: Scalar> std::fmt::Debug for GlobalBuffer<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "GlobalBuffer<{}>[len={}]",
-            std::any::type_name::<T>(),
-            self.len
-        )
-    }
-}
-
-/// An integer lane type storable packed inside the 64-bit device words of a
-/// [`GlobalPackedBuffer`]. Implemented for `u16` (fp16 bit patterns) and
-/// `u8` (int8 quantization codes).
-pub trait PackedLane: Copy + Eq + std::fmt::Debug + Default + Send + Sync + 'static {
-    /// Lanes per 64-bit device word (`64 / bits`).
-    const LANES: usize;
-    /// Bytes per lane — what counted traffic charges per element.
-    const BYTES: usize;
-    /// Widen the lane's bits into a `u64` (value in the low bits).
-    fn to_lane_u64(self) -> u64;
-    /// Narrow the low bits of a `u64` back into a lane.
-    fn from_lane_u64(bits: u64) -> Self;
-}
-
-impl PackedLane for u16 {
-    const LANES: usize = 4;
-    const BYTES: usize = 2;
-    #[inline]
-    fn to_lane_u64(self) -> u64 {
-        self as u64
-    }
-    #[inline]
-    fn from_lane_u64(bits: u64) -> Self {
-        bits as u16
-    }
-}
-
-impl PackedLane for u8 {
-    const LANES: usize = 8;
-    const BYTES: usize = 1;
-    #[inline]
-    fn to_lane_u64(self) -> u64 {
-        self as u64
-    }
-    #[inline]
-    fn from_lane_u64(bits: u64) -> Self {
-        bits as u8
-    }
-}
-
-/// A device-global buffer of sub-word integer lanes (`u16` / `u8`) packed
-/// into atomic 64-bit words — the storage for quantized resident state
-/// (fp16 bit patterns, int8 codes).
-///
-/// Counted traffic charges the *packed* byte width (`len ×
-/// [`PackedLane::BYTES`]`), which is exactly where a quantized table's
-/// 2–4x memory-traffic advantage over an fp32 buffer shows up in the
-/// counters. Like [`GlobalBuffer`], [`Clone`] is a device-pointer copy and
-/// lane stores are atomic read-modify-writes on the containing word, so
-/// concurrent stores to adjacent lanes never clobber each other.
-pub struct GlobalPackedBuffer<U: PackedLane> {
-    words: Arc<[AtomicU64]>,
-    len: usize,
-    shadow: Option<Arc<sanitizer::BufShadow>>,
-    _marker: PhantomData<U>,
-}
-
-impl<U: PackedLane> Clone for GlobalPackedBuffer<U> {
-    /// Alias the same device memory (a device-pointer copy).
-    fn clone(&self) -> Self {
-        GlobalPackedBuffer {
-            words: Arc::clone(&self.words),
-            len: self.len,
-            shadow: self.shadow.clone(),
-            _marker: PhantomData,
-        }
-    }
-}
-
-impl<U: PackedLane> GlobalPackedBuffer<U> {
-    const LANE_BITS: u32 = (64 / U::LANES) as u32;
-    const LANE_MASK: u64 = u64::MAX >> (64 - Self::LANE_BITS);
-
-    /// Zero-initialized buffer of `len` lanes.
-    pub fn zeros(len: usize) -> Self {
-        GlobalPackedBuffer {
-            words: (0..len.div_ceil(U::LANES))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            len,
-            shadow: sanitizer::alloc_shadow(len, true),
-            _marker: PhantomData,
+            E::store_cell(cell, v);
         }
     }
 
-    /// Name this buffer in sanitizer reports. No-op when the buffer was
-    /// allocated with no checker in scope.
-    pub fn set_sanitizer_label(&self, label: &str) {
-        if let Some(sh) = &self.shadow {
-            sanitizer::set_label(sh, label);
-        }
-    }
-
-    /// Upload a host slice of lanes.
-    pub fn from_slice(data: &[U]) -> Self {
-        let buf = Self::zeros(data.len());
-        buf.write_range(0, data);
-        buf
-    }
-
-    /// Number of lanes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    #[inline]
-    fn split(idx: usize) -> (usize, u32) {
-        (idx / U::LANES, (idx % U::LANES) as u32 * Self::LANE_BITS)
-    }
-
-    /// Lane load without sanitizer interception (internal: the fault
-    /// injector and the checked paths share it).
-    #[inline]
-    fn load_raw(&self, idx: usize) -> U {
-        assert!(
-            idx < self.len,
-            "lane index {idx} out of bounds {}",
-            self.len
-        );
-        let (w, shift) = Self::split(idx);
-        U::from_lane_u64((self.words[w].load(Ordering::Relaxed) >> shift) & Self::LANE_MASK)
-    }
-
-    /// Plain lane load (no traffic charged).
-    #[inline]
-    pub fn load(&self, idx: usize) -> U {
-        if let Some(sh) = &self.shadow {
-            if !sanitizer::check_load(sh, idx, 1) {
-                return U::default(); // OOB reported and suppressed
-            }
-        }
-        self.load_raw(idx)
-    }
-
-    /// Plain lane store: an atomic read-modify-write of the containing
-    /// word, so neighbors in the same word survive concurrent stores.
-    #[inline]
-    pub fn store(&self, idx: usize, v: U) {
-        if let Some(sh) = &self.shadow {
-            if !sanitizer::check_store(sh, idx, 1) {
-                return; // OOB reported and dropped
-            }
-        }
-        self.store_raw(idx, v);
-    }
-
-    #[inline]
-    fn store_raw(&self, idx: usize, v: U) {
-        assert!(
-            idx < self.len,
-            "lane index {idx} out of bounds {}",
-            self.len
-        );
-        let (w, shift) = Self::split(idx);
-        let mask = Self::LANE_MASK << shift;
-        let bits = (v.to_lane_u64() << shift) & mask;
-        let cell = &self.words[w];
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let new = (cur & !mask) | bits;
-            match cell.compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Bulk load of a contiguous lane run into `out`, charging `counters`
-    /// once for the whole run at the packed byte width (`out.len() ×
-    /// [`PackedLane::BYTES`]` bytes — the quantized table's traffic
-    /// advantage over an fp32 buffer).
-    #[inline]
-    pub fn load_run<C: EventSink + ?Sized>(&self, start: usize, out: &mut [U], counters: &C) {
-        counters.add_loaded((out.len() * U::BYTES) as u64);
-        self.read_range(start, out);
-    }
-
-    /// Bulk store of a contiguous lane run from `vals`, charging `counters`
-    /// once for the whole run at the packed byte width.
-    #[inline]
-    pub fn store_run<C: EventSink + ?Sized>(&self, start: usize, vals: &[U], counters: &C) {
-        counters.add_stored((vals.len() * U::BYTES) as u64);
-        self.write_range(start, vals);
-    }
-
-    /// Copy a contiguous lane range into `out` without counting.
-    pub fn read_range(&self, start: usize, out: &mut [U]) {
-        if let Some(sh) = &self.shadow {
-            if !sanitizer::check_load(sh, start, out.len()) {
-                out.fill(U::default()); // OOB reported and suppressed
-                return;
-            }
-        }
-        assert!(start + out.len() <= self.len, "lane range out of bounds");
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.load_raw(start + i);
-        }
-    }
-
-    /// Overwrite a contiguous lane range from `vals` without counting.
-    pub fn write_range(&self, start: usize, vals: &[U]) {
-        if let Some(sh) = &self.shadow {
-            if !sanitizer::check_store(sh, start, vals.len()) {
-                return; // OOB reported and dropped
-            }
-        }
-        assert!(start + vals.len() <= self.len, "lane range out of bounds");
-        for (i, &v) in vals.iter().enumerate() {
-            self.store_raw(start + i, v);
-        }
-    }
-
-    /// Download every lane into a vector.
-    pub fn to_vec(&self) -> Vec<U> {
-        (0..self.len).map(|i| self.load(i)).collect()
-    }
-
-    /// Flip one bit of one lane in place — the fault-injection surface for
-    /// campaigns targeting quantized resident state. Deliberately bypasses
-    /// the sanitizer: a bit flip does not *initialize* a cell (that is the
-    /// whole point of initcheck) and is not a kernel access.
+    /// Flip bit `bit` (0 = least significant) of element `idx` in place —
+    /// the fault-injection surface for campaigns targeting resident state.
+    /// Deliberately bypasses the sanitizer: a bit flip does not *initialize*
+    /// a cell (that is the whole point of initcheck) and is not a kernel
+    /// access.
     pub fn corrupt_bit(&self, idx: usize, bit: u32) {
-        assert!((bit as usize) < U::BYTES * 8, "bit outside the lane");
-        let cur = self.load_raw(idx).to_lane_u64();
-        self.store_raw(idx, U::from_lane_u64(cur ^ (1u64 << bit)));
-    }
-
-    /// The raw packed words (for checksumming resident state).
-    pub fn raw_words(&self) -> Vec<u64> {
-        self.words
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed))
-            .collect()
+        assert!(
+            (bit as usize) < 8 * std::mem::size_of::<E>(),
+            "bit outside the element"
+        );
+        let cell = &self.cells[idx];
+        E::store_cell(
+            cell,
+            E::from_raw_u64(E::load_cell(cell).to_raw_u64() ^ (1 << bit)),
+        );
     }
 }
 
-impl<U: PackedLane> std::fmt::Debug for GlobalPackedBuffer<U> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "GlobalPackedBuffer<{}>[len={}]",
-            std::any::type_name::<U>(),
-            self.len
-        )
+impl<T: Scalar> GlobalBuffer<T> {
+    /// Upload a host matrix (row-major).
+    pub fn from_matrix(m: &Matrix<T>) -> Self {
+        Self::from_slice(m.as_slice())
+    }
+
+    /// Download as a row-major matrix of the given shape.
+    pub fn to_matrix(&self, rows: usize, cols: usize) -> Matrix<T> {
+        assert_eq!(
+            rows * cols,
+            self.len(),
+            "matrix shape must cover the buffer"
+        );
+        Matrix::from_vec(rows, cols, self.to_vec()).expect("shape checked above")
     }
 }
 
-/// A global buffer of `u32` indices (assignment lists, counts) with atomic
-/// increment support.
-#[derive(Debug)]
-pub struct GlobalIndexBuffer {
-    data: Vec<std::sync::atomic::AtomicU32>,
-    shadow: Option<Arc<sanitizer::BufShadow>>,
-}
-
-impl GlobalIndexBuffer {
-    /// Zero-initialized index buffer.
-    pub fn zeros(len: usize) -> Self {
-        let mut data = Vec::with_capacity(len);
-        data.resize_with(len, || std::sync::atomic::AtomicU32::new(0));
-        GlobalIndexBuffer {
-            data,
-            shadow: sanitizer::alloc_shadow(len, true),
-        }
-    }
-
-    /// Uninitialized index allocation (reads as zero; under
-    /// `FTK_SANITIZE=init` loads of never-stored cells are reported). See
-    /// [`GlobalBuffer::uninit`].
-    pub fn uninit(len: usize) -> Self {
-        let mut data = Vec::with_capacity(len);
-        data.resize_with(len, || std::sync::atomic::AtomicU32::new(0));
-        GlobalIndexBuffer {
-            data,
-            shadow: sanitizer::alloc_shadow(len, false),
-        }
-    }
-
-    /// Name this buffer in sanitizer reports. No-op when the buffer was
-    /// allocated with no checker in scope.
-    pub fn set_sanitizer_label(&self, label: &str) {
-        if let Some(sh) = &self.shadow {
-            sanitizer::set_label(sh, label);
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    #[inline]
-    pub fn load(&self, idx: usize) -> u32 {
-        if let Some(sh) = &self.shadow {
-            if !sanitizer::check_load(sh, idx, 1) {
-                return 0; // OOB reported and suppressed
-            }
-        }
-        self.data[idx].load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    pub fn store(&self, idx: usize, v: u32) {
-        if let Some(sh) = &self.shadow {
-            if !sanitizer::check_store(sh, idx, 1) {
-                return; // OOB reported and dropped
-            }
-        }
-        self.data[idx].store(v, Ordering::Relaxed);
-    }
-
+impl GlobalBuffer<u32> {
     /// Atomic `+1`, returning the previous value.
     pub fn atomic_inc<C: EventSink + ?Sized>(&self, idx: usize, counters: &C) -> u32 {
         counters.add_atomic(1);
@@ -578,56 +332,18 @@ impl GlobalIndexBuffer {
                 return 0; // OOB reported and dropped
             }
         }
-        self.data[idx].fetch_add(1, Ordering::AcqRel)
+        self.cells[idx].fetch_add(1, Ordering::AcqRel)
     }
+}
 
-    /// Copy a contiguous range into `out` (bulk companion of
-    /// [`GlobalIndexBuffer::load`]; index traffic is not byte-counted,
-    /// matching the per-element accessors).
-    pub fn read_range(&self, start: usize, out: &mut [u32]) {
-        if let Some(sh) = &self.shadow {
-            if !sanitizer::check_load(sh, start, out.len()) {
-                out.fill(0); // OOB reported and suppressed
-                return;
-            }
-        }
-        let cells = &self.data[start..start + out.len()];
-        for (slot, cell) in out.iter_mut().zip(cells) {
-            *slot = cell.load(Ordering::Relaxed);
-        }
-    }
-
-    /// Overwrite a contiguous range from `vals` (bulk companion of
-    /// [`GlobalIndexBuffer::store`]).
-    pub fn write_range(&self, start: usize, vals: &[u32]) {
-        if let Some(sh) = &self.shadow {
-            if !sanitizer::check_store(sh, start, vals.len()) {
-                return; // OOB reported and dropped
-            }
-        }
-        let cells = &self.data[start..start + vals.len()];
-        for (&v, cell) in vals.iter().zip(cells) {
-            cell.store(v, Ordering::Relaxed);
-        }
-    }
-
-    pub fn to_vec(&self) -> Vec<u32> {
-        if let Some(sh) = &self.shadow {
-            sanitizer::check_load(sh, 0, self.data.len());
-        }
-        self.data
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    pub fn fill(&self, v: u32) {
-        if let Some(sh) = &self.shadow {
-            sanitizer::check_store(sh, 0, self.data.len());
-        }
-        for cell in &self.data {
-            cell.store(v, Ordering::Relaxed);
-        }
+impl<E: Element> std::fmt::Debug for GlobalBuffer<E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "GlobalBuffer<{}>[len={}]",
+            std::any::type_name::<E>(),
+            self.len()
+        )
     }
 }
 
@@ -646,8 +362,11 @@ mod tests {
 
     #[test]
     fn cells_have_the_element_width() {
-        assert_eq!(std::mem::size_of::<<f32 as Scalar>::Cell>(), 4);
-        assert_eq!(std::mem::size_of::<<f64 as Scalar>::Cell>(), 8);
+        assert_eq!(std::mem::size_of::<<f32 as Element>::Cell>(), 4);
+        assert_eq!(std::mem::size_of::<<f64 as Element>::Cell>(), 8);
+        assert_eq!(std::mem::size_of::<<u32 as Element>::Cell>(), 4);
+        assert_eq!(std::mem::size_of::<<u16 as Element>::Cell>(), 2);
+        assert_eq!(std::mem::size_of::<<u8 as Element>::Cell>(), 1);
     }
 
     /// ±0, the extreme subnormals, ±inf, and quiet and signalling NaNs
@@ -786,11 +505,16 @@ mod tests {
 
     #[test]
     fn index_buffer_range_roundtrip() {
-        let idx = GlobalIndexBuffer::zeros(6);
-        idx.write_range(1, &[7, 8, 9]);
-        let mut out = [0u32; 4];
-        idx.read_range(0, &mut out);
-        assert_eq!(out, [0, 7, 8, 9]);
+        fn check<E: Element + From<u8> + PartialEq>() {
+            let b = GlobalBuffer::<E>::zeros(6);
+            b.write_range(1, &[E::from(7), E::from(8), E::from(9)]);
+            let mut out = [E::from(1); 4];
+            b.read_range(0, &mut out);
+            assert_eq!(out, [E::from(0), E::from(7), E::from(8), E::from(9)]);
+        }
+        check::<u8>();
+        check::<u16>();
+        check::<u32>();
     }
 
     #[test]
@@ -811,81 +535,107 @@ mod tests {
         assert_eq!(alias.len(), 3);
     }
 
+    /// `n` distinct values of `E` spanning its whole width.
+    fn lanes<E: Element>(n: usize) -> Vec<E> {
+        let bits = 8 * std::mem::size_of::<E>() as u32;
+        (0..n as u64)
+            .map(|i| E::from_raw_u64(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits)))
+            .collect()
+    }
+
     #[test]
     fn packed_buffer_roundtrips_across_word_boundaries() {
-        // 11 u16 lanes span three 64-bit words; 13 u8 lanes span two.
-        let v16: Vec<u16> = (0..11).map(|i| (i * 4093 + 17) as u16).collect();
-        let b16 = GlobalPackedBuffer::<u16>::from_slice(&v16);
-        assert_eq!(b16.to_vec(), v16);
-        let v8: Vec<u8> = (0..13).map(|i| (i * 37 + 5) as u8).collect();
-        let b8 = GlobalPackedBuffer::<u8>::from_slice(&v8);
-        assert_eq!(b8.to_vec(), v8);
-        // mid-buffer range read crossing a word boundary
-        let mut out = [0u16; 6];
-        b16.read_range(3, &mut out);
-        assert_eq!(out, v16[3..9]);
+        // An odd length that is not a whole number of 64-bit words, and a
+        // mid-buffer range read.
+        fn check<E: Element + PartialEq>() {
+            let v = lanes::<E>(13);
+            let b = GlobalBuffer::from_slice(&v);
+            assert_eq!(b.to_vec(), v);
+            let mut out = vec![E::default(); 6];
+            b.read_range(3, &mut out);
+            assert_eq!(out, v[3..9]);
+        }
+        check::<u8>();
+        check::<u16>();
+        check::<u32>();
     }
 
     #[test]
     fn packed_runs_charge_packed_byte_widths() {
-        // The whole point of the packed views: counted traffic is 2 bytes
-        // per u16 lane and 1 byte per u8 lane, not the 4/8 of a fp buffer.
-        let c = Counters::new();
-        let b16 = GlobalPackedBuffer::<u16>::zeros(10);
-        let mut out16 = [0u16; 7];
-        b16.load_run(1, &mut out16, &c);
-        assert_eq!(c.snapshot().bytes_loaded, 7 * 2);
-        b16.store_run(0, &[1, 2, 3], &c);
-        assert_eq!(c.snapshot().bytes_stored, 3 * 2);
-
-        let c8 = Counters::new();
-        let b8 = GlobalPackedBuffer::<u8>::zeros(20);
-        let mut out8 = [0u8; 9];
-        b8.load_run(2, &mut out8, &c8);
-        b8.store_run(11, &[7; 5], &c8);
-        let s = c8.snapshot();
-        assert_eq!((s.bytes_loaded, s.bytes_stored), (9, 5));
+        // Counted traffic is the element width: 1 byte per int8 code, 2 per
+        // fp16 code, 4 per u32 — not the 4/8 of a float buffer.
+        fn check<E: Element>(width: u64) {
+            let c = Counters::new();
+            let b = GlobalBuffer::<E>::zeros(20);
+            let mut out = vec![E::default(); 9];
+            b.load_run(2, &mut out, &c);
+            b.store_run(11, &lanes::<E>(5), &c);
+            let s = c.snapshot();
+            assert_eq!((s.bytes_loaded, s.bytes_stored), (9 * width, 5 * width));
+        }
+        check::<u8>(1);
+        check::<u16>(2);
+        check::<u32>(4);
     }
 
     #[test]
     fn packed_stores_to_adjacent_lanes_do_not_clobber() {
-        // Lanes share a word: concurrent stores must RMW, not overwrite.
-        let b = GlobalPackedBuffer::<u8>::zeros(8);
-        std::thread::scope(|s| {
-            for t in 0..8usize {
-                let b = &b;
-                s.spawn(move || {
-                    for _ in 0..500 {
-                        b.store(t, (t + 1) as u8);
-                    }
-                });
-            }
-        });
-        assert_eq!(b.to_vec(), vec![1, 2, 3, 4, 5, 6, 7, 8]);
+        // Concurrent stores to neighboring elements must all survive.
+        fn check<E: Element + From<u8> + PartialEq>() {
+            let b = GlobalBuffer::<E>::zeros(8);
+            std::thread::scope(|s| {
+                for t in 0..8u8 {
+                    let b = &b;
+                    s.spawn(move || {
+                        for _ in 0..500 {
+                            b.store(t as usize, E::from(t + 1));
+                        }
+                    });
+                }
+            });
+            let want: Vec<E> = (1..=8).map(E::from).collect();
+            assert_eq!(b.to_vec(), want);
+        }
+        check::<u8>();
+        check::<u16>();
+        check::<u32>();
     }
 
     #[test]
     fn packed_corrupt_bit_flips_exactly_one_lane_bit() {
-        let b = GlobalPackedBuffer::<u16>::from_slice(&[0x0f0f, 0xffff, 0x0000]);
-        b.corrupt_bit(1, 15);
-        assert_eq!(b.to_vec(), vec![0x0f0f, 0x7fff, 0x0000]);
-        b.corrupt_bit(1, 15);
-        assert_eq!(b.load(1), 0xffff, "second flip restores");
-        // clone aliases the same device words
-        let alias = b.clone();
-        alias.corrupt_bit(0, 0);
-        assert_eq!(b.load(0), 0x0f0e);
-        assert_eq!(b.raw_words().len(), 1);
+        fn check<E: Element + PartialEq>() {
+            let top = 8 * std::mem::size_of::<E>() as u32 - 1;
+            let v = lanes::<E>(3);
+            let b = GlobalBuffer::from_slice(&v);
+            b.corrupt_bit(1, top);
+            let got = b.to_vec();
+            assert_eq!((got[0], got[2]), (v[0], v[2]), "neighbors untouched");
+            assert_eq!(got[1].to_raw_u64(), v[1].to_raw_u64() ^ (1 << top));
+            b.corrupt_bit(1, top);
+            assert_eq!(b.load(1), v[1], "second flip restores");
+            // clone aliases the same device cells
+            b.clone().corrupt_bit(0, 0);
+            assert_eq!(b.load(0).to_raw_u64(), v[0].to_raw_u64() ^ 1);
+        }
+        check::<u8>();
+        check::<u16>();
+        check::<u32>();
     }
 
     #[test]
     fn index_buffer_atomics() {
+        fn check<E: Element + From<u8> + PartialEq>(b: GlobalBuffer<E>) {
+            b.fill(E::from(9));
+            assert_eq!(b.to_vec(), vec![E::from(9); 3]);
+        }
         let c = Counters::new();
-        let idx = GlobalIndexBuffer::zeros(3);
+        let idx = GlobalBuffer::<u32>::zeros(3);
         assert_eq!(idx.atomic_inc(1, &c), 0);
         assert_eq!(idx.atomic_inc(1, &c), 1);
         assert_eq!(idx.load(1), 2);
-        idx.fill(9);
-        assert_eq!(idx.to_vec(), vec![9, 9, 9]);
+        assert_eq!(c.snapshot().atomic_ops, 2);
+        check(idx);
+        check(GlobalBuffer::<u16>::zeros(3));
+        check(GlobalBuffer::<u8>::zeros(3));
     }
 }

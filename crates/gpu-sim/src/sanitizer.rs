@@ -9,8 +9,8 @@
 //! layer can be built natively:
 //!
 //! * **racecheck** — records per-cell access sets (block id × read / write /
-//!   atomic) on [`crate::GlobalBuffer`], [`crate::memory::GlobalIndexBuffer`]
-//!   and [`crate::GlobalPackedBuffer`] within one kernel launch and reports
+//!   atomic) on every [`crate::GlobalBuffer`] (floats, `u32` labels and
+//!   counts, quantized codes) within one kernel launch and reports
 //!   any cross-block write–write or read–write conflict not mediated by
 //!   atomics — i.e. kernels that are only *accidentally* deterministic under
 //!   the current chunk-stealing schedule.
@@ -32,13 +32,9 @@
 //! checker in scope carries no shadow state, and every hot-path hook is a
 //! single `Option` branch on an already-loaded field (the same contract as
 //! `trace::active()`). A checker is resolved at *allocation* and *launch*
-//! time from, in order:
-//!
-//! 1. the thread-local scope installed by [`with_checker`],
-//! 2. the launching [`crate::Executor`]'s own checker
-//!    ([`crate::Executor::with_sanitizer`], launches only),
-//! 3. the process-global checker — [`install_global`], or the
-//!    `FTK_SANITIZE=race,init,oob` environment variable on first use.
+//! time from the thread-local scope installed by [`with_checker`], else
+//! the process-global checker — [`install_global`], or the
+//! `FTK_SANITIZE=race,init,oob` environment variable on first use.
 //!
 //! # Determinism
 //!
@@ -703,14 +699,11 @@ pub(crate) fn alloc_shadow(len: usize, pre_init: bool) -> Option<Arc<BufShadow>>
 // Executor integration
 // ---------------------------------------------------------------------------
 
-/// Open a launch scope: resolve the current checker (thread-local scope →
-/// the launching executor's checker → global) and build the per-launch race
-/// shadow. Called by the execution engine; `None` when no checker resolves.
-pub(crate) fn launch_begin(
-    exec_checker: Option<&Arc<Checker>>,
-    label: &'static str,
-) -> Option<Arc<LaunchShadow>> {
-    let checker = current().or_else(|| exec_checker.map(Arc::clone))?;
+/// Open a launch scope: resolve the current checker (thread-local scope,
+/// else global) and build the per-launch race shadow. Called by the
+/// execution engine; `None` when no checker resolves.
+pub(crate) fn launch_begin(label: &'static str) -> Option<Arc<LaunchShadow>> {
+    let checker = current()?;
     if !checker.cfg.any() {
         return None;
     }

@@ -2,24 +2,23 @@
 //!
 //! The fault-tolerance layers need raw bit access (single-event upsets flip
 //! one bit of an IEEE-754 value) and precision-aware tolerances, so the trait
-//! exposes both numeric and bit-level views.
+//! exposes both numeric and bit-level views. Device storage is not part of
+//! it: a [`Scalar`] is an [`Element`], and one [`crate::GlobalBuffer`] type
+//! holds floats, labels and quantized codes alike.
 
 use crate::device::Precision;
+use crate::memory::Element;
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// A floating-point element type usable in simulated kernels.
 ///
 /// Implemented for `f32` and `f64` only. All kernels, checksum routines and
 /// fault injectors in the workspace are generic over this trait.
 pub trait Scalar:
-    Copy
-    + Clone
-    + Debug
+    Element
     + Display
-    + Default
     + PartialOrd
     + PartialEq
     + Add<Output = Self>
@@ -30,16 +29,9 @@ pub trait Scalar:
     + AddAssign
     + SubAssign
     + Sum
-    + Send
-    + Sync
-    + 'static
 {
     /// Raw-bits integer representation of the same width.
     type Bits: Copy + Eq + Debug;
-    /// Atomic device-memory cell of the same width (`AtomicU32` for `f32`,
-    /// `AtomicU64` for `f64`): the element storage of
-    /// [`crate::GlobalBuffer`].
-    type Cell: ScalarCell<Self>;
 
     /// Number of bits in the representation (32 or 64).
     const BITS: u32;
@@ -81,53 +73,10 @@ pub trait Scalar:
     /// Round to the TF32 storage format (10-bit mantissa) as tensor cores do
     /// for FP32 inputs on Ampere. Identity for `f64`.
     fn to_tf32(self) -> Self;
-    /// Raw bits widened to `u64` (f32 bits live in the low half): one key
-    /// type for hashing values of either width, as the predict memo and
-    /// the quantized-table digests do. Device storage does not use it; see
-    /// [`Scalar::Cell`].
-    fn to_raw_u64(self) -> u64;
 }
-
-/// An atomic cell holding one `T` as its raw bits, at `T`'s own width.
-///
-/// Every access is bit-exact (NaN payloads, signed zeros and subnormals
-/// survive). Loads and stores are relaxed, like plain CUDA global
-/// accesses; device memory has no float read-modify-write (see
-/// [`crate::memory`]).
-pub trait ScalarCell<T>: Send + Sync + 'static {
-    /// A cell holding `v`.
-    fn new(v: T) -> Self;
-    /// Relaxed load.
-    fn load(&self) -> T;
-    /// Relaxed store.
-    fn store(&self, v: T);
-}
-
-macro_rules! scalar_cell {
-    ($t:ty, $atomic:ty) => {
-        impl ScalarCell<$t> for $atomic {
-            #[inline]
-            fn new(v: $t) -> Self {
-                <$atomic>::new(v.to_bits())
-            }
-            #[inline]
-            fn load(&self) -> $t {
-                <$t>::from_bits(<$atomic>::load(self, Ordering::Relaxed))
-            }
-            #[inline]
-            fn store(&self, v: $t) {
-                <$atomic>::store(self, v.to_bits(), Ordering::Relaxed)
-            }
-        }
-    };
-}
-
-scalar_cell!(f32, AtomicU32);
-scalar_cell!(f64, AtomicU64);
 
 impl Scalar for f32 {
     type Bits = u32;
-    type Cell = AtomicU32;
     const BITS: u32 = 32;
     const ZERO: Self = 0.0;
     const ONE: Self = 1.0;
@@ -190,15 +139,10 @@ impl Scalar for f32 {
         let round = bits.wrapping_add(0x0000_1000); // half of 2^13
         f32::from_bits(round & 0xFFFF_E000)
     }
-    #[inline]
-    fn to_raw_u64(self) -> u64 {
-        self.to_bits() as u64
-    }
 }
 
 impl Scalar for f64 {
     type Bits = u64;
-    type Cell = AtomicU64;
     const BITS: u32 = 64;
     const ZERO: Self = 0.0;
     const ONE: Self = 1.0;
@@ -255,10 +199,6 @@ impl Scalar for f64 {
     #[inline]
     fn to_tf32(self) -> Self {
         self
-    }
-    #[inline]
-    fn to_raw_u64(self) -> u64 {
-        self.to_bits()
     }
 }
 

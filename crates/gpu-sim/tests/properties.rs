@@ -2,11 +2,10 @@
 
 use gpu_sim::atomics::ArgminStore;
 use gpu_sim::matrix::gemm_abt_reference;
-use gpu_sim::memory::GlobalIndexBuffer;
 use gpu_sim::mma::checksum_dot;
 use gpu_sim::warp::frag_col_sums;
 use gpu_sim::{
-    AsyncPipeline, CopyPath, Counters, FragmentMma, Matrix, MmaSite, NoFault, Scalar, ScalarCell,
+    AsyncPipeline, CopyPath, Counters, FragmentMma, GlobalBuffer, Matrix, MmaSite, NoFault, Scalar,
 };
 use proptest::prelude::*;
 
@@ -25,11 +24,11 @@ fn spread(seed: u64, i: usize) -> f64 {
 /// `v` survives a device cell's `new`/`load` and `store`/`load` bit for
 /// bit.
 fn cell_roundtrip<T: Scalar>(v: T) {
-    let cell = T::Cell::new(v);
-    assert_eq!(cell.load().to_bits(), v.to_bits(), "new / load");
-    cell.store(T::ZERO);
-    cell.store(v);
-    assert_eq!(cell.load().to_bits(), v.to_bits(), "store / load");
+    let cell = T::cell(v);
+    assert_eq!(T::load_cell(&cell).to_bits(), v.to_bits(), "new / load");
+    T::store_cell(&cell, T::ZERO);
+    T::store_cell(&cell, v);
+    assert_eq!(T::load_cell(&cell).to_bits(), v.to_bits(), "store / load");
 }
 
 /// The single-pass fragment sums equal a column-at-a-time reduction, and
@@ -123,7 +122,7 @@ proptest! {
         per_thread in 1usize..200,
     ) {
         let c = Counters::new();
-        let buf = GlobalIndexBuffer::zeros(1);
+        let buf = GlobalBuffer::<u32>::zeros(1);
         std::thread::scope(|s| {
             for _ in 0..threads {
                 s.spawn(|| {

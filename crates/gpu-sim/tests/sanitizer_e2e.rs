@@ -2,7 +2,6 @@
 //! produce exactly their expected findings, clean kernels must produce
 //! empty reports, and reports must be byte-stable across executor policies.
 
-use gpu_sim::memory::GlobalIndexBuffer;
 use gpu_sim::sanitizer::{self, Checker, FindingKind, SanitizeConfig};
 use gpu_sim::{Counters, DeviceProfile, Dim3, Executor, GlobalBuffer, LaunchConfig};
 use std::sync::Arc;
@@ -66,7 +65,7 @@ fn disjoint_writes_and_atomics_are_clean() {
         let dev = DeviceProfile::a100();
         let counters = Counters::new();
         let out = GlobalBuffer::<f32>::zeros(16);
-        let total = GlobalIndexBuffer::zeros(1);
+        let total = GlobalBuffer::<u32>::zeros(1);
         out.set_sanitizer_label("out");
         total.set_sanitizer_label("total");
         exec.launch_labeled(&dev, cfg(16), &counters, "disjoint", |ctx| {
@@ -91,7 +90,7 @@ fn atomic_mixed_with_plain_store_is_reported() {
         let exec = Executor::serial();
         let dev = DeviceProfile::a100();
         let counters = Counters::new();
-        let buf = GlobalIndexBuffer::zeros(2);
+        let buf = GlobalBuffer::<u32>::zeros(2);
         buf.set_sanitizer_label("mixed");
         exec.launch_labeled(&dev, cfg(4), &counters, "atomic_mix", |ctx| {
             if ctx.bx == 0 {
@@ -156,7 +155,7 @@ fn oob_access_is_reported_not_fatal() {
         let counters = Counters::new();
         let buf = GlobalBuffer::<f32>::from_slice(&[1.0, 2.0, 3.0, 4.0]);
         buf.set_sanitizer_label("small");
-        let idx = GlobalIndexBuffer::zeros(4);
+        let idx = GlobalBuffer::<u32>::zeros(4);
         idx.set_sanitizer_label("small_idx");
         exec.launch_labeled(&dev, cfg(2), &counters, "oob_kernel", |ctx| {
             // Off-by-len indexing: reads return zero, stores are dropped,
@@ -202,34 +201,6 @@ fn never_read_buffer_is_a_leak_finding() {
     assert_eq!(leaks.len(), 1, "{}", report.to_text());
     assert_eq!(leaks[0].buffer, "wasted");
     assert_eq!(leaks[0].cells, 1024);
-}
-
-#[test]
-fn executor_attached_checker_checks_launches() {
-    // No thread-local scope: the checker rides on the executor itself.
-    let c = checker();
-    let exec = Executor::serial().with_sanitizer(Arc::clone(&c));
-    let dev = DeviceProfile::a100();
-    let counters = Counters::new();
-    // Allocated outside any scope: untracked (documented), but *launch*
-    // race analysis still applies to tracked buffers. Allocate one under a
-    // scope to have something tracked.
-    let buf = sanitizer::with_checker(&c, || {
-        let b = GlobalBuffer::<f32>::zeros(1);
-        b.set_sanitizer_label("exec_buf");
-        b
-    });
-    exec.launch_labeled(&dev, cfg(4), &counters, "exec_racy", |_| {
-        let cur = buf.load(0);
-        buf.store(0, cur + 1.0);
-    })
-    .unwrap();
-    let report = c.report();
-    assert_eq!(report.of_kind(FindingKind::RaceWriteWrite).len(), 1);
-    assert_eq!(
-        report.of_kind(FindingKind::RaceWriteWrite)[0].launch,
-        "exec_racy"
-    );
 }
 
 #[test]

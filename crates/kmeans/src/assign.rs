@@ -50,6 +50,11 @@ pub fn default_tile(precision: Precision) -> TileConfig {
 }
 
 /// Run the assignment stage with the chosen kernel variant.
+///
+/// Every label it returns is `< k`: a row whose argmin kept its `u32::MAX`
+/// sentinel (all of its candidate distances NaN) is recomputed here with a
+/// direct, hook-free `Σ(x − c)²` and counted as detected and recomputed in
+/// `stats`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_assignment<T: Scalar>(
     device: &DeviceProfile,
@@ -60,7 +65,7 @@ pub fn run_assignment<T: Scalar>(
     counters: &Counters,
     stats: &Mutex<CampaignStats>,
 ) -> Result<AssignmentResult<T>, SimError> {
-    match variant {
+    let mut out = match variant {
         Variant::Naive => variants::naive::naive_assign(device, data, hook, counters),
         Variant::GemmV1 => variants::gemm::gemm_assign(device, data, hook, counters),
         Variant::FusedV2 => variants::fused::fused_assign(device, data, hook, counters),
@@ -73,7 +78,52 @@ pub fn run_assignment<T: Scalar>(
         // it; stateless callers (predict, mini-batch) fall back to the full
         // naive-identical scan inside the kernel.
         Variant::Hamerly => variants::hamerly::hamerly_assign(device, data, false, hook, counters),
+    }?;
+    recompute_sentinel_rows(data, &mut out, counters, stats);
+    Ok(out)
+}
+
+/// Recompute every row whose label is `≥ k`. Each kernel's argmin starts
+/// from `(∞, u32::MAX)` and only a smaller distance replaces it, so a row
+/// whose candidate distances are all NaN (an unprotected fault can make
+/// them so) keeps the sentinel. Such a row gets a direct `Σ(x − c)²` scan
+/// over the device buffers that calls no fault hook, with its loads charged
+/// to `counters`, and counts in `stats` as one detected and recomputed
+/// error. A clean pass pays one scan of the labels.
+fn recompute_sentinel_rows<T: Scalar>(
+    data: &DeviceData<T>,
+    out: &mut AssignmentResult<T>,
+    counters: &Counters,
+    stats: &Mutex<CampaignStats>,
+) {
+    let (k, dim) = (data.k, data.dim);
+    if out.labels.iter().all(|&l| (l as usize) < k) {
+        return;
     }
+    let (mut x, mut c) = (vec![T::ZERO; dim], vec![T::ZERO; dim]);
+    let mut rows = 0;
+    for (i, (label, dist)) in out.labels.iter_mut().zip(&mut out.distances).enumerate() {
+        if (*label as usize) < k {
+            continue;
+        }
+        data.samples.load_run(i * dim, &mut x, counters);
+        for j in 0..k {
+            data.centroids.load_run(j * dim, &mut c, counters);
+            let mut d = T::ZERO;
+            for (&a, &b) in x.iter().zip(&c) {
+                let diff = a - b;
+                d += diff * diff;
+            }
+            // `j == 0` seeds the scan, so even an all-NaN row gets a label.
+            if j == 0 || d < *dist {
+                (*label, *dist) = (j as u32, d);
+            }
+        }
+        rows += 1;
+    }
+    let mut st = stats.lock();
+    st.detected += rows;
+    st.recomputed += rows;
 }
 
 #[cfg(test)]

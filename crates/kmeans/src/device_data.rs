@@ -2,7 +2,6 @@
 
 use crate::norms::row_sq_norms_kernel;
 use crate::quant::QuantCache;
-use gpu_sim::memory::GlobalIndexBuffer;
 use gpu_sim::{Counters, DeviceProfile, GlobalBuffer, Matrix, Scalar, SimError};
 use std::sync::Arc;
 
@@ -20,7 +19,7 @@ pub struct BoundState<T: Scalar> {
     pub lower: GlobalBuffer<T>,
     /// Per-sample assigned centroid — the device-resident copy the pruned
     /// kernel reads back each iteration.
-    pub labels: GlobalIndexBuffer,
+    pub labels: GlobalBuffer<u32>,
     /// Per-centroid drift `‖c_old − c_new‖` of the most recent update.
     pub drift: GlobalBuffer<T>,
     /// Per-centroid half-distance to its nearest other centroid, deflated
@@ -33,7 +32,7 @@ impl<T: Scalar> BoundState<T> {
         let state = BoundState {
             upper: GlobalBuffer::filled(m, T::INFINITY),
             lower: GlobalBuffer::zeros(m),
-            labels: GlobalIndexBuffer::zeros(m),
+            labels: GlobalBuffer::<u32>::zeros(m),
             drift: GlobalBuffer::zeros(k),
             s_half: GlobalBuffer::zeros(k),
         };

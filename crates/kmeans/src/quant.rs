@@ -2,13 +2,15 @@
 //!
 //! A fitted model's predict traffic is dominated by the centroid stream,
 //! so the resident `k × dim` table is quantized once — fp16 bit patterns
-//! or symmetric per-centroid int8 codes, packed into
-//! [`GlobalPackedBuffer`] lanes — and every derived quantity the fused
-//! predict kernel needs is cached alongside it: dequantized centroid
-//! norms `‖ĉ_j‖²`, per-centroid int8 scales, the exact per-centroid
-//! quantization displacements `e_j = ‖c_j − ĉ_j‖` feeding the
-//! [`QuantMargin`] acceptance bound, and a content digest. Nothing is
-//! re-derived per call.
+//! or symmetric per-centroid int8 codes, held in a `GlobalBuffer<u16>` or
+//! `GlobalBuffer<u8>` at 2 or 1 bytes per code — and every derived
+//! quantity the fused predict kernel needs is cached alongside it:
+//! dequantized centroid norms `‖ĉ_j‖²`, per-centroid int8 scales, the
+//! exact per-centroid quantization displacements `e_j = ‖c_j − ĉ_j‖`
+//! feeding the [`QuantMargin`] acceptance bound, and a content digest.
+//! Nothing is re-derived per call. Counted runs over the codes charge the
+//! code width (the charging rules, including that index traffic is not
+//! byte-counted, are in `gpu_sim::memory`).
 //!
 //! The digest is the norm/checksum guard for this resident state: a
 //! bit flip anywhere in the codes, scales or cached norms changes the
@@ -18,7 +20,7 @@
 //! never silent.
 
 use abft::QuantMargin;
-use gpu_sim::{Counters, EventSink, GlobalBuffer, GlobalPackedBuffer, Scalar};
+use gpu_sim::{Counters, Element, EventSink, GlobalBuffer, Scalar};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -136,13 +138,13 @@ impl QuantKind {
     }
 }
 
-/// The packed code storage of a quantized table.
+/// The code storage of a quantized table.
 #[derive(Debug, Clone)]
 pub enum QuantCodes {
-    /// fp16 bit patterns, 4 lanes per device word.
-    Fp16(GlobalPackedBuffer<u16>),
-    /// int8 two's-complement codes, 8 lanes per device word.
-    Int8(GlobalPackedBuffer<u8>),
+    /// fp16 bit patterns, 2 bytes per code.
+    Fp16(GlobalBuffer<u16>),
+    /// int8 two's-complement codes, 1 byte per code.
+    Int8(GlobalBuffer<u8>),
 }
 
 /// A quantized resident centroid table plus every cached derived quantity
@@ -155,7 +157,7 @@ pub struct QuantizedCentroids<T: Scalar> {
     pub k: usize,
     /// Feature dimension.
     pub dim: usize,
-    /// Packed quantization codes, row-major `k × dim`.
+    /// Quantization codes, row-major `k × dim`.
     pub codes: QuantCodes,
     /// Per-centroid int8 dequantization scales (filled with `1` for fp16 —
     /// uniform layout keeps the kernel branch-free over rows).
@@ -228,8 +230,8 @@ impl<T: Scalar> QuantizedCentroids<T> {
             err_norms[j] = err_sq.sqrt();
         }
         let codes = match kind {
-            QuantKind::Fp16 => QuantCodes::Fp16(GlobalPackedBuffer::from_slice(&lanes16)),
-            QuantKind::Int8 => QuantCodes::Int8(GlobalPackedBuffer::from_slice(&lanes8)),
+            QuantKind::Fp16 => QuantCodes::Fp16(GlobalBuffer::from_slice(&lanes16)),
+            QuantKind::Int8 => QuantCodes::Int8(GlobalBuffer::from_slice(&lanes8)),
         };
         match &codes {
             QuantCodes::Fp16(b) => b.set_sanitizer_label("quant.codes.fp16"),
@@ -261,7 +263,7 @@ impl<T: Scalar> QuantizedCentroids<T> {
         table
     }
 
-    /// Packed bytes of the code table — the resident state the format
+    /// Bytes of the code table — the resident state the format
     /// exists to shrink (2 bytes/element fp16, 1 byte/element int8, vs 4/8
     /// for the fp table).
     pub fn code_bytes(&self) -> usize {
@@ -275,8 +277,8 @@ impl<T: Scalar> QuantizedCentroids<T> {
 
     fn compute_digest(&self) -> u64 {
         let words = match &self.codes {
-            QuantCodes::Fp16(b) => b.raw_words(),
-            QuantCodes::Int8(b) => b.raw_words(),
+            QuantCodes::Fp16(b) => packed_words(&b.to_vec()),
+            QuantCodes::Int8(b) => packed_words(&b.to_vec()),
         };
         let stream = [self.kind as u64, self.k as u64, self.dim as u64]
             .into_iter()
@@ -295,8 +297,8 @@ impl<T: Scalar> QuantizedCentroids<T> {
         self.compute_digest() == self.digest
     }
 
-    /// Stage the whole table for a threadblock: bulk-load the packed codes
-    /// (charged at the packed byte width), the scale and norm vectors, and
+    /// Stage the whole table for a threadblock: bulk-load the codes
+    /// (charged at the code width), the scale and norm vectors, and
     /// dequantize into `cents` (`k × dim`, row-major) with `qnorms`
     /// receiving the cached `‖ĉ_j‖²`. The dequantized values live in the
     /// block's registers/scratch — the fp32 accumulation operands.
@@ -349,6 +351,17 @@ impl<T: Scalar> QuantizedCentroids<T> {
             QuantCodes::Int8(b) => b.corrupt_bit(idx, bit),
         }
     }
+}
+
+/// Pack code lanes little-endian into 64-bit words, as the digest hashes
+/// them: lane `i` of a word sits at bit `i · width`, and the last word is
+/// zero-padded. Four fp16 or eight int8 codes make one word.
+fn packed_words<E: Element>(lanes: &[E]) -> Vec<u64> {
+    let width = 8 * std::mem::size_of::<E>();
+    lanes
+        .chunks(64 / width)
+        .map(|w| (0..w.len()).fold(0, |acc, i| acc | w[i].to_raw_u64() << (i * width)))
+        .collect()
 }
 
 /// Dequantize one fp16 code into the accumulation type.
@@ -620,9 +633,37 @@ mod tests {
         t.norms.store(0, a);
         t.norms.store(2, b);
         assert!(t.verify(), "restored");
-        // bit 63 of two packed code words (fp16: lane 3 and lane 7, bit 15)
+        // bit 63 of two digest words (fp16: lane 3 and lane 7, bit 15)
         t.corrupt_code_bit(3, 15);
         t.corrupt_code_bit(7, 15);
         assert!(!t.verify(), "paired code-word sign flips detected");
+    }
+
+    #[test]
+    fn digest_hashes_codes_as_little_endian_u64_words() {
+        // 36 codes: nine fp16 words, and four and a half int8 words (the
+        // last one zero-padded).
+        let vals: Vec<f64> = (0..36).map(|i| (i as f64 - 17.0) * 0.3).collect();
+        let buf = GlobalBuffer::from_slice(&vals);
+        for kind in [QuantKind::Fp16, QuantKind::Int8] {
+            let t = QuantizedCentroids::build(&buf, 4, 9, kind);
+            let bytes: Vec<u8> = match &t.codes {
+                QuantCodes::Fp16(b) => b.to_vec().iter().flat_map(|l| l.to_le_bytes()).collect(),
+                QuantCodes::Int8(b) => b.to_vec(),
+            };
+            let words = bytes.chunks(8).map(|c| {
+                let mut w = [0u8; 8];
+                w[..c.len()].copy_from_slice(c);
+                u64::from_le_bytes(w)
+            });
+            let (scales, norms) = (t.scales.to_vec(), t.norms.to_vec());
+            let stream = [kind as u64, 4, 9]
+                .into_iter()
+                .chain(words)
+                .chain(scales.iter().map(|v| v.to_bits()))
+                .chain(norms.iter().map(|v| v.to_bits()))
+                .chain(t.err_norms.iter().map(|e| e.to_bits()));
+            assert_eq!(fnv1a64(stream), t.digest, "{}", kind.label());
+        }
     }
 }

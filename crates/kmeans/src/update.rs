@@ -28,7 +28,6 @@
 //! still sees every call.
 
 use abft::dmr::{protected, DmrStats};
-use gpu_sim::memory::GlobalIndexBuffer;
 use gpu_sim::mma::{FaultHook, MmaSite, NoFault};
 use gpu_sim::{
     launch_grid_labeled, BlockCtx, Counters, DeviceProfile, Dim3, GlobalBuffer, LaunchConfig,
@@ -82,11 +81,11 @@ pub fn update_centroids<T: Scalar>(
     let blocks = m.div_ceil(per_block).max(1);
     let part_sums = GlobalBuffer::<T>::uninit(blocks * k * dim);
     part_sums.set_sanitizer_label("update.part_sums");
-    let part_counts = GlobalIndexBuffer::uninit(blocks * k);
+    let part_counts = GlobalBuffer::<u32>::uninit(blocks * k);
     part_counts.set_sanitizer_label("update.part_counts");
     let out = GlobalBuffer::<T>::uninit(k * dim);
     out.set_sanitizer_label("update.out");
-    let count_out = GlobalIndexBuffer::uninit(k);
+    let count_out = GlobalBuffer::<u32>::uninit(k);
     count_out.set_sanitizer_label("update.counts");
     let old = GlobalBuffer::from_matrix(old_centroids);
     old.set_sanitizer_label("update.old");
@@ -166,10 +165,10 @@ struct UpdatePhase<'a, T: Scalar> {
     blocks: usize,
     dmr: bool,
     part_sums: GlobalBuffer<T>,
-    part_counts: GlobalIndexBuffer,
+    part_counts: GlobalBuffer<u32>,
     old: GlobalBuffer<T>,
     out: GlobalBuffer<T>,
-    count_out: GlobalIndexBuffer,
+    count_out: GlobalBuffer<u32>,
     dmr_stats: Mutex<DmrStats>,
     oob_labels: AtomicU64,
 }
@@ -221,7 +220,7 @@ impl<T: Scalar> UpdatePhase<'_, T> {
         }
         self.part_sums
             .store_run(ctx.bx * k * dim, &sums, ctx.counters);
-        // Index traffic is not byte-counted (see `GlobalIndexBuffer`).
+        // Index traffic is not byte-counted (see `gpu_sim::memory`).
         self.part_counts.write_range(ctx.bx * k, &counts);
         if dmr {
             self.dmr_stats.lock().merge(&local_dmr);

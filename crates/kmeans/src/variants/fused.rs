@@ -9,7 +9,6 @@ use crate::assign::AssignmentResult;
 use crate::device_data::DeviceData;
 use crate::variants::gemm::{simt_gemm_driver, TB_M, TB_N};
 use crate::variants::staged_block_row_min;
-use gpu_sim::memory::GlobalIndexBuffer;
 use gpu_sim::mma::FaultHook;
 use gpu_sim::{
     launch_grid_labeled, Counters, DeviceProfile, Dim3, GlobalBuffer, LaunchConfig, Scalar,
@@ -32,7 +31,7 @@ pub fn fused_assign<T: Scalar>(
     // Per-(row, block-column) partial results.
     let part_dist = GlobalBuffer::<T>::filled(m * bn, T::INFINITY);
     part_dist.set_sanitizer_label("fused.part_dist");
-    let part_idx = GlobalIndexBuffer::zeros(m * bn);
+    let part_idx = GlobalBuffer::<u32>::zeros(m * bn);
     part_idx.set_sanitizer_label("fused.part_idx");
     part_idx.fill(u32::MAX);
 
@@ -59,14 +58,14 @@ pub fn fused_assign<T: Scalar>(
                 let slot = (row0 + i) * bn + ctx.bx;
                 part_dist.store_counted(slot, d, ctx.counters);
                 // Index traffic is not byte-counted by design (see
-                // GlobalIndexBuffer). ftk-lint: allow(raw-access)
+                // `gpu_sim::memory`). ftk-lint: allow(raw-access)
                 part_idx.store(slot, j);
             }
         },
     )?;
 
     // Fold the bn partials per row.
-    let labels = GlobalIndexBuffer::zeros(m);
+    let labels = GlobalBuffer::<u32>::zeros(m);
     labels.set_sanitizer_label("fused.labels");
     let dists = GlobalBuffer::<T>::filled(m, T::INFINITY);
     dists.set_sanitizer_label("fused.dists");

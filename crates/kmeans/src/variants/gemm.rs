@@ -8,7 +8,6 @@
 use crate::assign::AssignmentResult;
 use crate::device_data::DeviceData;
 use crate::variants::{fill_tile_from_global, simt_block_gemm};
-use gpu_sim::memory::GlobalIndexBuffer;
 use gpu_sim::mma::{FaultHook, MmaSite};
 use gpu_sim::shared::SharedTile;
 use gpu_sim::{
@@ -126,7 +125,7 @@ pub fn gemm_assign<T: Scalar>(
 
     // Kernel 2: row-wise reduction over the product matrix, streaming one
     // product row per step through block-local scratch.
-    let labels = GlobalIndexBuffer::zeros(m);
+    let labels = GlobalBuffer::<u32>::zeros(m);
     labels.set_sanitizer_label("gemm.labels");
     let dists = GlobalBuffer::<T>::filled(m, T::INFINITY);
     dists.set_sanitizer_label("gemm.dists");

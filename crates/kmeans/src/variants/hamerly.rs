@@ -32,7 +32,6 @@
 use crate::assign::AssignmentResult;
 use crate::device_data::{BoundState, DeviceData};
 use abft::BoundPolicy;
-use gpu_sim::memory::GlobalIndexBuffer;
 use gpu_sim::mma::{FaultHook, MmaSite};
 use gpu_sim::{
     launch_grid_labeled, Counters, DeviceProfile, Dim3, GlobalBuffer, LaunchConfig, Scalar,
@@ -68,7 +67,7 @@ pub fn hamerly_assign<T: Scalar>(
 ) -> Result<AssignmentResult<T>, SimError> {
     let (m, k, dim) = (data.m, data.k, data.dim);
     let policy = bound_policy::<T>(dim);
-    let out_labels = GlobalIndexBuffer::zeros(m);
+    let out_labels = GlobalBuffer::<u32>::zeros(m);
     out_labels.set_sanitizer_label("hamerly.labels");
     let dists = GlobalBuffer::<T>::filled(m, T::INFINITY);
     dists.set_sanitizer_label("hamerly.dists");
@@ -320,7 +319,7 @@ pub fn revalidate<T: Scalar>(
     let policy = bound_policy::<T>(dim);
     let b = data.bounds.as_ref().expect("revalidate requires bounds");
     let stride = stride.max(1);
-    let violations = GlobalIndexBuffer::zeros(1);
+    let violations = GlobalBuffer::<u32>::zeros(1);
     violations.set_sanitizer_label("hamerly.violations");
     let cfg = LaunchConfig {
         grid: Dim3::x(m.div_ceil(SAMPLES_PER_BLOCK).max(1)),
@@ -361,7 +360,7 @@ pub fn revalidate<T: Scalar>(
             let u = b.upper.load_counted(idx, ctx.counters);
             let l = b.lower.load_counted(idx, ctx.counters);
             // Index traffic is not byte-counted by design (see
-            // GlobalIndexBuffer). ftk-lint: allow(raw-access)
+            // `gpu_sim::memory`). ftk-lint: allow(raw-access)
             let label = b.labels.load(idx);
             let exact = best.max_s(T::ZERO).sqrt();
             let exact_second = second.max_s(T::ZERO).sqrt();
@@ -402,9 +401,9 @@ pub fn revalidate_and_repair<T: Scalar>(
         .bounds
         .as_ref()
         .expect("revalidate_and_repair requires bounds");
-    let violations = GlobalIndexBuffer::zeros(1);
+    let violations = GlobalBuffer::<u32>::zeros(1);
     violations.set_sanitizer_label("hamerly.repair.violations");
-    let out_labels = GlobalIndexBuffer::zeros(m);
+    let out_labels = GlobalBuffer::<u32>::zeros(m);
     out_labels.set_sanitizer_label("hamerly.repair.labels");
     let dists = GlobalBuffer::<T>::filled(m, T::INFINITY);
     dists.set_sanitizer_label("hamerly.repair.dists");

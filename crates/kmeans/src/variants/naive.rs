@@ -8,7 +8,6 @@
 
 use crate::assign::AssignmentResult;
 use crate::device_data::DeviceData;
-use gpu_sim::memory::GlobalIndexBuffer;
 use gpu_sim::mma::{FaultHook, MmaSite};
 use gpu_sim::{
     launch_grid_labeled, Counters, DeviceProfile, Dim3, GlobalBuffer, LaunchConfig, Scalar,
@@ -26,7 +25,7 @@ pub fn naive_assign<T: Scalar>(
     counters: &Counters,
 ) -> Result<AssignmentResult<T>, SimError> {
     let (m, k, dim) = (data.m, data.k, data.dim);
-    let labels = GlobalIndexBuffer::zeros(m);
+    let labels = GlobalBuffer::<u32>::zeros(m);
     labels.set_sanitizer_label("naive.labels");
     let dists = GlobalBuffer::<T>::filled(m, T::INFINITY);
     dists.set_sanitizer_label("naive.dists");

@@ -4,7 +4,7 @@
 //! iteration loop, the centroid table is frozen. This kernel exploits that
 //! shape three ways the fit-grade kernels cannot:
 //!
-//! 1. **Quantized resident table.** Each threadblock bulk-loads the packed
+//! 1. **Quantized resident table.** Each threadblock bulk-loads the
 //!    fp16/int8 codes once ([`QuantizedCentroids::stage_dequantized`]),
 //!    dequantizes them in registers, and scores all of its samples against
 //!    the staged fp table — centroid traffic drops 2–4× *and* stops
@@ -26,7 +26,6 @@
 
 use crate::assign::AssignmentResult;
 use crate::quant::QuantizedCentroids;
-use gpu_sim::memory::GlobalIndexBuffer;
 use gpu_sim::{
     launch_grid_labeled, Counters, DeviceProfile, Dim3, GlobalBuffer, LaunchConfig, Scalar,
     ScratchBuf, SimError,
@@ -111,7 +110,7 @@ pub fn predict_fused_assign<T: Scalar>(
     } = query;
     assert_eq!(table.k, k, "quantized table k mismatch");
     assert_eq!(table.dim, dim, "quantized table dim mismatch");
-    let labels = GlobalIndexBuffer::zeros(m);
+    let labels = GlobalBuffer::<u32>::zeros(m);
     labels.set_sanitizer_label("predict.labels");
     let dists = GlobalBuffer::<T>::filled(m, T::INFINITY);
     dists.set_sanitizer_label("predict.dists");
@@ -129,7 +128,7 @@ pub fn predict_fused_assign<T: Scalar>(
         if rows == 0 {
             return;
         }
-        // Stage the whole dequantized table once per block: packed code
+        // Stage the whole dequantized table once per block: 1- or 2-byte code
         // traffic plus the cached scale/norm vectors, dequantized into
         // block-local scratch. The default serving shape (k=16, d=64)
         // fits the stack arrays exactly.

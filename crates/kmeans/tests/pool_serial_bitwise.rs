@@ -2,7 +2,8 @@
 //! streaming `partial_fit` and a fit under fault injection produce
 //! bitwise-identical labels, centroids, counter totals, campaign ledgers
 //! and injection records on a 4-worker pool and on the serial executor, at
-//! any sample count. The assignment merges per-block candidates
+//! any sample count, and so do the tensor model's predicts under every
+//! [`PredictPolicy`] (labels, `score` bits and predict counters). The assignment merges per-block candidates
 //! order-invariantly, the update reduces per-block partials in block order
 //! and the injector keys each draw by (seed, launch, block, per-block call
 //! ordinal), so there is no tolerance: any difference is a
@@ -11,7 +12,7 @@
 use fault::{CampaignStats, FaultTarget, InjectionSchedule};
 use gpu_sim::exec::Executor;
 use gpu_sim::{CounterSnapshot, DeviceProfile, Matrix};
-use kmeans::{FittedModel, FtConfig, KMeansConfig, Session, Variant};
+use kmeans::{FittedModel, FtConfig, KMeansConfig, PredictPolicy, Session, Variant};
 use proptest::prelude::*;
 
 const VARIANTS: [Variant; 6] = [
@@ -49,6 +50,9 @@ type Outcome = (
     Vec<Injection>,
 );
 
+/// Labels, `score` bits and predict counters of one predict policy.
+type Served = (Vec<u32>, u64, CounterSnapshot);
+
 fn outcome(model: &FittedModel<f32>) -> Outcome {
     let bits = model.centroids.as_slice().iter().map(|v| v.to_bits());
     let records = model.injection_records.iter().map(|r| {
@@ -73,8 +77,10 @@ fn outcome(model: &FittedModel<f32>) -> Outcome {
 }
 
 /// Every variant's 3-iteration fit, a two-batch `partial_fit` stream, then
-/// a protected tensor fit under fault injection on every eligible site.
-fn run_all(exec: Executor, x: &Matrix<f32>, k: usize, seed: u64) -> Vec<Outcome> {
+/// a protected tensor fit under fault injection on every eligible site;
+/// and a predict of `x` per policy by a fresh clone (own memo and
+/// counters) of the fitted tensor model.
+fn run_all(exec: Executor, x: &Matrix<f32>, k: usize, seed: u64) -> (Vec<Outcome>, Vec<Served>) {
     let session = Session::new(DeviceProfile::a100()).with_executor(exec);
     let cfg = |variant| KMeansConfig {
         k,
@@ -85,10 +91,24 @@ fn run_all(exec: Executor, x: &Matrix<f32>, k: usize, seed: u64) -> Vec<Outcome>
         ft: FtConfig::protected(),
         ..Default::default()
     };
-    let mut out: Vec<Outcome> = VARIANTS
+    let models: Vec<FittedModel<f32>> = VARIANTS
         .iter()
-        .map(|&v| outcome(&session.kmeans(cfg(v)).fit_model(x).expect("fit")))
+        .map(|&v| session.kmeans(cfg(v)).fit_model(x).expect("fit"))
         .collect();
+    let mut out: Vec<Outcome> = models.iter().map(outcome).collect();
+    let served = [
+        PredictPolicy::Exact,
+        PredictPolicy::Fp16,
+        PredictPolicy::Int8,
+    ]
+    .into_iter()
+    .map(|policy| {
+        let model = models[4].clone().with_predict_policy(policy); // Variant::Tensor(None)
+        let labels = model.predict(x).expect("predict");
+        let score = model.score(x).expect("score").to_bits();
+        (labels, score, model.predict_counters())
+    })
+    .collect();
     let km = session.kmeans(cfg(Variant::tensor_default()));
     let first = km.partial_fit(None, x).expect("first batch");
     out.push(outcome(
@@ -106,7 +126,7 @@ fn run_all(exec: Executor, x: &Matrix<f32>, k: usize, seed: u64) -> Vec<Outcome>
     out.push(outcome(
         &session.kmeans(injected).fit_model(x).expect("injected fit"),
     ));
-    out
+    (out, served)
 }
 
 proptest! {
@@ -116,8 +136,13 @@ proptest! {
     fn pool_matches_serial_bitwise(m in 1usize..4097, k in 1usize..40, dim in 1usize..9, seed in 0u64..1000) {
         let k = k.min(m);
         let x = data(m, dim, k, seed);
-        let serial = run_all(Executor::serial(), &x, k, seed);
-        let pool = run_all(Executor::with_workers(4), &x, k, seed);
+        let (serial, serial_served) = run_all(Executor::serial(), &x, k, seed);
+        let (pool, pool_served) = run_all(Executor::with_workers(4), &x, k, seed);
+        for (policy, (s, p)) in ["exact", "fp16", "int8"].iter().zip(serial_served.iter().zip(&pool_served)) {
+            prop_assert_eq!(&s.0, &p.0, "{} predict labels", policy);
+            prop_assert_eq!(s.1, p.1, "{} score bits", policy);
+            prop_assert_eq!(s.2, p.2, "{} predict counters", policy);
+        }
         for (i, (s, p)) in serial.iter().zip(&pool).enumerate() {
             let what = match i.checked_sub(VARIANTS.len()) {
                 None => format!("{:?}", VARIANTS[i]),

@@ -417,7 +417,7 @@ fn dmr_protects_update_phase_under_targeted_storm() {
 #[test]
 fn quantized_table_bitflips_become_detections_not_sdc() {
     // The serving-path analogue of the bound-buffer campaign above: flip a
-    // bit in each piece of resident quantized state (packed codes, int8
+    // bit in each piece of resident quantized state (fp16/int8 codes, int8
     // scales, cached norms), then serve a batch through the guarded
     // quantized predict. The digest guard must detect the corruption,
     // rebuild the table from the fp centroids, and serve labels identical
