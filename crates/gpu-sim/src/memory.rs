@@ -42,6 +42,7 @@
 //! per-element access in the kernel variants.
 
 use crate::counters::EventSink;
+use crate::exec;
 use crate::matrix::Matrix;
 use crate::sanitizer;
 use crate::scalar::Scalar;
@@ -49,13 +50,22 @@ use std::convert::identity;
 use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
+mod sealed {
+    /// Closes [`super::Element`] to the five impls below, whose cells are
+    /// all atomic integers (what [`super::GlobalBuffer::zeros`] relies on).
+    pub trait Sealed {}
+}
+
 /// An element type a [`GlobalBuffer`] can hold.
 ///
 /// Every access is bit-exact (NaN payloads, signed zeros and subnormals
 /// survive): the cell holds the element's raw bits at its own width.
-pub trait Element: Copy + Default + std::fmt::Debug + Send + Sync + 'static {
+pub trait Element:
+    sealed::Sealed + Copy + Default + std::fmt::Debug + Send + Sync + 'static
+{
     /// Atomic cell of the element's width: `AtomicU32` for `f32` and `u32`,
     /// `AtomicU64` for `f64`, `AtomicU16` for `u16`, `AtomicU8` for `u8`.
+    /// All-zero bits are a valid cell holding `Self::default()`.
     type Cell: Send + Sync + 'static;
     /// A cell holding `v`.
     fn cell(v: Self) -> Self::Cell;
@@ -73,6 +83,7 @@ pub trait Element: Copy + Default + std::fmt::Debug + Send + Sync + 'static {
 
 macro_rules! element {
     ($($t:ty => $atomic:ty, $bits:ty, $to:path, $from:path;)*) => {$(
+        impl sealed::Sealed for $t {}
         impl Element for $t {
             type Cell = $atomic;
             #[inline]
@@ -142,10 +153,32 @@ impl<E: Element> GlobalBuffer<E> {
         }
     }
 
+    /// `len` cells of all-zero bits, which read as `E::default()`.
+    ///
+    /// The storage comes zeroed from the allocator, so a large buffer is
+    /// mapped lazily and each page is faulted in by whichever thread (pool
+    /// worker, under a parallel ingest) first writes it, instead of being
+    /// filled serially here. Those pages are 2 MiB where the host allows
+    /// it ([`advise_huge_pages`]).
+    fn zeroed_cells(len: usize) -> Arc<[E::Cell]> {
+        debug_assert_eq!(
+            E::default().to_raw_u64(),
+            0,
+            "E::default() is all-zero bits"
+        );
+        // SAFETY: `Element` is sealed, and every `Element::Cell` is an
+        // atomic integer (`AtomicU8` .. `AtomicU64`), for which all-zero
+        // bytes are a valid value; all-zero bits decode to `E::default()`
+        // (asserted above).
+        let cells = unsafe { Arc::<[E::Cell]>::new_zeroed_slice(len).assume_init() };
+        advise_huge_pages(&cells);
+        cells
+    }
+
     /// Zero-initialized buffer of `len` elements (the `cudaMemset` path —
     /// every cell is defined, so initcheck treats it as initialized).
     pub fn zeros(len: usize) -> Self {
-        Self::filled(len, E::default())
+        Self::alloc(Self::zeroed_cells(len), true)
     }
 
     /// Buffer filled with `v`.
@@ -159,7 +192,7 @@ impl<E: Element> GlobalBuffer<E> {
     /// scratch buffers a kernel is supposed to fully overwrite before
     /// reading back.
     pub fn uninit(len: usize) -> Self {
-        Self::alloc((0..len).map(|_| E::cell(E::default())).collect(), false)
+        Self::alloc(Self::zeroed_cells(len), false)
     }
 
     /// Upload a host slice.
@@ -278,6 +311,22 @@ impl<E: Element> GlobalBuffer<E> {
         }
     }
 
+    /// Host upload of `vals` into the elements from `start` on, as
+    /// contiguous runs copied in parallel by the current executor (a
+    /// large `cudaMemcpy` spread over the copy engines). Uncounted, like
+    /// every upload; not a kernel launch. Call it from the host, not from
+    /// inside a kernel.
+    pub fn upload(&self, start: usize, vals: &[E]) {
+        const RUN: usize = 1 << 16;
+        exec::with_current(|e| {
+            e.run_chunked(vals.len().div_ceil(RUN), |first, last| {
+                for lo in (first..last).map(|r| r * RUN) {
+                    self.write_range(start + lo, &vals[lo..vals.len().min(lo + RUN)]);
+                }
+            })
+        });
+    }
+
     /// Overwrite every element with `v` (host-side reset between iterations).
     pub fn fill(&self, v: E) {
         if let Some(sh) = &self.shadow {
@@ -305,6 +354,41 @@ impl<E: Element> GlobalBuffer<E> {
         );
     }
 }
+
+/// Ask the host kernel to back the whole 2 MiB pages inside `cells` with
+/// transparent huge pages, as device global memory is mapped. A fresh
+/// 32 MB buffer then takes 16 page faults rather than 8192, and the
+/// kernels' passes over it miss the TLB far less. Advisory: where the host
+/// refuses, the pages stay 4 KiB and nothing else changes.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+fn advise_huge_pages<C>(cells: &[C]) {
+    use std::ffi::{c_int, c_void};
+    const HUGE_PAGE: usize = 2 << 20;
+    const MADV_HUGEPAGE: c_int = 14;
+    extern "C" {
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+    }
+    let base = cells.as_ptr().cast::<u8>().cast_mut();
+    let bytes = std::mem::size_of_val(cells);
+    let head = base.align_offset(HUGE_PAGE);
+    let len = bytes.saturating_sub(head) / HUGE_PAGE * HUGE_PAGE;
+    if len > 0 {
+        // SAFETY: `head + len <= bytes`, so the range lies inside the
+        // allocation behind `cells`. MADV_HUGEPAGE changes only how the
+        // kernel backs the range, never its contents or validity, and a
+        // failure is harmless, so the result is ignored.
+        unsafe { madvise(base.add(head).cast(), len, MADV_HUGEPAGE) };
+    }
+}
+
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+fn advise_huge_pages<C>(_cells: &[C]) {}
 
 impl<T: Scalar> GlobalBuffer<T> {
     /// Upload a host matrix (row-major).
@@ -358,6 +442,26 @@ mod tests {
         assert_eq!(b32.to_vec(), vec![1.5, -2.25, 3.0]);
         let b64 = GlobalBuffer::<f64>::from_slice(&[1e-300, 2e300]);
         assert_eq!(b64.to_vec(), vec![1e-300, 2e300]);
+    }
+
+    #[test]
+    fn zeroed_allocations_read_the_default_at_both_ends() {
+        fn check<E: Element + PartialEq>() {
+            // 1 << 20 elements of 4 or 8 bytes span whole 2 MiB pages.
+            for n in [1, 3, 1 << 16, 1 << 20] {
+                for b in [GlobalBuffer::<E>::zeros(n), GlobalBuffer::<E>::uninit(n)] {
+                    assert_eq!(b.len(), n);
+                    assert_eq!(b.load(0), E::default());
+                    assert_eq!(b.load(n - 1), E::default());
+                }
+            }
+            assert!(GlobalBuffer::<E>::zeros(0).is_empty());
+        }
+        check::<u8>();
+        check::<u16>();
+        check::<u32>();
+        check::<f32>();
+        check::<f64>();
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Device-resident problem state shared by all kernel variants.
 
-use crate::norms::row_sq_norms_kernel;
+use crate::norms::{ingest, Ingested};
 use crate::quant::QuantCache;
 use gpu_sim::{Counters, DeviceProfile, GlobalBuffer, Matrix, Scalar, SimError};
 use std::sync::Arc;
@@ -53,7 +53,7 @@ impl<T: Scalar> BoundState<T> {
 
 /// Samples, centroids and their squared norms, uploaded to simulated global
 /// memory (Fig. 2 step 1: the `Samples²` / `Centroids²` terms are computed
-/// once per iteration by dedicated kernels).
+/// by the launch that uploads each matrix, [`crate::norms::ingest`]).
 pub struct DeviceData<T: Scalar> {
     /// Samples, row-major `m x dim`.
     pub samples: GlobalBuffer<T>,
@@ -79,8 +79,13 @@ pub struct DeviceData<T: Scalar> {
 }
 
 impl<T: Scalar> DeviceData<T> {
-    /// Upload samples and centroids and compute both norm vectors with the
-    /// squared-norm kernel.
+    /// Upload samples and centroids, one ingest launch each, which also
+    /// computes their squared norms.
+    ///
+    /// The ingest's finite/overflow verdict on the samples is not checked
+    /// here: fits ingest the samples themselves, reject a bad row before
+    /// they initialise centroids, and then ingest the centroids next to
+    /// them.
     pub fn upload(
         device: &DeviceProfile,
         samples: &Matrix<T>,
@@ -94,18 +99,34 @@ impl<T: Scalar> DeviceData<T> {
                 centroids.cols()
             )));
         }
-        let s = GlobalBuffer::from_matrix(samples);
-        let c = GlobalBuffer::from_matrix(centroids);
-        let sn = row_sq_norms_kernel(device, &s, samples.rows(), samples.cols(), counters)?;
-        let cn = row_sq_norms_kernel(device, &c, centroids.rows(), centroids.cols(), counters)?;
+        let samples = ingest(device, samples, counters)?;
+        Self::with_samples(device, samples, centroids, counters)
+    }
+
+    /// Finish an upload whose samples are already ingested: ingest the
+    /// centroids next to them.
+    pub(crate) fn with_samples(
+        device: &DeviceProfile,
+        samples: Ingested<T>,
+        centroids: &Matrix<T>,
+        counters: &Counters,
+    ) -> Result<Self, SimError> {
+        if samples.cols != centroids.cols() {
+            return Err(SimError::ShapeMismatch(format!(
+                "samples dim {} != centroids dim {}",
+                samples.cols,
+                centroids.cols()
+            )));
+        }
+        let c = ingest(device, centroids, counters)?;
         let data = DeviceData {
-            samples: s,
-            centroids: c,
-            sample_norms: sn,
-            centroid_norms: cn,
-            m: samples.rows(),
-            k: centroids.rows(),
-            dim: samples.cols(),
+            samples: samples.cells,
+            centroids: c.cells,
+            sample_norms: samples.norms,
+            centroid_norms: c.norms,
+            m: samples.rows,
+            k: c.rows,
+            dim: samples.cols,
             bounds: None,
             quant: Arc::new(QuantCache::default()),
         };
@@ -155,14 +176,13 @@ impl<T: Scalar> DeviceData<T> {
                 self.dim
             )));
         }
-        let s = GlobalBuffer::from_matrix(samples);
-        s.set_sanitizer_label("query.samples");
-        let sn = row_sq_norms_kernel(device, &s, samples.rows(), samples.cols(), counters)?;
-        sn.set_sanitizer_label("query.sample_norms");
+        let s = ingest(device, samples, counters)?;
+        s.cells.set_sanitizer_label("query.samples");
+        s.norms.set_sanitizer_label("query.sample_norms");
         Ok(DeviceData {
-            samples: s,
+            samples: s.cells,
             centroids: self.centroids.clone(),
-            sample_norms: sn,
+            sample_norms: s.norms,
             centroid_norms: self.centroid_norms.clone(),
             m: samples.rows(),
             k: self.k,
@@ -208,11 +228,11 @@ impl<T: Scalar> DeviceData<T> {
                 centroids.cols()
             )));
         }
-        self.centroids = GlobalBuffer::from_matrix(centroids);
-        self.centroids.set_sanitizer_label("centroids");
-        self.centroid_norms =
-            row_sq_norms_kernel(device, &self.centroids, self.k, self.dim, counters)?;
-        self.centroid_norms.set_sanitizer_label("centroid_norms");
+        let c = ingest(device, centroids, counters)?;
+        c.cells.set_sanitizer_label("centroids");
+        c.norms.set_sanitizer_label("centroid_norms");
+        self.centroids = c.cells;
+        self.centroid_norms = c.norms;
         // cached quantized tables encode the old centroids — drop them so
         // the next quantized predict re-quantizes the fresh table
         self.quant.invalidate();
@@ -264,7 +284,7 @@ mod tests {
         // a write through the original is visible through the share
         d.centroids.store(0, 7.0);
         assert_eq!(p.centroids.load(0), 7.0);
-        // only the query-norm kernel launched (no centroid norm re-run)
+        // only the query ingest launched (no centroid norm re-run)
         assert_eq!(c.snapshot().since(&before).kernel_launches, 1);
         // dimension mismatch rejected
         let bad = Matrix::<f64>::zeros(2, 5);

@@ -12,10 +12,11 @@
 use crate::assign::{default_tile, run_assignment, AssignmentResult};
 use crate::config::{KMeansConfig, Variant};
 use crate::device_data::DeviceData;
-use crate::error::{ensure_finite, KMeansError};
+use crate::error::KMeansError;
 use crate::init::{init_centroids, reseed_empty_clusters};
 use crate::minibatch;
 use crate::model::FittedModel;
+use crate::norms::{inertia_kernel, ingest_samples};
 use crate::phase;
 use crate::session::Session;
 use crate::update::{centroid_drift, update_centroids};
@@ -269,18 +270,20 @@ fn lloyd_core<T: Scalar>(
     let device = session.device();
     let (m, dim) = (samples.rows(), samples.cols());
     cfg.validate(m, dim)?;
-    ensure_finite(samples)?;
 
     let counters = Counters::new();
     let stats = Mutex::new(CampaignStats::default());
     let mut dmr_total = DmrStats::default();
 
     let (mut centroids, mut data) = phase::traced(trace::phases::INIT, 0, &counters, || {
+        // Ingest before init: a NaN or overflowing row is rejected here,
+        // before any seeding reads it.
+        let ingested = ingest_samples(device, samples, &counters)?;
         let centroids = match warm_start {
             Some(init) => init.clone(),
             None => init_centroids(samples, cfg.k, cfg.seed, cfg.init),
         };
-        let mut data = DeviceData::upload(device, samples, &centroids, &counters)?;
+        let mut data = DeviceData::with_samples(device, ingested, &centroids, &counters)?;
         if cfg.variant == Variant::Hamerly {
             // Vacuous bounds (u = +∞) make the first pruned pass a full
             // scan; the half-separations must exist before any assignment
@@ -482,11 +485,15 @@ fn lloyd_core<T: Scalar>(
     // The loop's `inertia` was measured against the centroids the last
     // assignment ran with, but `centroids` has since been updated (and
     // possibly reseeded). Re-measure so the returned inertia is the cost
-    // of the returned labels under the returned centroids. (On a
-    // max_iter-bounded fit the labels themselves may still predate the
-    // final update — no extra assignment pass is run, matching
-    // `lloyd_reference`.)
-    let inertia = crate::metrics::inertia(samples, &centroids, &labels);
+    // of the returned labels under the returned centroids, which
+    // `refresh_centroids` has made resident. (On a max_iter-bounded fit the
+    // labels themselves may still predate the final update — no extra
+    // assignment pass is run, matching `lloyd_reference`.) One launch over
+    // the resident samples, within 1e-12 relative of the host reference
+    // `metrics::inertia` and bitwise the same under every executor.
+    let inertia = phase::traced(trace::phases::INERTIA, 0, &counters, || {
+        inertia_kernel(device, &data, &labels, &counters)
+    })?;
 
     let mut ft_stats = *stats.lock();
     // The injector owns the authoritative injection count; fold it into

@@ -7,7 +7,7 @@
 //! problems carry both shapes, and genuine simulator failures pass through
 //! unchanged.
 
-use gpu_sim::{Matrix, Scalar, SimError};
+use gpu_sim::{exec, Matrix, Scalar, SimError};
 use std::fmt;
 
 /// Errors surfaced by the estimator API ([`crate::Session`],
@@ -101,43 +101,66 @@ impl From<SimError> for KMeansError {
     }
 }
 
-/// Reject a matrix no nearest centroid can be computed for, naming the
-/// first offending row in row-major order: a row holding a NaN or an
-/// infinity with [`KMeansError::NonFinite`] (and its first such column),
-/// any other row whose squared norm, computed in `T`, is not at most
-/// `T::MAX / 8` with [`KMeansError::Overflow`].
+/// The rule every input row must pass: its squared norm, computed in `T`,
+/// is at most `T::MAX / 8`. A NaN or an infinity in the row makes the sum
+/// non-finite, so it fails too.
 ///
 /// The bound keeps the distance identity finite: centroids are means of
 /// rows, so `‖c‖ ≤ max ‖x‖`, and every term of `‖x‖² − 2x·c + ‖c‖²` stays
 /// within about `T::MAX / 2`. Without it an overflowing `‖x‖²` gives
 /// `inf − inf = NaN` distances, and no centroid beats the argmin's
-/// sentinel. One pass, row by row; a NaN or infinity makes the row's sum
-/// non-finite, so the columns are searched only for a rejected row.
+/// sentinel.
+pub(crate) fn admissible<T: Scalar>(sq_norm: T) -> bool {
+    sq_norm <= T::MAX / T::from_usize(8)
+}
+
+/// The error for `row` of `m` when the row failed [`admissible`]:
+/// [`KMeansError::NonFinite`] with its first NaN or infinite column,
+/// otherwise [`KMeansError::Overflow`].
+pub(crate) fn rejected_row<T: Scalar>(m: &Matrix<T>, row: usize) -> KMeansError {
+    match m.row(row).iter().position(|v| !v.is_finite_s()) {
+        Some(col) => KMeansError::NonFinite { row, col },
+        None => KMeansError::Overflow { row },
+    }
+}
+
+/// Reject a query matrix no nearest centroid can be computed for, naming
+/// its first row that fails [`admissible`] ([`rejected_row`]). Fits and
+/// `partial_fit` get the same verdict from their ingest launch
+/// ([`crate::norms::ingest`]); predict checks here, before its queries are
+/// batched or uploaded. Chunks of rows are checked in parallel on the
+/// current executor and the first rejected row of the first chunk that has
+/// one is reported, so the verdict does not depend on the schedule; a
+/// serving request of a few rows is one chunk, checked inline. The
+/// columns are searched only for a rejected row.
 pub(crate) fn ensure_finite<T: Scalar>(m: &Matrix<T>) -> Result<(), KMeansError> {
-    let bound = T::MAX / T::from_usize(8);
-    let cols = m.cols().max(1);
-    for (row, x) in m.as_slice().chunks(cols).enumerate() {
-        // Eight independent partial sums, so the pass vectorises.
-        let mut acc = [T::ZERO; 8];
-        let mut lanes = x.chunks_exact(8);
-        for chunk in &mut lanes {
-            for (a, &v) in acc.iter_mut().zip(chunk) {
-                *a += v * v;
-            }
-        }
-        for (a, &v) in acc.iter_mut().zip(lanes.remainder()) {
+    const ROWS: usize = 4096;
+    let mut first = vec![None; m.rows().div_ceil(ROWS)];
+    exec::with_current(|e| {
+        e.par_chunks_mut(&mut first, 1, |chunk, out| {
+            let rows = chunk * ROWS..m.rows().min((chunk + 1) * ROWS);
+            out[0] = rows.into_iter().find(|&r| !admissible(sq_norm(m.row(r))));
+        })
+    });
+    match first.into_iter().flatten().next() {
+        Some(row) => Err(rejected_row(m, row)),
+        None => Ok(()),
+    }
+}
+
+/// `‖x‖²` in eight independent partial sums, so the pass vectorises.
+fn sq_norm<T: Scalar>(x: &[T]) -> T {
+    let mut acc = [T::ZERO; 8];
+    let mut lanes = x.chunks_exact(8);
+    for chunk in &mut lanes {
+        for (a, &v) in acc.iter_mut().zip(chunk) {
             *a += v * v;
         }
-        let sq_norm: T = acc.into_iter().sum();
-        if sq_norm <= bound {
-            continue;
-        }
-        return Err(match x.iter().position(|v| !v.is_finite_s()) {
-            Some(col) => KMeansError::NonFinite { row, col },
-            None => KMeansError::Overflow { row },
-        });
     }
-    Ok(())
+    for (a, &v) in acc.iter_mut().zip(lanes.remainder()) {
+        *a += v * v;
+    }
+    acc.into_iter().sum()
 }
 
 #[cfg(test)]

@@ -18,16 +18,17 @@
 //! (order-invariant argmin merge; block partials reduced in block order),
 //! so batch means are byte-identical under `FTK_EXEC=serial` and the pool.
 
+use crate::assign::run_assignment;
 use crate::config::KMeansConfig;
 use crate::device_data::DeviceData;
 use crate::driver::{build_injector, FitResult, IterationEvent};
-use crate::error::{ensure_finite, KMeansError};
+use crate::error::KMeansError;
 use crate::init::init_centroids;
 use crate::model::FittedModel;
+use crate::norms::{inertia_kernel, ingest_samples};
 use crate::phase;
 use crate::session::Session;
 use crate::update::update_centroids;
-use crate::{assign::run_assignment, metrics};
 use abft::dmr::DmrStats;
 use fault::CampaignStats;
 use gpu_sim::counters::CounterSnapshot;
@@ -53,64 +54,14 @@ pub(crate) fn partial_fit_step<T: Scalar>(
     batch: &Matrix<T>,
 ) -> Result<FittedModel<T>, KMeansError> {
     let (mb, dim) = (batch.rows(), batch.cols());
-    ensure_finite(batch)?;
-    // Destructure the stream state: (config, result shell, weights, batch#).
-    // A continued stream keeps the model's own config (the estimator's
-    // config only seeds the first batch), so `km.partial_fit` composes with
-    // models produced by other estimators of the same session.
-    let (cfg, mut result, mut weights, batches) = match model {
-        Some(m) => {
-            if dim != m.data.dim {
-                return Err(KMeansError::ShapeMismatch {
-                    what: "batch",
-                    expected: (mb, m.data.dim),
-                    got: (mb, dim),
-                });
-            }
-            if mb == 0 {
-                return Err(KMeansError::InvalidConfig {
-                    field: "batch",
-                    reason: "batch must contain at least one sample".into(),
-                });
-            }
-            (m.config, m.result, m.weights, m.batches)
-        }
-        None => {
-            config.validate(mb, dim).map_err(|e| match e {
-                // Re-word the sample-count constraint for the streaming case.
-                KMeansError::InvalidConfig { field: "k", reason } if config.k > mb => {
-                    KMeansError::InvalidConfig {
-                        field: "k",
-                        reason: format!(
-                            "{reason} (the first batch must contain at least k samples)"
-                        ),
-                    }
-                }
-                other => other,
-            })?;
-            let centroids = init_centroids(batch, config.k, config.seed, config.init);
-            let shell = FitResult {
-                centroids,
-                labels: Vec::new(),
-                inertia: f64::INFINITY,
-                iterations: 0,
-                converged: false,
-                ft_stats: CampaignStats::default(),
-                dmr: DmrStats::default(),
-                counters: CounterSnapshot::default(),
-                injected: 0,
-                injection_records: Vec::new(),
-                injection_realization: None,
-                history: Vec::new(),
-            };
-            (config.clone(), shell, vec![0u64; config.k], 0)
-        }
-    };
-
     let device = session.device();
-    let k = cfg.k;
     session.run(|| {
         let counters = Counters::new();
+        // Ingest first: a NaN or overflowing row is rejected before the
+        // batch is checked against the stream or seeds its centroids.
+        let ingested = ingest_samples(device, batch, &counters)?;
+        let (cfg, mut result, mut weights, batches) = stream_state(config, model, batch)?;
+        let k = cfg.k;
         let stats = Mutex::new(CampaignStats::default());
 
         // Per-batch injector: same schedule, a decorrelated seed per batch
@@ -127,7 +78,7 @@ pub(crate) fn partial_fit_step<T: Scalar>(
         let realization = injector.as_ref().map(|i| i.realization());
         let rate_saturated = realization.is_some_and(|r| r.saturated());
 
-        let mut data = DeviceData::upload(device, batch, &result.centroids, &counters)?;
+        let mut data = DeviceData::with_samples(device, ingested, &result.centroids, &counters)?;
 
         if let Some(i) = injector.as_ref() {
             i.begin_launch();
@@ -249,7 +200,9 @@ pub(crate) fn partial_fit_step<T: Scalar>(
         data.refresh_centroids(device, &centroids, &counters)?;
 
         // Per-batch bookkeeping, accumulated into the running result.
-        let inertia = metrics::inertia(batch, &centroids, &labels);
+        let inertia = phase::traced(trace::phases::INERTIA, batches as u64, &counters, || {
+            inertia_kernel(device, &data, &labels, &counters)
+        })?;
         let mut batch_stats = *stats.lock();
         batch_stats.injected = injector.as_ref().map_or(0, |i| i.injected_count());
         // Each batch's ledger starts from zero, so the whole thing is the
@@ -315,11 +268,70 @@ pub(crate) fn partial_fit_step<T: Scalar>(
     })
 }
 
+/// The stream state `batch` continues: (config, result shell, weights,
+/// batch#). A continued stream keeps the model's own config (the
+/// estimator's config only seeds the first batch), so `km.partial_fit`
+/// composes with models produced by other estimators of the same session.
+fn stream_state<T: Scalar>(
+    config: &KMeansConfig,
+    model: Option<FittedModel<T>>,
+    batch: &Matrix<T>,
+) -> Result<(KMeansConfig, FitResult<T>, Vec<u64>, usize), KMeansError> {
+    let (mb, dim) = (batch.rows(), batch.cols());
+    Ok(match model {
+        Some(m) => {
+            if dim != m.data.dim {
+                return Err(KMeansError::ShapeMismatch {
+                    what: "batch",
+                    expected: (mb, m.data.dim),
+                    got: (mb, dim),
+                });
+            }
+            if mb == 0 {
+                return Err(KMeansError::InvalidConfig {
+                    field: "batch",
+                    reason: "batch must contain at least one sample".into(),
+                });
+            }
+            (m.config, m.result, m.weights, m.batches)
+        }
+        None => {
+            config.validate(mb, dim).map_err(|e| match e {
+                // Re-word the sample-count constraint for the streaming case.
+                KMeansError::InvalidConfig { field: "k", reason } if config.k > mb => {
+                    KMeansError::InvalidConfig {
+                        field: "k",
+                        reason: format!(
+                            "{reason} (the first batch must contain at least k samples)"
+                        ),
+                    }
+                }
+                other => other,
+            })?;
+            let shell = FitResult {
+                centroids: init_centroids(batch, config.k, config.seed, config.init),
+                labels: Vec::new(),
+                inertia: f64::INFINITY,
+                iterations: 0,
+                converged: false,
+                ft_stats: CampaignStats::default(),
+                dmr: DmrStats::default(),
+                counters: CounterSnapshot::default(),
+                injected: 0,
+                injection_records: Vec::new(),
+                injection_realization: None,
+                history: Vec::new(),
+            };
+            (config.clone(), shell, vec![0u64; config.k], 0)
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::FtConfig;
-    use crate::metrics::adjusted_rand_index;
+    use crate::metrics::{self, adjusted_rand_index};
     use gpu_sim::exec::Executor;
 
     fn blobs(m: usize, dim: usize, k: usize, seed: u64) -> Matrix<f64> {

@@ -18,12 +18,12 @@ use crate::device_data::DeviceData;
 use crate::driver::FitResult;
 use crate::error::{ensure_finite, KMeansError};
 use crate::phase;
-use crate::quant::{fnv1a64, QuantKind, QuantizedCentroids};
+use crate::quant::{fnv1a64, fnv1a64_step, QuantKind, QuantizedCentroids, FNV1A64_BASIS};
 use crate::session::Session;
 use crate::variants::predict_fused::predict_fused_assign;
 use fault::CampaignStats;
 use gpu_sim::mma::NoFault;
-use gpu_sim::{CounterSnapshot, Counters, GlobalBuffer, Matrix, Scalar};
+use gpu_sim::{exec, CounterSnapshot, Counters, GlobalBuffer, Matrix, Scalar};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -114,13 +114,37 @@ struct AssignMemo {
 }
 
 /// The memo key of `samples`. Every element is hashed, one word-wise
-/// [`fnv1a64`] step each: a change to any single element always changes
-/// the digest, and a wider in-place edit replays stale labels only on a
-/// chance 64-bit collision.
+/// [`fnv1a64`] step each: runs of elements are digested in parallel on the
+/// current executor, element `i` of a run into lane `i % 8`, and the run
+/// digests are then hashed in order. A change to any single element always
+/// changes its lane's digest, so its run's and so the key, and a wider
+/// in-place edit replays stale labels only on a chance 64-bit collision.
+/// The lanes and runs keep the pass at memory speed instead of one
+/// multiply chain long.
 fn memo_key<T: Scalar>(samples: &Matrix<T>) -> (usize, usize, usize, u64) {
+    const RUN: usize = 1 << 18;
     let s = samples.as_slice();
-    let hash = fnv1a64(s.iter().map(|v| v.to_raw_u64()));
+    let mut digests = vec![0u64; s.len().div_ceil(RUN)];
+    exec::with_current(|e| {
+        e.par_chunks_mut(&mut digests, 1, |i, out| {
+            out[0] = lanes_digest(&s[i * RUN..s.len().min((i + 1) * RUN)]);
+        })
+    });
+    let hash = fnv1a64(digests);
     (s.as_ptr() as usize, samples.rows(), samples.cols(), hash)
+}
+
+/// [`fnv1a64`] of the eight lane digests of `run` and then its tail.
+fn lanes_digest<T: Scalar>(run: &[T]) -> u64 {
+    let mut lanes = [FNV1A64_BASIS; 8];
+    let mut chunks = run.chunks_exact(8);
+    for chunk in &mut chunks {
+        for (h, v) in lanes.iter_mut().zip(chunk) {
+            *h = fnv1a64_step(*h, v.to_raw_u64());
+        }
+    }
+    let tail = chunks.remainder().iter().map(|v| v.to_raw_u64());
+    fnv1a64(lanes.into_iter().chain(tail))
 }
 
 /// Cloning a model is cheap: the device-resident centroid and
@@ -346,12 +370,13 @@ impl<T: Scalar> FittedModel<T> {
                                 counters,
                             );
                         }
-                        // Only the raw query buffer is uploaded — the fused
-                        // kernel folds ‖x‖² into its distance pass, so this
-                        // path launches no sample-norms kernel at all. The
-                        // buffer itself is model-owned scratch, re-filled in
-                        // place when the batch size repeats (steady-state
-                        // serving re-allocates nothing). The buffer is *leased*
+                        // Only the raw query buffer is uploaded (in parallel
+                        // runs, not a launch) — the fused kernel folds ‖x‖²
+                        // into its distance pass, so this path launches no
+                        // sample-norms kernel at all. The buffer itself is
+                        // model-owned scratch, re-filled in place when the
+                        // batch size repeats (steady-state serving
+                        // re-allocates nothing). The buffer is *leased*
                         // out of the mutex for the duration of the launch:
                         // a `GlobalBuffer` clone is a device-pointer copy, so
                         // two overlapping predicts holding clones of one cached
@@ -361,12 +386,10 @@ impl<T: Scalar> FittedModel<T> {
                         // whoever finishes last parks theirs for the next call.
                         let leased = self.scratch.query_buf.lock().take();
                         let queries = match leased {
-                            Some(buf) if buf.len() == samples.as_slice().len() => {
-                                buf.write_range(0, samples.as_slice());
-                                buf
-                            }
-                            _ => GlobalBuffer::from_matrix(samples),
+                            Some(buf) if buf.len() == samples.as_slice().len() => buf,
+                            _ => GlobalBuffer::zeros(samples.as_slice().len()),
                         };
+                        queries.upload(0, samples.as_slice());
                         queries.set_sanitizer_label("serve.queries");
                         let out = predict_fused_assign(
                             device,

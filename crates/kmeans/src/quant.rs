@@ -113,10 +113,16 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
 /// and a second bit-63 flip in a later word (negating two floats) would
 /// cancel it.
 pub fn fnv1a64(words: impl IntoIterator<Item = u64>) -> u64 {
-    words.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
-        let h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
-        h ^ (h >> 32)
-    })
+    words.into_iter().fold(FNV1A64_BASIS, fnv1a64_step)
+}
+
+/// The state [`fnv1a64`] starts from.
+pub(crate) const FNV1A64_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One [`fnv1a64`] step: fold `word` into the digest `state`.
+pub(crate) fn fnv1a64_step(state: u64, word: u64) -> u64 {
+    let h = (state ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+    h ^ (h >> 32)
 }
 
 /// Which reduced-precision storage format a table uses.

@@ -140,8 +140,10 @@ pub fn hamerly_assign<T: Scalar>(
                     is_checksum: false,
                 };
                 let acc = hook.post_fma(&site, acc);
+                // A NaN distance proves nothing (`max_s` would turn it into
+                // a zero bound): fall through to the full scan.
                 let tightened = policy.inflate(acc.max_s(T::ZERO).sqrt());
-                if tightened <= z {
+                if acc.is_finite_s() && tightened <= z {
                     ctx.counters.add_pruned((k - 1) as u64);
                     u_buf[i] = tightened;
                     best_d[i] = acc;

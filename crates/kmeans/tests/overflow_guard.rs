@@ -7,7 +7,7 @@
 //! data just under that bound clusters normally under every variant.
 
 use gpu_sim::{Matrix, Scalar};
-use kmeans::{FtConfig, KMeansConfig, KMeansError, Session, Variant};
+use kmeans::{FtConfig, InitMethod, KMeansConfig, KMeansError, Session, Variant};
 
 const VARIANTS: [Variant; 6] = [
     Variant::Naive,
@@ -98,6 +98,24 @@ fn one_huge_row_is_rejected_by_partial_fit_and_predict() {
         km.partial_fit(None, &batch).map(|_| ()),
         Err(KMeansError::NonFinite { row: 12, col: 5 })
     );
+}
+
+/// k-means++ seeding reads every sample's distance, so a NaN row must be
+/// rejected before it runs: fit and the first `partial_fit` batch return
+/// the typed error, not a panic from inside the seeding.
+#[test]
+fn kmeans_plus_plus_sees_no_nan_row() {
+    let session = Session::a100();
+    let mut data = to_t::<f64>(&unit_blobs(M, 3), 1.0);
+    data.set(300, 6, f64::NAN);
+    let want = Err(KMeansError::NonFinite { row: 300, col: 6 });
+    let km = session.kmeans(
+        KMeansConfig::new(K)
+            .with_init(InitMethod::KMeansPlusPlus)
+            .with_seed(3),
+    );
+    assert_eq!(km.fit_model(&data).map(|_| ()), want, "fit");
+    assert_eq!(km.partial_fit(None, &data).map(|_| ()), want, "first batch");
 }
 
 /// Scale the blobs so the largest row squared norm is 0.999 of

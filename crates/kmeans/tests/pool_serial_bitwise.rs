@@ -1,7 +1,7 @@
 //! Schedule independence, property-checked: every fit variant, the
 //! streaming `partial_fit` and a fit under fault injection produce
-//! bitwise-identical labels, centroids, counter totals, campaign ledgers
-//! and injection records on a 4-worker pool and on the serial executor, at
+//! bitwise-identical labels, centroids, inertia, counter totals, campaign
+//! ledgers and injection records on a 4-worker pool and on the serial executor, at
 //! any sample count, and so do the tensor model's predicts under every
 //! [`PredictPolicy`] (labels, `score` bits and predict counters). The assignment merges per-block candidates
 //! order-invariantly, the update reduces per-block partials in block order
@@ -40,11 +40,12 @@ fn data(m: usize, dim: usize, k: usize, seed: u64) -> Matrix<f32> {
 /// One injection, with the magnitude as bits (a flip can make it NaN).
 type Injection = ((usize, usize), usize, usize, bool, usize, u32, u64);
 
-/// Labels, centroid bits, counter totals, campaign ledger and injection
-/// records of one model.
+/// Labels, centroid bits, inertia bits, counter totals, campaign ledger
+/// and injection records of one model.
 type Outcome = (
     Vec<u32>,
     Vec<u32>,
+    u64,
     CounterSnapshot,
     CampaignStats,
     Vec<Injection>,
@@ -70,6 +71,7 @@ fn outcome(model: &FittedModel<f32>) -> Outcome {
     (
         model.labels.clone(),
         bits.collect(),
+        model.inertia.to_bits(),
         model.counters,
         model.ft_stats,
         records.collect(),
@@ -151,9 +153,10 @@ proptest! {
             };
             prop_assert_eq!(&s.0, &p.0, "{} labels", what);
             prop_assert_eq!(&s.1, &p.1, "{} centroid bits", what);
-            prop_assert_eq!(s.2, p.2, "{} counters", what);
-            prop_assert_eq!(s.3, p.3, "{} campaign ledger", what);
-            prop_assert_eq!(&s.4, &p.4, "{} injection records", what);
+            prop_assert_eq!(s.2, p.2, "{} inertia bits", what);
+            prop_assert_eq!(s.3, p.3, "{} counters", what);
+            prop_assert_eq!(s.4, p.4, "{} campaign ledger", what);
+            prop_assert_eq!(&s.5, &p.5, "{} injection records", what);
         }
     }
 }

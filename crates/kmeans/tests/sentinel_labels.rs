@@ -70,3 +70,36 @@ fn all_nan_distances_never_leave_a_sentinel_label() {
         }
     }
 }
+
+/// A NaN tightening distance must not prune. Fresh Hamerly bounds are
+/// vacuous (`u = +∞`, `l = 0`, `s_half = 0`), so every row tightens against
+/// its stored label 0; the NaN hook makes that distance NaN, and clamping
+/// it to a zero bound would keep label 0 for every row. The row must fall
+/// through to the full scan, whose all-NaN result is recomputed without
+/// the hook.
+#[test]
+fn nan_tightening_distance_falls_through_to_the_full_scan() {
+    let dev = DeviceProfile::a100();
+    let samples = Matrix::<f64>::from_fn(53, 7, |r, c| ((r * 31 + c * 7) % 17) as f64 - 8.0);
+    let cents = Matrix::<f64>::from_fn(3, 7, |r, c| ((r * 13 + c * 5) % 15) as f64 - 7.0);
+    let (want, _) = assign_reference(&samples, &cents);
+    assert!(
+        want.iter().any(|&l| l != 0),
+        "the test needs rows off label 0"
+    );
+    let c = Counters::new();
+    let stats = Mutex::new(CampaignStats::default());
+    let mut data = DeviceData::upload(&dev, &samples, &cents, &c).unwrap();
+    data.ensure_bounds();
+    let out = run_assignment(
+        &dev,
+        &data,
+        Variant::Hamerly,
+        SchemeKind::None,
+        &NanHook,
+        &c,
+        &stats,
+    )
+    .unwrap();
+    assert_eq!(out.labels, want);
+}

@@ -82,6 +82,8 @@ pub mod phases {
     pub const BATCH_UPDATE: &str = "batch_update";
     /// One `FittedModel` predict/assign call (serving path).
     pub const PREDICT: &str = "predict";
+    /// The final objective of a fit or `partial_fit` step (one launch).
+    pub const INERTIA: &str = "inertia";
 }
 
 /// Canonical fault-event kinds (see [`TraceEvent::Fault`]).
