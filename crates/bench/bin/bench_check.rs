@@ -6,8 +6,9 @@
 //! bench_check --write-baseline
 //! ```
 //!
-//! With no gate names it runs all six. Exit status is 1 when a gate fails
-//! and 2 on a usage error or an unreadable ledger.
+//! With no gate names it runs all six. Its first line names the MMA
+//! micro-kernel path the host runs ([`gpu_sim::mma::isa`]). Exit status is
+//! 1 when a gate fails and 2 on a usage error or an unreadable ledger.
 //!
 //! * **fit / predict / serve** — fresh median rates ([`REPS`] reps) against
 //!   the rows of the same bench in `baselines/throughput.csv`, measured at
@@ -303,6 +304,8 @@ fn main() {
             None => usage(),
         }
     }
+    // Host rates depend on the vector width the MMA micro-kernel runs at.
+    println!("bench_check: MMA path {}", gpu_sim::mma::isa());
     if write {
         if !gates.is_empty() {
             usage();

@@ -42,7 +42,6 @@
 //! per-element access in the kernel variants.
 
 use crate::counters::EventSink;
-use crate::exec;
 use crate::matrix::Matrix;
 use crate::sanitizer;
 use crate::scalar::Scalar;
@@ -309,22 +308,6 @@ impl<E: Element> GlobalBuffer<E> {
         for (&v, cell) in vals.iter().zip(cells) {
             E::store_cell(cell, v);
         }
-    }
-
-    /// Host upload of `vals` into the elements from `start` on, as
-    /// contiguous runs copied in parallel by the current executor (a
-    /// large `cudaMemcpy` spread over the copy engines). Uncounted, like
-    /// every upload; not a kernel launch. Call it from the host, not from
-    /// inside a kernel.
-    pub fn upload(&self, start: usize, vals: &[E]) {
-        const RUN: usize = 1 << 16;
-        exec::with_current(|e| {
-            e.run_chunked(vals.len().div_ceil(RUN), |first, last| {
-                for lo in (first..last).map(|r| r * RUN) {
-                    self.write_range(start + lo, &vals[lo..vals.len().min(lo + RUN)]);
-                }
-            })
-        });
     }
 
     /// Overwrite every element with `v` (host-side reset between iterations).

@@ -6,9 +6,25 @@
 //! accumulators and each call performs `acc[i][j] += Σ_k a[i][k] * b[j][k]`
 //! for a `kk`-deep slab, applying TF32 input truncation for `f32`.
 //!
-//! Operands are staged once per k-tile as TF32 [`Panels`] and multiplied by
-//! one register-blocked micro-kernel, whether a caller hands in fragments
-//! ([`FragmentMma::mma`]) or whole staged tiles ([`FragmentMma::mma_panel`]).
+//! Operands are staged as TF32 panels, A rows row-major ([`APanel`]) and B
+//! rows k-major ([`BPanel`]), and multiplied by one register-blocked
+//! micro-kernel, whether a caller hands in fragments ([`FragmentMma::mma`])
+//! or whole staged tiles ([`FragmentMma::mma_panel`]). A B panel does not
+//! belong to any one block: the tensor kernel stages the centroid panels
+//! once per launch and every block reads them.
+//!
+//! The micro-kernel is compiled three times: for AVX-512F, for AVX2, and
+//! for the portable baseline. The widest path the host supports is picked
+//! once per process ([`isa`] names it); targets other than x86-64 have only
+//! the portable path. Every path runs the same source with products and
+//! sums as separate `*` and `+` (never contracted to a fused multiply-add),
+//! and every output sums its slab from zero in ascending `k`, so the wider
+//! vectors change the speed and never a bit of a number in the result. The
+//! one exception is the sign and payload of a NaN that a slab makes from
+//! non-finite panel values, which follow the operand order each build
+//! picked. Samples and centroids are checked finite before any kernel
+//! runs, so no fit multiplies one; a NaN already in the accumulator (a
+//! flipped bit) passes through every path unchanged.
 //!
 //! Every MMA slab passes through a [`FaultHook`], the interception point the
 //! fault injector (crate `ftk-fault`) uses to flip bits in accumulator
@@ -92,6 +108,62 @@ impl<T: Scalar> FaultHook<T> for NoFault {
     }
 }
 
+/// The instruction set the MMA micro-kernel is compiled for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Isa {
+    #[cfg(target_arch = "x86_64")]
+    Avx512f,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    Portable,
+}
+
+impl Isa {
+    /// Every path, widest first.
+    #[cfg(target_arch = "x86_64")]
+    const ALL: [Isa; 3] = [Isa::Avx512f, Isa::Avx2, Isa::Portable];
+    #[cfg(not(target_arch = "x86_64"))]
+    const ALL: [Isa; 1] = [Isa::Portable];
+
+    fn supported(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512f => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            Isa::Portable => true,
+        }
+    }
+
+    /// The widest path this host runs, detected once per process.
+    fn host() -> Isa {
+        static HOST: std::sync::OnceLock<Isa> = std::sync::OnceLock::new();
+        *HOST.get_or_init(|| {
+            Isa::ALL
+                .into_iter()
+                .find(|isa| isa.supported())
+                .unwrap_or(Isa::Portable)
+        })
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512f => "avx512f",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => "avx2",
+            Isa::Portable => "portable",
+        }
+    }
+}
+
+/// The instruction set the MMA micro-kernel runs on in this process:
+/// `"avx512f"`, `"avx2"` or `"portable"`. Results do not depend on it; host
+/// wall-clock does.
+pub fn isa() -> &'static str {
+    Isa::host().name()
+}
+
 /// Functional warp-tile MMA executor.
 ///
 /// `wm`/`wn` are the warp tile dimensions in elements; the executor derives
@@ -102,6 +174,7 @@ pub struct FragmentMma {
     wm: usize,
     wn: usize,
     mma_shape: (usize, usize, usize),
+    isa: Isa,
 }
 
 impl FragmentMma {
@@ -111,7 +184,12 @@ impl FragmentMma {
             crate::device::Precision::Fp32 => shapes::FP32_MMA,
             crate::device::Precision::Fp64 => shapes::FP64_MMA,
         };
-        FragmentMma { wm, wn, mma_shape }
+        FragmentMma {
+            wm,
+            wn,
+            mma_shape,
+            isa: Isa::host(),
+        }
     }
 
     pub fn wm(&self) -> usize {
@@ -136,7 +214,7 @@ impl FragmentMma {
     /// * `b` — `wn*kk` row-major B fragment (rows of Y),
     /// * `kk` — slab depth.
     ///
-    /// The fragments are staged as [`Panels`] and multiplied by the same
+    /// The fragments are staged as panels and multiplied by the same
     /// micro-kernel as [`FragmentMma::mma_panel`], so both paths give the
     /// same bits. A checksum `site` is charged as checksum MMAs.
     #[allow(clippy::too_many_arguments)]
@@ -151,9 +229,11 @@ impl FragmentMma {
         counters: &C,
     ) {
         debug_assert_eq!(acc.len(), self.wm * self.wn);
-        let mut panels = Panels::default();
-        panels.stage(a, b, kk);
-        panel_kernel(acc, self.wn, &panels, (0, 0, 0), (self.wm, self.wn), kk);
+        let (mut ap, mut bp) = (APanel::default(), BPanel::default());
+        ap.stage(a, kk);
+        bp.stage(b, kk);
+        let whole = (self.wm, self.wn);
+        panel_kernel(self.isa, acc, self.wn, (&ap, &bp), (0, 0, 0), whole, kk);
         let n = self.hw_mma_count(kk);
         if site.is_checksum {
             counters.add_ft_mma(n);
@@ -163,7 +243,7 @@ impl FragmentMma {
         hook.post_mma(&site, acc, self.wn);
     }
 
-    /// One `kk`-deep payload MMA slab of one warp over staged [`Panels`]:
+    /// One `kk`-deep payload MMA slab of one warp over staged panels:
     /// `acc[i][j] += Σ_k a[row0+i][k0+k] · b[k0+k][col0+j]`, the sum
     /// starting at zero, where `at = (row0, col0, k0)` places the warp tile
     /// in the panels.
@@ -176,10 +256,12 @@ impl FragmentMma {
     ///
     /// No hook is called: a caller with a live [`FaultHook`] hands the
     /// whole tile to [`FaultHook::post_mma`] after the slab.
+    #[allow(clippy::too_many_arguments)]
     pub fn mma_panel<T: Scalar, C: EventSink + ?Sized>(
         &self,
         acc: &mut [T],
-        panels: &Panels<T>,
+        a: &APanel<T>,
+        b: &BPanel<T>,
         at: (usize, usize, usize),
         live: (usize, usize),
         kk: usize,
@@ -187,34 +269,50 @@ impl FragmentMma {
     ) {
         debug_assert_eq!(acc.len(), self.wm * self.wn);
         debug_assert!(live.0 <= self.wm && live.1 <= self.wn);
-        panel_kernel(acc, self.wn, panels, at, live, kk);
+        panel_kernel(self.isa, acc, self.wn, (a, b), at, live, kk);
         counters.add_mma(self.hw_mma_count(kk));
     }
 }
 
-/// The operands of one staged k-tile, TF32-converted once (identity for
-/// `f64`) for every warp and slab that reads them: A rows row-major
-/// (`a[i*kk + k]`), B rows transposed k-major (`b[k*cols + j]`), so a
-/// slab's B values for consecutive output columns are contiguous. Empty
-/// by default; [`Panels::stage`] sizes them.
+/// The A operand of one staged k-tile: its rows TF32-converted once
+/// (identity for `f64`) and kept row-major (`a[i*kk + k]`) for every warp
+/// and slab that reads them. Empty by default; [`APanel::stage`] sizes it.
 #[derive(Debug, Clone, Default)]
-pub struct Panels<T> {
+pub struct APanel<T> {
     a: Vec<T>,
+    kk: usize,
+}
+
+impl<T: Scalar> APanel<T> {
+    /// Stage `a` (row-major rows of A, `kk` deep), reusing the buffer. Pass
+    /// only the live rows: padding rows are never read.
+    pub fn stage(&mut self, a: &[T], kk: usize) {
+        debug_assert!(kk > 0 && a.len().is_multiple_of(kk));
+        self.kk = kk;
+        self.a.clear();
+        self.a.extend(a.iter().map(|v| v.to_tf32()));
+    }
+}
+
+/// The B operand of one k-tile: its rows TF32-converted once and
+/// transposed k-major (`b[k*cols + j]`), so a slab's B values for
+/// consecutive output columns are contiguous. It holds no block state, so
+/// one panel can serve every block that multiplies the same B rows. Empty
+/// by default; [`BPanel::stage`] sizes it.
+#[derive(Debug, Clone, Default)]
+pub struct BPanel<T> {
     b: Vec<T>,
     kk: usize,
     cols: usize,
 }
 
-impl<T: Scalar> Panels<T> {
-    /// Stage `a` (row-major rows of A, `kk` deep) and `b` (row-major rows
-    /// of B, `kk` deep), reusing the buffers. Pass only the live rows:
-    /// padding rows are never read.
-    pub fn stage(&mut self, a: &[T], b: &[T], kk: usize) {
-        debug_assert!(kk > 0 && a.len().is_multiple_of(kk) && b.len().is_multiple_of(kk));
+impl<T: Scalar> BPanel<T> {
+    /// Stage `b` (row-major rows of B, `kk` deep), reusing the buffer. Pass
+    /// only the live rows: padding columns are never read.
+    pub fn stage(&mut self, b: &[T], kk: usize) {
+        debug_assert!(kk > 0 && b.len().is_multiple_of(kk));
         self.kk = kk;
         self.cols = b.len() / kk;
-        self.a.clear();
-        self.a.extend(a.iter().map(|v| v.to_tf32()));
         self.b.clear();
         self.b.resize(b.len(), T::ZERO);
         for (j, brow) in b.chunks_exact(kk).enumerate() {
@@ -225,15 +323,71 @@ impl<T: Scalar> Panels<T> {
     }
 }
 
-/// The one MMA micro-kernel (see [`FragmentMma::mma_panel`]). Rows run two
-/// at a time and columns in blocks of 16, 4 and 1. Every output still sums
-/// the slab's `k` terms from zero in ascending order and then adds the sum
-/// to `acc`, so the blocking changes only instruction-level parallelism,
-/// never a bit of the result.
+/// The one MMA micro-kernel (see [`FragmentMma::mma_panel`]), run on the
+/// `isa` path. Each path compiles the same [`panel_body`] for its own
+/// vector width, so all of them give the same numbers (NaNs aside, see the
+/// module doc).
 fn panel_kernel<T: Scalar>(
+    isa: Isa,
     acc: &mut [T],
     wn: usize,
-    p: &Panels<T>,
+    panels: (&APanel<T>, &BPanel<T>),
+    at: (usize, usize, usize),
+    live: (usize, usize),
+    kk: usize,
+) {
+    // `Isa` is private to this module: a value reaches here from
+    // `Isa::host()` (via `FragmentMma`) or from a test that checked
+    // `supported()`, so a wide variant means the CPU has its feature.
+    match isa {
+        // SAFETY: `isa == Avx512f` only where AVX-512F was detected (above).
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512f => unsafe { panel_avx512f(acc, wn, panels, at, live, kk) },
+        // SAFETY: `isa == Avx2` only where AVX2 was detected (above).
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { panel_avx2(acc, wn, panels, at, live, kk) },
+        Isa::Portable => panel_body(acc, wn, panels, at, live, kk),
+    }
+}
+
+/// [`panel_body`] compiled for AVX-512F. Callable only where the CPU has
+/// it (see [`panel_kernel`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn panel_avx512f<T: Scalar>(
+    acc: &mut [T],
+    wn: usize,
+    panels: (&APanel<T>, &BPanel<T>),
+    at: (usize, usize, usize),
+    live: (usize, usize),
+    kk: usize,
+) {
+    panel_body(acc, wn, panels, at, live, kk)
+}
+
+/// [`panel_body`] compiled for AVX2. Callable only where the CPU has it.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn panel_avx2<T: Scalar>(
+    acc: &mut [T],
+    wn: usize,
+    panels: (&APanel<T>, &BPanel<T>),
+    at: (usize, usize, usize),
+    live: (usize, usize),
+    kk: usize,
+) {
+    panel_body(acc, wn, panels, at, live, kk)
+}
+
+/// The micro-kernel's body. Rows run two at a time and columns in blocks
+/// of 16, 4 and 1. Every output still sums the slab's `k` terms from zero
+/// in ascending order and then adds the sum to `acc`, so the blocking
+/// changes only instruction-level parallelism, never a bit of the result.
+#[inline(always)]
+fn panel_body<T: Scalar>(
+    acc: &mut [T],
+    wn: usize,
+    (pa, pb): (&APanel<T>, &BPanel<T>),
     (row0, col0, k0): (usize, usize, usize),
     (rows, cols): (usize, usize),
     kk: usize,
@@ -241,23 +395,23 @@ fn panel_kernel<T: Scalar>(
     if rows == 0 || cols == 0 {
         return;
     }
-    debug_assert!(k0 + kk <= p.kk && col0 + cols <= p.cols);
-    let a_row = |i: usize| &p.a[(row0 + i) * p.kk + k0..][..kk];
-    let b = &p.b[k0 * p.cols + col0..];
+    debug_assert!(k0 + kk <= pa.kk && pa.kk == pb.kk && col0 + cols <= pb.cols);
+    let a_row = |i: usize| &pa.a[(row0 + i) * pa.kk + k0..][..kk];
+    let b = &pb.b[k0 * pb.cols + col0..];
     let mut i = 0;
     while i + 2 <= rows {
         let (c0, c1) = acc[i * wn..(i + 2) * wn].split_at_mut(wn);
         let out = [&mut c0[..cols], &mut c1[..cols]];
-        row_block(out, [a_row(i), a_row(i + 1)], b, p.cols);
+        row_block(out, [a_row(i), a_row(i + 1)], b, pb.cols);
         i += 2;
     }
     if i < rows {
         let out = [&mut acc[i * wn..i * wn + cols]];
-        row_block(out, [a_row(i)], b, p.cols);
+        row_block(out, [a_row(i)], b, pb.cols);
     }
 }
 
-/// `R` output rows of [`panel_kernel`], walked in column blocks.
+/// `R` output rows of [`panel_body`], walked in column blocks.
 #[inline(always)]
 fn row_block<T: Scalar, const R: usize>(mut out: [&mut [T]; R], a: [&[T]; R], b: &[T], ldb: usize) {
     let cols = out[0].len();
@@ -460,13 +614,14 @@ mod tests {
                 };
                 exec.mma(&mut full, &a, &b, kk, site, &NoFault, &c_full);
             }
-            let mut panels = Panels::default();
-            panels.stage(&a_rows, &b_rows, depth);
+            let (mut ap, mut bp) = (APanel::default(), BPanel::default());
+            ap.stage(&a_rows, depth);
+            bp.stage(&b_rows, depth);
             let mut got = acc0.clone();
             let c_panel = Counters::new();
             for slab in 0..slabs {
                 let origin = (at.0, at.1, slab * kk);
-                exec.mma_panel(&mut got, &panels, origin, live, kk, &c_panel);
+                exec.mma_panel(&mut got, &ap, &bp, origin, live, kk, &c_panel);
             }
             for (e, ((&f, &g), &o)) in full.iter().zip(&got).zip(&acc0).enumerate() {
                 let (i, j) = (e / wn, e % wn);
@@ -491,6 +646,60 @@ mod tests {
         }
         panel_matches_full::<f32>(64, 32, 8);
         panel_matches_full::<f64>(7, 21, 4);
+    }
+
+    /// Every path this host runs gives the portable micro-kernel's bits:
+    /// random slabs with 16-, 4- and 1-wide column tails and odd row
+    /// counts, live corners, and NaN, ±Inf and −0.0 among the inputs and
+    /// the accumulators. A NaN result is NaN on every path, but its sign
+    /// and payload depend on the operand order the compiler picked, so
+    /// only its NaN-ness is compared.
+    fn wide_paths_match_portable<T: Scalar>() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |specials: bool| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let pick = (state >> 59) as usize;
+            let v = match pick {
+                0 if specials => f64::NAN,
+                1 if specials => f64::INFINITY,
+                2 if specials => f64::NEG_INFINITY,
+                3 | 4 => -0.0,
+                _ => (state >> 11) as f64 / (1u64 << 53) as f64 * 16.0 - 8.0,
+            };
+            T::from_f64(v)
+        };
+        let paths: Vec<Isa> = Isa::ALL.into_iter().filter(|i| i.supported()).collect();
+        assert!(paths.contains(&Isa::host()) && paths.contains(&Isa::Portable));
+        for (wm, wn, kk) in [(5, 21, 8), (7, 37, 4), (1, 16, 3), (9, 53, 16), (64, 32, 8)] {
+            let corners = [(wm, wn), (wm / 2 + 1, wn / 3 + 1), (1, 1), (wm, wn.min(17))];
+            for (live, specials) in corners.into_iter().zip([false, true, true, false]) {
+                let a: Vec<T> = (0..live.0 * kk).map(|_| draw(specials)).collect();
+                let b: Vec<T> = (0..live.1 * kk).map(|_| draw(specials)).collect();
+                let acc0: Vec<T> = (0..wm * wn).map(|_| draw(specials)).collect();
+                let (mut ap, mut bp) = (APanel::default(), BPanel::default());
+                ap.stage(&a, kk);
+                bp.stage(&b, kk);
+                let run = |isa: Isa| {
+                    let mut acc = acc0.clone();
+                    panel_kernel(isa, &mut acc, wn, (&ap, &bp), (0, 0, 0), live, kk);
+                    let bits = |v: &T| (!v.to_f64().is_nan()).then(|| v.to_raw_u64());
+                    acc.iter().map(bits).collect::<Vec<_>>()
+                };
+                let want = run(Isa::Portable);
+                for &isa in &paths {
+                    assert_eq!(run(isa), want, "{isa:?} {wm}x{wn}x{kk} live {live:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_host_path_matches_the_portable_kernel_bitwise() {
+        wide_paths_match_portable::<f32>();
+        wide_paths_match_portable::<f64>();
+        assert!(["avx512f", "avx2", "portable"].contains(&isa()));
     }
 
     #[test]

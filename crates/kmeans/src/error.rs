@@ -149,7 +149,7 @@ pub(crate) fn ensure_finite<T: Scalar>(m: &Matrix<T>) -> Result<(), KMeansError>
 }
 
 /// `‖x‖²` in eight independent partial sums, so the pass vectorises.
-fn sq_norm<T: Scalar>(x: &[T]) -> T {
+pub(crate) fn sq_norm<T: Scalar>(x: &[T]) -> T {
     let mut acc = [T::ZERO; 8];
     let mut lanes = x.chunks_exact(8);
     for chunk in &mut lanes {

@@ -16,7 +16,7 @@ use crate::assign::run_assignment;
 use crate::config::{KMeansConfig, PredictPolicy};
 use crate::device_data::DeviceData;
 use crate::driver::FitResult;
-use crate::error::{ensure_finite, KMeansError};
+use crate::error::{admissible, ensure_finite, rejected_row, sq_norm, KMeansError};
 use crate::phase;
 use crate::quant::{fnv1a64, fnv1a64_step, QuantKind, QuantizedCentroids, FNV1A64_BASIS};
 use crate::session::Session;
@@ -108,43 +108,126 @@ impl<T: Scalar> Default for PredictScratch<T> {
 /// bit-identical labels and distances, the memo is valid across policy
 /// switches.
 struct AssignMemo {
-    key: (usize, usize, usize, u64),
+    key: MemoKey,
     labels: Vec<u32>,
     inertia: f64,
 }
 
-/// The memo key of `samples`. Every element is hashed, one word-wise
-/// [`fnv1a64`] step each: runs of elements are digested in parallel on the
-/// current executor, element `i` of a run into lane `i % 8`, and the run
-/// digests are then hashed in order. A change to any single element always
+/// Data pointer, rows, columns and digest of a query matrix.
+type MemoKey = (usize, usize, usize, u64);
+
+/// Rows per digest run: whole rows, about 2^18 elements.
+fn run_rows(cols: usize) -> usize {
+    ((1 << 18) / cols.max(1)).max(1)
+}
+
+/// The memo key of `samples`. Every element is hashed by [`fnv1a64`]
+/// steps: runs of [`run_rows`] rows are digested in
+/// parallel on the current executor ([`LaneDigest`]), and the run digests
+/// are then hashed in order. A change to any single element always
 /// changes its lane's digest, so its run's and so the key, and a wider
 /// in-place edit replays stale labels only on a chance 64-bit collision.
 /// The lanes and runs keep the pass at memory speed instead of one
 /// multiply chain long.
-fn memo_key<T: Scalar>(samples: &Matrix<T>) -> (usize, usize, usize, u64) {
-    const RUN: usize = 1 << 18;
+fn memo_key<T: Scalar>(samples: &Matrix<T>) -> MemoKey {
+    let (m, cols) = (samples.rows(), samples.cols());
+    let per = run_rows(cols);
     let s = samples.as_slice();
-    let mut digests = vec![0u64; s.len().div_ceil(RUN)];
+    let mut digests = vec![0u64; m.div_ceil(per)];
     exec::with_current(|e| {
         e.par_chunks_mut(&mut digests, 1, |i, out| {
-            out[0] = lanes_digest(&s[i * RUN..s.len().min((i + 1) * RUN)]);
+            let mut lanes = LaneDigest::new();
+            lanes.absorb(&s[i * per * cols..m.min((i + 1) * per) * cols]);
+            out[0] = lanes.finish();
         })
     });
-    let hash = fnv1a64(digests);
-    (s.as_ptr() as usize, samples.rows(), samples.cols(), hash)
+    (s.as_ptr() as usize, m, cols, fnv1a64(digests))
 }
 
-/// [`fnv1a64`] of the eight lane digests of `run` and then its tail.
-fn lanes_digest<T: Scalar>(run: &[T]) -> u64 {
-    let mut lanes = [FNV1A64_BASIS; 8];
-    let mut chunks = run.chunks_exact(8);
-    for chunk in &mut chunks {
-        for (h, v) in lanes.iter_mut().zip(chunk) {
-            *h = fnv1a64_step(*h, v.to_raw_u64());
+/// Check, fingerprint and upload the queries of a quantized predict in one
+/// parallel pass over `samples`: the verdict of [`ensure_finite`] (the
+/// first rejected row), the key of [`memo_key`] and a copy of the samples
+/// into `buf`, reading the matrix once instead of three times. Each run of [`run_rows`] rows is walked in groups of 64
+/// rows that are checked, copied and digested while they are in cache; a
+/// group's element count is a multiple of sixteen, so the lanes see the
+/// elements as [`memo_key`]'s do. A run stops at its first rejected row.
+fn ingest_queries<T: Scalar>(
+    samples: &Matrix<T>,
+    buf: &GlobalBuffer<T>,
+) -> Result<MemoKey, KMeansError> {
+    let (m, cols) = (samples.rows(), samples.cols());
+    let per = run_rows(cols);
+    let s = samples.as_slice();
+    let mut runs = vec![(None, 0u64); m.div_ceil(per)];
+    exec::with_current(|e| {
+        e.par_chunks_mut(&mut runs, 1, |i, out| {
+            let rows = i * per..m.min((i + 1) * per);
+            let mut lanes = LaneDigest::new();
+            for g0 in rows.clone().step_by(64) {
+                let group = g0..rows.end.min(g0 + 64);
+                let rejected = group
+                    .clone()
+                    .find(|&r| !admissible(sq_norm(samples.row(r))));
+                if rejected.is_some() {
+                    out[0] = (rejected, 0);
+                    return;
+                }
+                let run = &s[group.start * cols..group.end * cols];
+                buf.write_range(group.start * cols, run);
+                lanes.absorb(run);
+            }
+            out[0] = (None, lanes.finish());
+        })
+    });
+    if let Some(row) = runs.iter().find_map(|r| r.0) {
+        return Err(rejected_row(samples, row));
+    }
+    let digest = fnv1a64(runs.into_iter().map(|r| r.1));
+    Ok((s.as_ptr() as usize, m, cols, digest))
+}
+
+/// Eight [`fnv1a64`] lanes over one run. The run is read in 64-bit words,
+/// one `f64` or two `f32` elements each (packing pairs halves the
+/// multiply chain, which bounds the pass): word `i` folds into lane
+/// `i % 8`, and the digest hashes the lanes and then, one element per
+/// word, the tail that does not fill a group of eight words.
+struct LaneDigest {
+    lanes: [u64; 8],
+    tail: ([u64; 15], usize),
+}
+
+impl LaneDigest {
+    fn new() -> Self {
+        LaneDigest {
+            lanes: [FNV1A64_BASIS; 8],
+            tail: ([0; 15], 0),
         }
     }
-    let tail = chunks.remainder().iter().map(|v| v.to_raw_u64());
-    fnv1a64(lanes.into_iter().chain(tail))
+
+    /// Fold the run's next elements. Only its last slice may be ragged.
+    fn absorb<T: Scalar>(&mut self, run: &[T]) {
+        debug_assert_eq!(self.tail.1, 0, "a ragged slice ends the run");
+        let per_word = (u64::BITS / T::BITS) as usize;
+        let mut chunks = run.chunks_exact(8 * per_word);
+        for chunk in &mut chunks {
+            for (h, w) in self.lanes.iter_mut().zip(chunk.chunks_exact(per_word)) {
+                let word = w
+                    .iter()
+                    .fold(0u64, |acc, v| acc.wrapping_shl(T::BITS) | v.to_raw_u64());
+                *h = fnv1a64_step(*h, word);
+            }
+        }
+        let rest = chunks.remainder();
+        for (t, v) in self.tail.0.iter_mut().zip(rest) {
+            *t = v.to_raw_u64();
+        }
+        self.tail.1 = rest.len();
+    }
+
+    fn finish(self) -> u64 {
+        let (tail, n) = self.tail;
+        fnv1a64(self.lanes.into_iter().chain(tail[..n].iter().copied()))
+    }
 }
 
 /// Cloning a model is cheap: the device-resident centroid and
@@ -324,6 +407,11 @@ impl<T: Scalar> FittedModel<T> {
     /// finite. A NaN or infinite query has no nearest centroid, so it is
     /// rejected with [`KMeansError::NonFinite`] instead of labelled.
     pub fn validate_queries(&self, samples: &Matrix<T>) -> Result<(), KMeansError> {
+        self.check_shape(samples)?;
+        ensure_finite(samples)
+    }
+
+    fn check_shape(&self, samples: &Matrix<T>) -> Result<(), KMeansError> {
         if samples.cols() != self.data.dim {
             return Err(KMeansError::ShapeMismatch {
                 what: "samples",
@@ -331,19 +419,56 @@ impl<T: Scalar> FittedModel<T> {
                 got: (samples.rows(), samples.cols()),
             });
         }
-        ensure_finite(samples)
+        Ok(())
     }
 
     fn assign(&self, samples: &Matrix<T>) -> Result<(Vec<u32>, f64), KMeansError> {
-        self.validate_queries(samples)?;
-        if samples.rows() == 0 {
-            return Ok((Vec::new(), 0.0));
-        }
+        // The quantized path leases its query buffer first and fills it in
+        // the same pass that checks and fingerprints the queries; the exact
+        // path uploads through its ingest launch after the memo lookup.
+        // Either way a shape error comes first, then the first rejected
+        // row, then the memo.
+        let (key, leased) = if let Some(kind) = self.policy.quant_kind() {
+            self.check_shape(samples)?;
+            if samples.rows() == 0 {
+                return Ok((Vec::new(), 0.0));
+            }
+            // The buffer is model-owned scratch, re-filled in place when
+            // the batch size repeats (steady-state serving re-allocates
+            // nothing). It is *leased* out of the mutex until the launch
+            // is done: a `GlobalBuffer` clone is a device-pointer copy, so
+            // two overlapping predicts holding clones of one cached buffer
+            // would overwrite each other's queries between their uploads
+            // and launches. Taking the `Option` means an overlapping
+            // caller simply allocates a fresh buffer; whoever finishes last
+            // parks theirs for the next call.
+            let len = samples.as_slice().len();
+            let queries = match self.scratch.query_buf.lock().take() {
+                Some(buf) if buf.len() == len => buf,
+                _ => GlobalBuffer::zeros(len),
+            };
+            queries.set_sanitizer_label("serve.queries");
+            match self.session.run(|| ingest_queries(samples, &queries)) {
+                Ok(key) => (key, Some((kind, queries))),
+                Err(e) => {
+                    *self.scratch.query_buf.lock() = Some(queries);
+                    return Err(e);
+                }
+            }
+        } else {
+            self.validate_queries(samples)?;
+            if samples.rows() == 0 {
+                return Ok((Vec::new(), 0.0));
+            }
+            (memo_key(samples), None)
+        };
         // `score` after `predict` on the same matrix (and repeated
-        // predicts) replay the memo — no upload, no kernels.
-        let key = memo_key(samples);
+        // predicts) replay the memo — no kernels.
         if let Some(memo) = self.scratch.memo.lock().as_ref() {
             if memo.key == key {
+                if let Some((_, queries)) = leased {
+                    *self.scratch.query_buf.lock() = Some(queries);
+                }
                 return Ok((memo.labels.clone(), memo.inertia));
             }
         }
@@ -353,8 +478,8 @@ impl<T: Scalar> FittedModel<T> {
             let seq = self.scratch.predict_seq.fetch_add(1, Ordering::Relaxed);
             phase::traced(trace::phases::PREDICT, seq, counters, || {
                 let fallbacks_before = trace::active().then(|| counters.snapshot().quant_fallbacks);
-                let out = match self.policy.quant_kind() {
-                    Some(kind) => {
+                let out = match leased {
+                    Some((kind, queries)) => {
                         // Integrity guard: the digest must match before the
                         // quantized table serves a query; a corrupted table is
                         // detected here and rebuilt from the fp centroids.
@@ -370,27 +495,10 @@ impl<T: Scalar> FittedModel<T> {
                                 counters,
                             );
                         }
-                        // Only the raw query buffer is uploaded (in parallel
-                        // runs, not a launch) — the fused kernel folds ‖x‖²
-                        // into its distance pass, so this path launches no
-                        // sample-norms kernel at all. The buffer itself is
-                        // model-owned scratch, re-filled in place when the
-                        // batch size repeats (steady-state serving
-                        // re-allocates nothing). The buffer is *leased*
-                        // out of the mutex for the duration of the launch:
-                        // a `GlobalBuffer` clone is a device-pointer copy, so
-                        // two overlapping predicts holding clones of one cached
-                        // buffer would overwrite each other's queries between
-                        // their uploads and launches. Taking the `Option` means
-                        // an overlapping caller simply allocates a fresh buffer;
-                        // whoever finishes last parks theirs for the next call.
-                        let leased = self.scratch.query_buf.lock().take();
-                        let queries = match leased {
-                            Some(buf) if buf.len() == samples.as_slice().len() => buf,
-                            _ => GlobalBuffer::zeros(samples.as_slice().len()),
-                        };
-                        queries.upload(0, samples.as_slice());
-                        queries.set_sanitizer_label("serve.queries");
+                        // Only the raw query buffer was uploaded (not a
+                        // launch) — the fused kernel folds ‖x‖² into its
+                        // distance pass, so this path launches no
+                        // sample-norms kernel at all.
                         let out = predict_fused_assign(
                             device,
                             crate::variants::predict_fused::QueryView {
@@ -732,6 +840,45 @@ mod tests {
         }
     }
 
+    /// The one-pass query ingest fills the buffer with the samples, keys
+    /// them as `memo_key` does, and rejects the row `ensure_finite` names:
+    /// ragged shapes, one and several digest runs.
+    #[test]
+    fn query_ingest_matches_the_separate_passes() {
+        for (rows, cols) in [(1, 1), (7, 3), (130, 65), (4100, 65), (8200, 33)] {
+            let x = Matrix::<f32>::from_fn(rows, cols, |r, c| (r * 7 + c * 13) as f32 * 0.25 - 9.0);
+            let buf = GlobalBuffer::zeros(rows * cols);
+            assert_eq!(
+                ingest_queries(&x, &buf).unwrap(),
+                memo_key(&x),
+                "{rows}x{cols}"
+            );
+            assert_eq!(buf.to_vec(), x.as_slice(), "{rows}x{cols} upload");
+            let y = Matrix::<f64>::from_fn(rows, cols, |r, c| (r * 3 + c) as f64 * 0.5);
+            let buf = GlobalBuffer::zeros(rows * cols);
+            assert_eq!(
+                ingest_queries(&y, &buf).unwrap(),
+                memo_key(&y),
+                "f64 {rows}x{cols}"
+            );
+            let mut bad = x.clone();
+            for (r, v) in [
+                (rows - 1, f32::INFINITY),
+                (rows / 2, f32::MAX),
+                (rows * 3 / 4, f32::NAN),
+            ] {
+                bad.set(r, cols / 2, v);
+            }
+            let want = ensure_finite(&bad).unwrap_err().to_string();
+            let got = ingest_queries(&bad, &GlobalBuffer::zeros(rows * cols));
+            assert_eq!(
+                got.unwrap_err().to_string(),
+                want,
+                "{rows}x{cols} rejected row"
+            );
+        }
+    }
+
     #[test]
     fn in_place_negations_change_the_memo_key() {
         let fresh = || Matrix::<f64>::from_fn(128, 64, |r, c| 1.0 + (r * 64 + c) as f64 * 0.01);
@@ -766,7 +913,7 @@ mod tests {
             let before = memo_key(&x);
             x.set(r, c, x.get(r, c).flip_bit(bit));
             proptest::prop_assert_ne!(memo_key(&x), before, "({}, {}) bit {}", r, c, bit);
-            // single-precision words hash as their 32 raw bits
+            // single-precision elements hash as their 32 raw bits
             let mut y = Matrix::<f32>::from_fn(rows, cols, |r, c| (r + 3 * c) as f32 * 0.5);
             let before = memo_key(&y);
             y.set(r, c, y.get(r, c).flip_bit(bit % 32));

@@ -49,6 +49,24 @@ fn exact_row_distance<T: Scalar>(x: &[T], fp: &[T], j: usize, dim: usize) -> T {
     acc
 }
 
+/// [`exact_row_distance`] of eight (sample row, centroid row) pairs at
+/// once: eight independent chains, each summed in that function's order,
+/// so every distance has its bits and the chains overlap in the pipeline
+/// instead of waiting on one another's adds.
+#[inline]
+fn exact_distances8<T: Scalar>(x: [&[T]; 8], c: [&[T]; 8]) -> [T; 8] {
+    let n = x[0].len();
+    let (x, c) = (x.map(|r| &r[..n]), c.map(|r| &r[..n]));
+    let mut acc = [T::ZERO; 8];
+    for k in 0..n {
+        for l in 0..8 {
+            let diff = x[l][k] - c[l][k];
+            acc[l] += diff * diff;
+        }
+    }
+    acc
+}
+
 /// Eight-accumulator dot product for the quantized scan. Re-associating the
 /// sum breaks the serial FP-add dependency chain (and lets the compiler
 /// vectorize), which is safe *here* because scan distances only drive the
@@ -156,6 +174,8 @@ pub fn predict_fused_assign<T: Scalar>(
 
         let mut out_d = [T::INFINITY; SAMPLES_PER_BLOCK];
         let mut out_j = [u32::MAX; SAMPLES_PER_BLOCK];
+        // Rows whose label was accepted, for the winner re-derivation.
+        let mut accepted = [0usize; SAMPLES_PER_BLOCK];
         // Per-sample working set: `dlb[j]` holds row j's scan distance once
         // evaluated (`evald[j] == 1`), else a lower bound on it.
         let mut dlb = ScratchBuf::<f64, 64>::filled(k, 0.0);
@@ -188,12 +208,15 @@ pub fn predict_fused_assign<T: Scalar>(
             // norm bound — strictly conservative. Each rejection evaluates
             // the binding row; on well-separated data one dot product
             // usually decides the sample.
-            let mut jmin = 0usize;
-            for j in 1..k {
-                if dlb[j] < dlb[jmin] {
-                    jmin = j;
-                }
-            }
+            // The first row with the least bound, found as the least bound
+            // and then its first position: a scan that carries its best
+            // index reloads `dlb[jmin]` on every step and mispredicts its
+            // branch, since the winner moves from sample to sample. The
+            // bounds are never NaN (`max` drops one), so both agree.
+            let lo = dlb
+                .iter()
+                .fold(f64::INFINITY, |m, &d| if d < m { d } else { m });
+            let jmin = dlb.iter().position(|&d| d == lo).unwrap_or(0);
             let row = &cents[jmin * dim..(jmin + 1) * dim];
             let dot = dot_wide(x, row);
             dlb[jmin] = (xn + qnorms[jmin] - (dot + dot)).to_f64();
@@ -201,14 +224,14 @@ pub fn predict_fused_assign<T: Scalar>(
             dots_n += 1;
             let mut best_f = dlb[jmin];
             let mut best_idx = jmin as u32;
-            let accepted = loop {
+            let accepted_label = loop {
                 let mut second_f = f64::INFINITY;
                 let mut j2 = usize::MAX;
-                for j in 0..k {
-                    if j as u32 != best_idx && dlb[j] < second_f {
-                        second_f = dlb[j];
-                        j2 = j;
-                    }
+                // As selects, for the same reason.
+                for (j, &d) in dlb.iter().enumerate() {
+                    let runner_up = j as u32 != best_idx && d < second_f;
+                    second_f = if runner_up { d } else { second_f };
+                    j2 = if runner_up { j } else { j2 };
                 }
                 if margin.accepts(
                     best_f,
@@ -234,12 +257,12 @@ pub fn predict_fused_assign<T: Scalar>(
                     best_idx = j2 as u32;
                 }
             };
-            if accepted {
-                // Label is provably the exact argmin; re-derive only the
-                // winner's distance with reference arithmetic.
+            if accepted_label {
+                // Label is provably the exact argmin; only the winner's
+                // distance is re-derived, after the scan.
+                accepted[accepted_n as usize] = i;
                 accepted_n += 1;
                 out_j[i] = best_idx;
-                out_d[i] = exact_row_distance(x, &fp, best_idx as usize, dim);
             } else {
                 // Margin too thin for the quantization error: exact fp row
                 // scan, identical to the naive kernel (same tie-break).
@@ -256,6 +279,23 @@ pub fn predict_fused_assign<T: Scalar>(
                 out_j[i] = fb_idx;
                 out_d[i] = fb_best;
             }
+        }
+        // Re-derive the accepted winners' distances with reference
+        // arithmetic, eight rows at a time.
+        let row = |i: usize| &xtile[i * dim..(i + 1) * dim];
+        let cent = |i: usize| &fp[out_j[i] as usize * dim..(out_j[i] as usize + 1) * dim];
+        let mut groups = accepted[..accepted_n as usize].chunks_exact(8);
+        for g in &mut groups {
+            let d = exact_distances8(
+                std::array::from_fn(|l| row(g[l])),
+                std::array::from_fn(|l| cent(g[l])),
+            );
+            for (&i, d) in g.iter().zip(d) {
+                out_d[i] = d;
+            }
+        }
+        for &i in groups.remainder() {
+            out_d[i] = exact_row_distance(row(i), &fp, out_j[i] as usize, dim);
         }
         // FMA accounting hoisted out of the per-sample loop — one aggregate
         // per block: per sample d (norm) + 2k (pruning bounds), plus 2d per
@@ -320,6 +360,21 @@ mod tests {
             for (a, b) in got.distances.iter().zip(want.distances.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{kind:?} distances");
             }
+        }
+    }
+
+    #[test]
+    fn eight_chain_distances_match_the_single_chain_bitwise() {
+        let x = Matrix::<f32>::from_fn(8, 37, |r, c| ((r * 31 + c * 7) % 13) as f32 * 0.37 - 2.0);
+        let fp = Matrix::<f32>::from_fn(5, 37, |r, c| ((r * 17 + c * 3) % 11) as f32 * 0.61 - 3.0);
+        let pick = |l: usize| (l * 3) % 5;
+        let d = exact_distances8(
+            std::array::from_fn(|l| x.row(l)),
+            std::array::from_fn(|l| fp.row(pick(l))),
+        );
+        for (l, d) in d.into_iter().enumerate() {
+            let want = exact_row_distance(x.row(l), fp.as_slice(), pick(l), 37);
+            assert_eq!(d.to_bits(), want.to_bits(), "row {l}");
         }
     }
 

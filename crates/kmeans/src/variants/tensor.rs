@@ -6,9 +6,13 @@
 //! 1. a `k_stage`-deep asynchronous copy pipeline stages A/B tiles into
 //!    shared memory (`cp.async` + commit/wait groups, lines 03–09, 13–14,
 //!    18–19),
-//! 2. each staged k-tile is TF32-converted once per block into
-//!    [`Panels`]: the live A rows row-major, the live B rows (centroids)
-//!    k-major. Every warp then issues its tensor-core MMA slabs over its
+//! 2. each staged k-tile's live A rows are TF32-converted once per block
+//!    into a row-major [`APanel`]. The B side is the same for every block
+//!    of a grid column, so the live centroid rows of every (column block,
+//!    k-tile) are TF32-converted into a k-major [`BPanel`] once per launch,
+//!    before the grid; blocks still stage their B tiles through the
+//!    pipeline (and are charged for them), but do not convert them again.
+//!    Every warp then issues its tensor-core MMA slabs over its
 //!    `wm x wn` accumulator from the panels (line 17). Where the tile
 //!    overhangs the problem (fewer than `tb_m` samples or `tb_n`
 //!    centroids left), the padded lanes are charged like any other but not
@@ -20,10 +24,11 @@
 //!    fragments* (lines 15–18 — no extra memory traffic, which is why the
 //!    scheme survives `cp.async`) and three checksum MMAs accumulate the
 //!    protected sums (lines 22–24). Each fragment's sums are computed once
-//!    per k-tile over its live rows (staged padding is `+0.0` and never
-//!    hooked, so it would add nothing), in one pass into stack scratch, and
-//!    shared by every warp that consumes the fragment; each warp is still
-//!    charged its own CUDA-core adds,
+//!    over its live rows (staged padding is `+0.0` and never hooked, so it
+//!    would add nothing) and shared by every warp that consumes the
+//!    fragment: an A fragment's once per block and k-tile, into stack
+//!    scratch, a B fragment's once per launch, next to its panel. Each warp
+//!    is still charged its own CUDA-core adds,
 //! 4. every `DETECT_INTERVAL_K` steps and at the loop end the accumulator
 //!    is verified and, for FT K-means, corrected in place via location
 //!    encoding (lines 25–31). Under an inert hook the padded lanes still
@@ -49,7 +54,7 @@ use abft::schemes::wu::WuBlockState;
 use abft::SchemeKind;
 use fault::CampaignStats;
 use gpu_sim::atomics::ArgminStore;
-use gpu_sim::mma::{shapes, FaultHook, FragmentMma, MmaSite, NoFault, Panels};
+use gpu_sim::mma::{shapes, APanel, BPanel, FaultHook, FragmentMma, MmaSite, NoFault};
 use gpu_sim::timing::TileConfig;
 use gpu_sim::warp::frag_col_sums;
 use gpu_sim::{
@@ -104,6 +109,68 @@ fn validate<T: Scalar>(device: &DeviceProfile, tile: &TileConfig) -> Result<(), 
     Ok(())
 }
 
+/// The centroid operand of one k-tile of one column block: the TF32
+/// k-major [`BPanel`] of its live centroid rows and, when the scheme folds
+/// input checksums, every warp column's plain and weighted fragment sums
+/// (`sums[wj*tb_k + k]`; `wsums` stays zero unless `weighted`).
+struct CentroidTile<T> {
+    panel: BPanel<T>,
+    sums: Vec<T>,
+    wsums: Vec<T>,
+}
+
+impl<T: Scalar> CentroidTile<T> {
+    /// Stage `rows`: the live rows of the tile, `tb_k` deep, zero past the
+    /// problem's last dimension. `sums` is `Some(weighted)` when the scheme
+    /// needs the fragment sums.
+    fn stage(rows: &[T], tile: &TileConfig, sums: Option<bool>) -> Self {
+        let mut panel = BPanel::default();
+        panel.stage(rows, tile.tb_k);
+        let n = if sums.is_some() {
+            tile.tb_n / tile.wn * tile.tb_k
+        } else {
+            0
+        };
+        let (mut plain, mut wsums) = (vec![T::ZERO; n], vec![T::ZERO; n]);
+        let run = tile.wn * tile.tb_k;
+        let frags = plain
+            .chunks_exact_mut(tile.tb_k)
+            .zip(wsums.chunks_exact_mut(tile.tb_k));
+        for (wj, (p, w)) in frags.enumerate() {
+            let frag = &rows[rows.len().min(wj * run)..rows.len().min((wj + 1) * run)];
+            frag_col_sums(frag, p, sums.unwrap_or(false).then_some(w));
+        }
+        CentroidTile {
+            panel,
+            sums: plain,
+            wsums,
+        }
+    }
+
+    /// Stage k-tile `kt` of column block `bx` from the resident centroids
+    /// (an uncounted host read: each block still loads its B tiles
+    /// through the pipeline and is charged there).
+    fn from_global(
+        data: &DeviceData<T>,
+        tile: &TileConfig,
+        (bx, kt): (usize, usize),
+        sums: Option<bool>,
+    ) -> Self {
+        let col0 = bx * tile.tb_n;
+        let cols_valid = tile.tb_n.min(data.k - col0);
+        let k0 = kt * tile.tb_k;
+        let run = tile.tb_k.min(data.dim.saturating_sub(k0));
+        let mut rows = vec![T::ZERO; cols_valid * tile.tb_k];
+        if run > 0 {
+            for (j, dst) in rows.chunks_exact_mut(tile.tb_k).enumerate() {
+                data.centroids
+                    .read_range((col0 + j) * data.dim + k0, &mut dst[..run]);
+            }
+        }
+        CentroidTile::stage(&rows, tile, sums)
+    }
+}
+
 /// Run the tensor-core assignment kernel.
 #[allow(clippy::too_many_arguments)]
 pub fn tensor_assign<T: Scalar>(
@@ -114,6 +181,22 @@ pub fn tensor_assign<T: Scalar>(
     hook: &dyn FaultHook<T>,
     counters: &Counters,
     stats: &Mutex<CampaignStats>,
+) -> Result<AssignmentResult<T>, SimError> {
+    run_tensor(device, tile, data, scheme, hook, counters, stats, false)
+}
+
+/// [`tensor_assign`], with the centroid tiles staged once per launch or,
+/// for `per_block`, by every block from its own pipeline tiles.
+#[allow(clippy::too_many_arguments)]
+fn run_tensor<T: Scalar>(
+    device: &DeviceProfile,
+    tile: TileConfig,
+    data: &DeviceData<T>,
+    scheme: SchemeKind,
+    hook: &dyn FaultHook<T>,
+    counters: &Counters,
+    stats: &Mutex<CampaignStats>,
+    per_block: bool,
 ) -> Result<AssignmentResult<T>, SimError> {
     validate::<T>(device, &tile)?;
     let (m, kc, dim) = (data.m, data.k, data.dim);
@@ -136,6 +219,29 @@ pub fn tensor_assign<T: Scalar>(
     let exec = FragmentMma::new::<T>(tile.wm, tile.wn);
     let elem = std::mem::size_of::<T>();
     let inert = hook.is_inert();
+    let warp_state = match scheme {
+        SchemeKind::FtKMeans => {
+            Some(FtKMeansScheme::new(T::PRECISION).warp_state::<T>(tile.wm, tile.wn))
+        }
+        SchemeKind::Kosaian => {
+            Some(KosaianScheme::new(T::PRECISION).warp_state::<T>(tile.wm, tile.wn))
+        }
+        _ => None,
+    };
+    // Input sums of the warps' fragments, weighted ones only where the
+    // scheme corrects (a detection-only state never reads them).
+    let sums_mode = warp_state
+        .as_ref()
+        .map(|st| st.mode() == OnlineMode::DetectCorrect);
+    let centroid_tiles: Vec<CentroidTile<T>> = if per_block {
+        Vec::new()
+    } else {
+        (0..bn * n_ktiles)
+            .map(|t| {
+                CentroidTile::from_global(data, &tile, (t / n_ktiles, t % n_ktiles), sums_mode)
+            })
+            .collect()
+    };
 
     let cfg = LaunchConfig {
         grid: Dim3::xy(bn.max(1), bm.max(1)),
@@ -160,25 +266,8 @@ pub fn tensor_assign<T: Scalar>(
         // `accs[w*wsize..(w+1)*wsize]`.
         let wsize = tile.wm * tile.wn;
         let mut accs: Vec<T> = vec![T::ZERO; n_warps * wsize];
-        let mut warp_states: Option<Vec<WarpOnlineState<T>>> = match scheme {
-            SchemeKind::FtKMeans => {
-                let s = FtKMeansScheme::new(T::PRECISION);
-                Some(
-                    (0..n_warps)
-                        .map(|_| s.warp_state(tile.wm, tile.wn))
-                        .collect(),
-                )
-            }
-            SchemeKind::Kosaian => {
-                let s = KosaianScheme::new(T::PRECISION);
-                Some(
-                    (0..n_warps)
-                        .map(|_| s.warp_state(tile.wm, tile.wn))
-                        .collect(),
-                )
-            }
-            _ => None,
-        };
+        let mut warp_states: Option<Vec<WarpOnlineState<T>>> =
+            warp_state.as_ref().map(|st| vec![st.clone(); n_warps]);
         let mut wu_state: Option<WuBlockState<T>> = (scheme == SchemeKind::Wu)
             .then(|| WuBlockState::new(tile.tb_m, tile.tb_n, T::PRECISION));
 
@@ -203,21 +292,18 @@ pub fn tensor_assign<T: Scalar>(
         }
         let mut committed = prologue;
 
-        // Input sums of every warp row's A fragments and every warp
-        // column's B fragments across one k-tile: `sums[f*tb_k + k]` for
-        // fragment row `f` (A rows first, then B), `wsums` the weighted
-        // ones (skipped by detection-only states).
-        let weighted = warp_states
-            .as_ref()
-            .is_some_and(|st| st[0].mode() == OnlineMode::DetectCorrect);
-        let n_sums = if warp_states.is_some() {
-            (warps_m + warps_n) * tile.tb_k
+        // Input sums of every warp row's A fragments across one k-tile:
+        // `sums[wi*tb_k + k]`, `wsums` the weighted ones (skipped by
+        // detection-only states). The B fragments' come with their panel.
+        let n_sums = if sums_mode.is_some() {
+            warps_m * tile.tb_k
         } else {
             0
         };
-        let mut sums = ScratchBuf::<T, 256>::filled(n_sums, T::ZERO);
-        let mut wsums = ScratchBuf::<T, 256>::filled(n_sums, T::ZERO);
-        let mut panels = Panels::default();
+        let mut sums = ScratchBuf::<T, 128>::filled(n_sums, T::ZERO);
+        let mut wsums = ScratchBuf::<T, 128>::filled(n_sums, T::ZERO);
+        let mut a_panel = APanel::default();
+        let mut own_tile = None;
         let mut ledger = CampaignStats::default();
         // The live extent of warp (wi, wj): its rows and columns inside the
         // problem. Lanes past it are zero padding.
@@ -258,6 +344,15 @@ pub fn tensor_assign<T: Scalar>(
                 wu.absorb_tiles(a_tile, b_tile, tile.tb_k, ctx.counters);
             }
 
+            // The centroid operand of this k-tile: staged for the launch,
+            // or from this block's own B tile.
+            let b_stage = if per_block {
+                let rows = &b_tile.as_slice()[..cols_valid * tile.tb_k];
+                &*own_tile.insert(CentroidTile::stage(rows, &tile, sums_mode))
+            } else {
+                &centroid_tiles[ctx.bx * n_ktiles + kt]
+            };
+
             // Input checksums (Fig. 6 lines 15-18), once per fragment: the
             // staged tiles hold every warp's fragments for this k-tile
             // (tb_k is a multiple of the MMA K, so fragments are never
@@ -265,25 +360,17 @@ pub fn tensor_assign<T: Scalar>(
             // whole tile are its fragments' sums side by side. Rows past
             // the problem edge are staged as +0.0 and no hook touches
             // them, so summing the live prefix gives the same bits.
-            if n_sums > 0 {
-                let parts = [
-                    (a_tile, tile.wm, 0, rows_valid),
-                    (b_tile, tile.wn, warps_m, cols_valid),
-                ];
-                for (src, rows, f0, valid) in parts {
-                    let run = rows * tile.tb_k;
-                    for (f, frag) in src.as_slice().chunks_exact(run).enumerate() {
-                        let live = valid.saturating_sub(f * rows).min(rows);
-                        let at = (f0 + f) * tile.tb_k..(f0 + f + 1) * tile.tb_k;
-                        let w = weighted.then(|| &mut wsums[at.clone()]);
-                        frag_col_sums(&frag[..live * tile.tb_k], &mut sums[at], w);
-                    }
+            if let Some(weighted) = sums_mode {
+                let run = tile.wm * tile.tb_k;
+                for (f, frag) in a_tile.as_slice().chunks_exact(run).enumerate() {
+                    let live = rows_valid.saturating_sub(f * tile.wm).min(tile.wm);
+                    let at = f * tile.tb_k..(f + 1) * tile.tb_k;
+                    let w = weighted.then(|| &mut wsums[at.clone()]);
+                    frag_col_sums(&frag[..live * tile.tb_k], &mut sums[at], w);
                 }
             }
-            let col_sums = |f: usize, kk0: usize| {
-                let at = f * tile.tb_k + kk0..f * tile.tb_k + kk0 + mma_k;
-                [&sums[at.clone()], &wsums[at]]
-            };
+            // Fragment `f`'s sums over the slab at `kk0`.
+            let slab = |f: usize, kk0: usize| f * tile.tb_k + kk0..f * tile.tb_k + kk0 + mma_k;
             let mma_site = |warp: usize, kk0: usize| MmaSite {
                 block,
                 warp,
@@ -293,11 +380,7 @@ pub fn tensor_assign<T: Scalar>(
 
             // Warp MMA main loop (Fig. 4 lines 15-17) over the live rows
             // and columns, TF32-converted once for every warp and slab.
-            panels.stage(
-                &a_tile.as_slice()[..rows_valid * tile.tb_k],
-                &b_tile.as_slice()[..cols_valid * tile.tb_k],
-                tile.tb_k,
-            );
+            a_panel.stage(&a_tile.as_slice()[..rows_valid * tile.tb_k], tile.tb_k);
             // The hook sees every slab of every warp, in the order (warp
             // row, slab, warp column) its fault sites key on; an inert hook
             // is not called at all.
@@ -307,13 +390,17 @@ pub fn tensor_assign<T: Scalar>(
                         let warp_id = wi * warps_n + wj;
                         let acc = &mut accs[warp_id * wsize..(warp_id + 1) * wsize];
                         let at = (wi * tile.wm, wj * tile.wn, kk0);
-                        exec.mma_panel(acc, &panels, at, live_of(wi, wj), mma_k, ctx.counters);
+                        let live = live_of(wi, wj);
+                        let b_panel = &b_stage.panel;
+                        exec.mma_panel(acc, &a_panel, b_panel, at, live, mma_k, ctx.counters);
                         let site = mma_site(warp_id, kk0);
                         if !inert {
                             hook.post_mma(&site, acc, tile.wn);
                         }
                         if let Some(states) = warp_states.as_mut() {
-                            let (a, b) = (col_sums(wi, kk0), col_sums(warps_m + wj, kk0));
+                            let (ra, rb) = (slab(wi, kk0), slab(wj, kk0));
+                            let a = [&sums[ra.clone()], &wsums[ra]];
+                            let b = [&b_stage.sums[rb.clone()], &b_stage.wsums[rb]];
                             if inert {
                                 states[warp_id].fold(a, b, site, &NoFault, ctx.counters);
                             } else {
@@ -496,7 +583,7 @@ fn recompute_warp<T: Scalar, C: gpu_sim::EventSink + ?Sized>(
     acc.fill(T::ZERO);
     let mut a_frag = ScratchBuf::<T, 1024>::filled(tile.wm * mma_k, T::ZERO);
     let mut b_frag = ScratchBuf::<T, 1024>::filled(tile.wn * mma_k, T::ZERO);
-    let mut panels = Panels::default();
+    let (mut a_panel, mut b_panel) = (APanel::default(), BPanel::default());
     let elem = std::mem::size_of::<T>() as u64;
     // Stage each fragment row as a contiguous run (zero-padded at the
     // problem edge), charging in-bounds elements in bulk.
@@ -526,8 +613,10 @@ fn recompute_warp<T: Scalar, C: gpu_sim::EventSink + ?Sized>(
         }
         counters.add_loaded(loaded * elem);
         counters.add_ft_extra_loads(loaded * elem);
-        panels.stage(&a_frag, &b_frag, mma_k);
-        exec.mma_panel(acc, &panels, (0, 0, 0), (tile.wm, tile.wn), mma_k, counters);
+        a_panel.stage(&a_frag, mma_k);
+        b_panel.stage(&b_frag, mma_k);
+        let live = (tile.wm, tile.wn);
+        exec.mma_panel(acc, &a_panel, &b_panel, (0, 0, 0), live, mma_k, counters);
     }
 }
 
@@ -916,6 +1005,73 @@ mod tests {
             (144, 432, 144 * 128 + 24 * 192)
         );
         assert_eq!(stats.lock().clean_sweeps, 24);
+    }
+
+    /// Labels, distance bits, counters and campaign ledger of one run.
+    type Staged = (Vec<u32>, Vec<u64>, gpu_sim::CounterSnapshot, CampaignStats);
+
+    fn staged_run<T: Scalar>(
+        data: &DeviceData<T>,
+        tile: TileConfig,
+        scheme: SchemeKind,
+        hook: &dyn FaultHook<T>,
+        per_block: bool,
+    ) -> Staged {
+        let (dev, c) = (DeviceProfile::a100(), Counters::new());
+        let stats = Mutex::new(CampaignStats::default());
+        let out = run_tensor(&dev, tile, data, scheme, hook, &c, &stats, per_block).unwrap();
+        let bits = out.distances.iter().map(|d| d.to_raw_u64()).collect();
+        (out.labels, bits, c.snapshot(), stats.into_inner())
+    }
+
+    /// Centroid panels and sums staged once per launch give what every
+    /// block staging its own B tiles gives, bit for bit and counter for
+    /// counter, under every scheme, clean and under injection, on a ragged
+    /// shape: k not a multiple of `tb_n`, dim not a multiple of `tb_k`, and
+    /// a partial last row block.
+    fn launch_staging_matches<T: Scalar>(tile: TileConfig, (m, k, dim): (usize, usize, usize)) {
+        let dev = DeviceProfile::a100();
+        let value = |r: usize, c: usize, s: usize| {
+            let h = (r * 2654435761 + c * 40503 + s) % 1000;
+            T::from_f64(h as f64 / 125.0 - 4.0)
+        };
+        let samples = Matrix::<T>::from_fn(m, dim, |r, c| value(r, c, 1));
+        let cents = Matrix::<T>::from_fn(k, dim, |r, c| value(r, c, 7));
+        let data = DeviceData::upload(&dev, &samples, &cents, &Counters::new()).unwrap();
+        for scheme in [
+            SchemeKind::None,
+            SchemeKind::FtKMeans,
+            SchemeKind::Kosaian,
+            SchemeKind::Wu,
+        ] {
+            let clean = [true, false].map(|pb| staged_run(&data, tile, scheme, &NoFault, pb));
+            assert_eq!(clean[0], clean[1], "{scheme:?}");
+            let hits =
+                [(0, 0, 0, 2, 62), (1, 1, tile.tb_k, 5, 51)].map(|(by, bx, k_step, e, bit)| {
+                    PlannedInjection {
+                        block: (by, bx),
+                        warp: 0,
+                        k_step,
+                        elem_idx: e,
+                        bit,
+                        target_checksum: false,
+                    }
+                });
+            let injected = [true, false].map(|pb| {
+                let inj = Injector::planned(hits.to_vec());
+                let out = staged_run(&data, tile, scheme, &inj, pb);
+                assert_eq!(inj.injected_count(), 2, "{scheme:?}");
+                out
+            });
+            assert_eq!(injected[0], injected[1], "{scheme:?} injected");
+        }
+    }
+
+    #[test]
+    fn launch_staged_centroids_match_per_block_staging() {
+        launch_staging_matches::<f64>(small_tile(), (77, 21, 13));
+        launch_staging_matches::<f32>(default_tile(Precision::Fp32), (150, 300, 37));
+        launch_staging_matches::<f64>(default_tile(Precision::Fp64), (130, 70, 21));
     }
 
     #[test]
