@@ -27,19 +27,6 @@ impl DmrStats {
         self.mismatches += other.mismatches;
         self.unresolved += other.unresolved;
     }
-
-    /// Emit the mismatch movement since `prev` as a trace fault event
-    /// (nothing when tracing is off or the delta is zero). Called
-    /// host-side by the driving loop, once per protected phase.
-    pub fn emit_trace_delta(&self, prev: &DmrStats) {
-        if !trace::active() {
-            return;
-        }
-        trace::fault(
-            trace::faults::DMR_MISMATCH,
-            self.mismatches.saturating_sub(prev.mismatches),
-        );
-    }
 }
 
 /// Execute `op` twice and compare; on mismatch retry up to `max_retries`

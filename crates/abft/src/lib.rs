@@ -20,9 +20,10 @@
 //! * [`online`] — the per-warp online state machine fused into the tensor
 //!   kernel's main loop (Fig. 6),
 //! * [`schemes`] — the three competing schemes evaluated in the paper:
-//!   FT K-means (warp-level detect + correct), Kosaian (warp-level detect
-//!   only, recompute to correct), Wu (threadblock-level, register-reuse —
-//!   degraded on Ampere),
+//!   FT K-means (warp-level detect + correct) and Kosaian (warp-level
+//!   detect only, recompute to correct) run on [`online`]'s per-warp
+//!   state; Wu (threadblock-level, register-reuse — degraded on Ampere)
+//!   has its own block state,
 //! * [`dmr`] — dual modular redundancy for the memory-bound centroid
 //!   update.
 

@@ -6,8 +6,6 @@
 //! | Kosaian (SC'21) | warp | ✓ | ✓ | ✓ | ✗ (recompute) |
 //! | **FT K-means** | warp | ✓ | ✓ | ✓ | ✓ (location encoding) |
 
-pub mod ftkmeans;
-pub mod kosaian;
 pub mod wu;
 
 use gpu_sim::timing::FtMode;
@@ -36,11 +34,6 @@ impl SchemeKind {
         }
     }
 
-    /// Whether the scheme can correct an error without recomputation.
-    pub fn corrects_in_place(self) -> bool {
-        matches!(self, SchemeKind::FtKMeans | SchemeKind::Wu)
-    }
-
     /// Display name used in reports (matches the paper's figure legends).
     pub fn label(self) -> &'static str {
         match self {
@@ -62,12 +55,5 @@ mod tests {
         assert_eq!(SchemeKind::FtKMeans.ft_mode(), FtMode::FtKMeans);
         assert_eq!(SchemeKind::Kosaian.ft_mode(), FtMode::Kosaian);
         assert_eq!(SchemeKind::Wu.ft_mode(), FtMode::Wu);
-    }
-
-    #[test]
-    fn correction_capabilities_match_figure5() {
-        assert!(SchemeKind::FtKMeans.corrects_in_place());
-        assert!(SchemeKind::Wu.corrects_in_place());
-        assert!(!SchemeKind::Kosaian.corrects_in_place());
     }
 }

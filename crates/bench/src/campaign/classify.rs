@@ -91,7 +91,6 @@ pub fn classify<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abft::dmr::DmrStats;
     use fault::CampaignStats;
     use gpu_sim::counters::CounterSnapshot;
     use gpu_sim::Matrix;
@@ -104,9 +103,7 @@ mod tests {
             iterations: 1,
             converged: true,
             ft_stats: CampaignStats::default(),
-            dmr: DmrStats::default(),
             counters: CounterSnapshot::default(),
-            injected: 0,
             injection_records: Vec::new(),
             injection_realization: None,
             history: Vec::new(),

@@ -139,9 +139,6 @@ fn run_cell_typed<T: Scalar>(grid: &CampaignGrid, cell: &CampaignCell) -> CellOu
 
     let verdict = classify(&clean, &injected, &SdcPolicy::for_precision(cell.precision));
     let mut stats = injected.ft_stats;
-    // Update-phase faults absorbed by DMR live in the separate DmrStats
-    // ledger; fold them into the campaign view so the table sees them.
-    stats.dmr_mismatches += injected.dmr.mismatches;
     stats.classify_unhandled(verdict.is_sdc);
 
     CellOutcome {

@@ -16,6 +16,7 @@ use crate::paper::injection as paper;
 use crate::report::{fmt_gflops, FigureReport};
 use abft::SchemeKind;
 use codegen::KernelParams;
+use fault::CampaignStats;
 use gpu_sim::timing::FtMode;
 use gpu_sim::{DeviceProfile, Matrix, Precision, Scalar};
 use kmeans::{FtConfig, KMeansConfig, Session, Variant};
@@ -148,11 +149,8 @@ pub fn run_injection(
 /// Outcome of one functional injection campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignOutcome {
-    pub injected: u64,
-    pub corrected: u64,
-    pub rebaselined: u64,
-    pub recomputed: u64,
-    pub dmr_mismatches: u64,
+    /// The injected fit's fault record.
+    pub ft_stats: CampaignStats,
     /// Bitwise-identical final assignment (FP64 with its tight threshold
     /// achieves this; FP32/TF32 may flip near-tie assignments on
     /// below-threshold mantissa flips — the paper's threshold δ faces the
@@ -223,11 +221,7 @@ pub fn functional_campaign<T: Scalar>(
         / m as f64;
     let denom = clean.inertia.abs().max(1e-12);
     CampaignOutcome {
-        injected: injected.injected,
-        corrected: injected.ft_stats.corrected,
-        rebaselined: injected.ft_stats.rebaselined,
-        recomputed: injected.ft_stats.recomputed,
-        dmr_mismatches: injected.dmr.mismatches,
+        ft_stats: injected.ft_stats,
         labels_match_clean: injected.labels == clean.labels,
         label_agreement: agree,
         inertia_rel_diff: (injected.inertia - clean.inertia).abs() / denom,
@@ -252,11 +246,11 @@ fn campaign_rows<T: Scalar>(device: &DeviceProfile, rep: &mut FigureReport, quic
         "functional campaign (M={m}, N={dim}, K={k}): injected {}, corrected {}, rebaselined {}, \
          recomputed {}, DMR mismatches {}; label agreement {:.2}%, inertia drift {:.2e}, \
          bitwise-identical: {}",
-        out.injected,
-        out.corrected,
-        out.rebaselined,
-        out.recomputed,
-        out.dmr_mismatches,
+        out.ft_stats.injected,
+        out.ft_stats.corrected,
+        out.ft_stats.rebaselined,
+        out.ft_stats.recomputed,
+        out.ft_stats.dmr_mismatches,
         out.label_agreement * 100.0,
         out.inertia_rel_diff,
         out.labels_match_clean
@@ -328,7 +322,7 @@ mod tests {
     #[test]
     fn functional_campaign_absorbs_all_faults_fp64() {
         let out = functional_campaign::<f64>(&DeviceProfile::a100(), 512, 16, 4, 0.6, 3);
-        assert!(out.injected > 0, "campaign must inject something");
+        assert!(out.ft_stats.injected > 0, "campaign must inject something");
         assert!(
             out.labels_match_clean,
             "FP64 FT must absorb every fault: {out:?}"
@@ -342,7 +336,7 @@ mod tests {
         // mantissa flips may move near-tie assignments but must not damage
         // clustering quality.
         let out = functional_campaign::<f32>(&DeviceProfile::a100(), 1024, 16, 8, 0.5, 11);
-        assert!(out.injected > 0);
+        assert!(out.ft_stats.injected > 0);
         assert!(
             out.label_agreement > 0.99,
             "agreement {:.4}",

@@ -46,6 +46,9 @@ pub struct CampaignStats {
     pub recomputed: u64,
     /// DMR mismatches caught in the update phase.
     pub dmr_mismatches: u64,
+    /// DMR evaluations whose replicas never agreed within the retries
+    /// (persistent disagreement).
+    pub dmr_unresolved: u64,
     /// Verification sweeps that ran clean.
     pub clean_sweeps: u64,
     /// Unhandled faults classified as harmless (the final result matched a
@@ -118,9 +121,9 @@ impl CampaignStats {
 
     /// Emit the handling-path movement since `prev` as trace fault events
     /// (one [`trace::TraceEvent::Fault`] per nonzero delta; zero deltas
-    /// cost nothing). Drivers call this host-side once per iteration —
-    /// worker threads never emit, which is what keeps pool-mode fault
-    /// streams count-identical to serial ones.
+    /// cost nothing), DMR mismatches included. Drivers call this host-side
+    /// once per iteration — worker threads never emit, which is what keeps
+    /// pool-mode fault streams count-identical to serial ones.
     pub fn emit_trace_delta(&self, prev: &CampaignStats) {
         if !trace::active() {
             return;
@@ -160,6 +163,7 @@ impl CampaignStats {
         self.rebaselined += o.rebaselined;
         self.recomputed += o.recomputed;
         self.dmr_mismatches += o.dmr_mismatches;
+        self.dmr_unresolved += o.dmr_unresolved;
         self.clean_sweeps += o.clean_sweeps;
         self.benign += o.benign;
         self.sdc += o.sdc;

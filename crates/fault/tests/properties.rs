@@ -182,13 +182,13 @@ fn arb_stats() -> impl Strategy<Value = CampaignStats> {
     (
         (f.clone(), f.clone(), f.clone(), f.clone()),
         (f.clone(), f.clone(), f.clone(), f.clone()),
-        (f.clone(), f.clone(), f),
+        (f.clone(), f.clone(), f.clone(), f),
     )
         .prop_map(
             |(
                 (injected, detected, corrected, rebaselined),
                 (recomputed, dmr_mismatches, clean_sweeps, benign),
-                (sdc, injection_launches, saturated_launches),
+                (sdc, injection_launches, saturated_launches, dmr_unresolved),
             )| CampaignStats {
                 injected,
                 detected,
@@ -196,6 +196,7 @@ fn arb_stats() -> impl Strategy<Value = CampaignStats> {
                 rebaselined,
                 recomputed,
                 dmr_mismatches,
+                dmr_unresolved,
                 clean_sweeps,
                 benign,
                 sdc,

@@ -160,29 +160,6 @@ impl DeviceProfile {
         }
     }
 
-    /// Sustained tensor-core throughput for a precision. Falls back to the
-    /// CUDA-core rate when the device lacks a tensor path for `p` (T4 FP64),
-    /// matching how CUTLASS instantiates SIMT kernels there.
-    pub fn tensor_gflops(&self, p: Precision) -> f64 {
-        let t = match p {
-            Precision::Fp32 => self.tensor_fp32_gflops,
-            Precision::Fp64 => self.tensor_fp64_gflops,
-        };
-        if t > 0.0 {
-            t
-        } else {
-            self.cuda_gflops(p)
-        }
-    }
-
-    /// True when the device executes `p` on tensor cores.
-    pub fn has_tensor_path(&self, p: Precision) -> bool {
-        match p {
-            Precision::Fp32 => self.tensor_fp32_gflops > 0.0,
-            Precision::Fp64 => self.tensor_fp64_gflops > 0.0,
-        }
-    }
-
     /// Peak warps per SM.
     pub fn max_warps_per_sm(&self) -> usize {
         self.max_threads_per_sm / 32
@@ -210,9 +187,7 @@ mod tests {
         assert!((d.cuda_fp64_gflops - 253.0).abs() < 1.0);
         assert!((d.mem_bw_gbs - 320.0).abs() < 1.0);
         assert!(!d.has_async_copy);
-        assert!(!d.has_tensor_path(Precision::Fp64));
-        // FP64 "tensor" rate falls back to SIMT.
-        assert_eq!(d.tensor_gflops(Precision::Fp64), 253.0);
+        assert_eq!(d.tensor_fp64_gflops, 0.0, "T4 has no FP64 tensor path");
     }
 
     #[test]

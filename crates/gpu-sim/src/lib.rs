@@ -48,7 +48,6 @@ pub mod sanitizer;
 pub mod scalar;
 pub mod scratch;
 pub mod shared;
-pub mod threadblock;
 pub mod timing;
 pub mod warp;
 

@@ -118,28 +118,6 @@ impl<T: Scalar> Matrix<T> {
         out
     }
 
-    /// Squared L2 norm of every row (the `Samples²` / `Centroids²` vectors of
-    /// Fig. 2 step 1).
-    pub fn row_sq_norms(&self) -> Vec<T> {
-        (0..self.rows)
-            .map(|r| self.row(r).iter().map(|&x| x * x).sum())
-            .collect()
-    }
-
-    /// Frobenius-norm distance to another matrix (test helper).
-    pub fn frob_distance(&self, other: &Matrix<T>) -> f64 {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| {
-                let d = a.to_f64() - b.to_f64();
-                d * d
-            })
-            .sum::<f64>()
-            .sqrt()
-    }
-
     /// Maximum absolute elementwise difference (test helper).
     pub fn max_abs_diff(&self, other: &Matrix<T>) -> f64 {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
@@ -197,14 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn row_sq_norms_match_manual() {
-        let m = Matrix::<f64>::from_fn(2, 3, |r, c| (r + c) as f64);
-        let n = m.row_sq_norms();
-        assert_eq!(n[0], 0.0 + 1.0 + 4.0);
-        assert_eq!(n[1], 1.0 + 4.0 + 9.0);
-    }
-
-    #[test]
     fn gemm_reference_small() {
         // A = [[1,2],[3,4]], B = [[5,6],[7,8]] (rows are the "centroids")
         // C = A * B^T = [[17,23],[39,53]]
@@ -223,6 +193,5 @@ mod tests {
         let mut b = a.clone();
         b.set(1, 1, 3.0);
         assert_eq!(a.max_abs_diff(&b), 2.0);
-        assert!((a.frob_distance(&b) - 2.0).abs() < 1e-12);
     }
 }

@@ -484,21 +484,6 @@ pub fn checksum_dot<T: Scalar, H: FaultHook<T> + ?Sized, C: EventSink + ?Sized>(
     *acc = tile[0];
 }
 
-/// SIMT fused multiply-add with fault-hook interception (CUDA-core path of
-/// the naive/V1/V2/V3 kernels).
-#[inline]
-pub fn simt_fma<T: Scalar, H: FaultHook<T> + ?Sized, C: EventSink + ?Sized>(
-    acc: T,
-    a: T,
-    b: T,
-    site: &MmaSite,
-    hook: &H,
-    counters: &C,
-) -> T {
-    counters.add_fma(1);
-    hook.post_fma(site, acc + a * b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -772,13 +757,5 @@ mod tests {
         // 5 deep at the FP64 MMA K of 4: two mma.sync.
         assert_eq!(s.ft_mma_ops, 2);
         assert_eq!(s.mma_ops, 0);
-    }
-
-    #[test]
-    fn simt_fma_counts() {
-        let c = Counters::new();
-        let v = simt_fma(1.0f32, 2.0, 4.0, &site(), &NoFault, &c);
-        assert_eq!(v, 9.0);
-        assert_eq!(c.snapshot().fma_ops, 1);
     }
 }

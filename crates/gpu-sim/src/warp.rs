@@ -26,34 +26,6 @@ pub fn frag_col_sums<T: Scalar>(frag: &[T], plain: &mut [T], mut weighted: Optio
     }
 }
 
-/// Sum of all elements of a `wm x wn` accumulator tile (`e1ᵀ C e1`).
-pub fn tile_sum<T: Scalar>(acc: &[T]) -> T {
-    acc.iter().copied().sum()
-}
-
-/// Row-index-weighted sum `Σ_ij (i+1)·C[i,j]` (`e2ᵀ C e1`).
-pub fn tile_row_weighted_sum<T: Scalar>(acc: &[T], wn: usize) -> T {
-    let mut s = T::ZERO;
-    for (i, row) in acc.chunks_exact(wn).enumerate() {
-        let w = T::from_usize(i + 1);
-        for &v in row {
-            s += w * v;
-        }
-    }
-    s
-}
-
-/// Column-index-weighted sum `Σ_ij (j+1)·C[i,j]` (`e1ᵀ C e2`).
-pub fn tile_col_weighted_sum<T: Scalar>(acc: &[T], wn: usize) -> T {
-    let mut s = T::ZERO;
-    for row in acc.chunks_exact(wn) {
-        for (j, &v) in row.iter().enumerate() {
-            s += T::from_usize(j + 1) * v;
-        }
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,16 +42,5 @@ mod tests {
         let mut plain_only = [7.0f64; 2];
         frag_col_sums(&frag, &mut plain_only, None);
         assert_eq!(plain_only, plain);
-    }
-
-    #[test]
-    fn tile_checksum_sums() {
-        // C = [[1,2],[3,4]]
-        let acc = vec![1.0f64, 2.0, 3.0, 4.0];
-        assert_eq!(tile_sum(&acc), 10.0);
-        // rows: 1*(1+2) + 2*(3+4) = 17
-        assert_eq!(tile_row_weighted_sum(&acc, 2), 17.0);
-        // cols: 1*(1+3) + 2*(2+4) = 16
-        assert_eq!(tile_col_weighted_sum(&acc, 2), 16.0);
     }
 }

@@ -9,11 +9,12 @@
 //! draw by (seed, launch, block, per-block call ordinal), so an injected
 //! fit is as schedule-independent as a clean one.
 
-use crate::assign::{default_tile, run_assignment, AssignmentResult};
+use crate::assign::{run_assignment, AssignmentResult};
 use crate::config::{KMeansConfig, Variant};
 use crate::device_data::DeviceData;
 use crate::error::KMeansError;
 use crate::init::{init_centroids, reseed_empty_clusters};
+use crate::ledger::FaultLedger;
 use crate::minibatch;
 use crate::model::FittedModel;
 use crate::norms::{inertia_kernel, ingest_samples};
@@ -21,13 +22,10 @@ use crate::phase;
 use crate::session::Session;
 use crate::update::{centroid_drift, update_centroids};
 use crate::variants::hamerly;
-use abft::dmr::DmrStats;
-use fault::{CampaignStats, InjectionRecord, Injector, InjectorConfig, RateRealization};
+use fault::{CampaignStats, InjectionRecord, RateRealization};
 use gpu_sim::counters::CounterSnapshot;
-use gpu_sim::mma::{FaultHook, NoFault};
-use gpu_sim::timing::{estimate, GemmShape, KernelClass, TimingInput};
-use gpu_sim::{Counters, DeviceProfile, Matrix, Precision, Scalar};
-use parking_lot::Mutex;
+use gpu_sim::mma::NoFault;
+use gpu_sim::{Counters, DeviceProfile, Matrix, Scalar};
 
 /// Per-iteration progress record (populated when history tracking is on).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,15 +60,14 @@ pub struct FitResult<T> {
     /// `false` after a `partial_fit` step: a stream has no convergence
     /// criterion (every batch moves the centroids).
     pub converged: bool,
-    /// Fault-tolerance campaign statistics (accumulated across batches for
-    /// a streaming fit).
+    /// The fit's whole fault record (accumulated across batches for a
+    /// streaming fit): faults injected, checksum detections, corrections,
+    /// rebaselines and recomputations, Hamerly revalidations, DMR
+    /// mismatches and unresolved evaluations of the update phase, and the
+    /// out-of-range labels it caught (counted as detected).
     pub ft_stats: CampaignStats,
-    /// DMR statistics from the update phase.
-    pub dmr: DmrStats,
     /// Hardware-event counters accumulated over the whole fit.
     pub counters: CounterSnapshot,
-    /// Faults injected during the fit (0 without an injection campaign).
-    pub injected: u64,
     /// Every fault injected during the fit, ordered by (launch, block,
     /// per-block call ordinal) so the order does not depend on block
     /// scheduling (empty without an injection campaign). Campaign harnesses
@@ -177,7 +174,7 @@ impl KMeans {
     /// learning-rate denominators. Per-batch assignment runs the configured
     /// kernel variant (with ABFT and fault injection, when enabled);
     /// centroid updates apply the aggregated mini-batch learning-rate rule.
-    /// `ft_stats`, DMR and hardware counters accumulate across batches, and
+    /// `ft_stats` and hardware counters accumulate across batches, and
     /// the produced centroids are byte-identical under `FTK_EXEC=serial`
     /// and the parallel pool.
     pub fn partial_fit<T: Scalar>(
@@ -207,57 +204,6 @@ fn finish_model<T: Scalar>(
     FittedModel::from_parts(session, config, &data, result, weights, 0)
 }
 
-/// Build the fault injector for a problem shape, spreading a rate schedule
-/// over `launches` assignment launches (the fit's `max_iter`, or 1 for a
-/// single mini-batch step).
-pub(crate) fn build_injector<T: Scalar>(
-    device: &DeviceProfile,
-    cfg: &KMeansConfig,
-    m: usize,
-    dim: usize,
-    launches: usize,
-) -> Option<Injector> {
-    if !cfg.ft.injection.is_active() {
-        return None;
-    }
-    let tile = match cfg.variant {
-        Variant::Tensor(Some(t)) => t,
-        _ => default_tile(T::PRECISION),
-    };
-    let shape = GemmShape::new(m, cfg.k, dim);
-    let blocks = m.div_ceil(tile.tb_m) * cfg.k.div_ceil(tile.tb_n);
-    // Per-launch kernel time converting a rate schedule into per-block
-    // probability: either the calibrated timing model's estimate for
-    // this shape (physical, default), or the configured distance-kernel
-    // residency budget spread uniformly over the fit's assignment
-    // launches (campaign mode — see `FtConfig::modeled_residency_s`).
-    let kernel_s = if cfg.ft.modeled_residency_s > 0.0 {
-        cfg.ft.modeled_residency_s / launches.max(1) as f64
-    } else {
-        let t = estimate(&TimingInput {
-            ft: cfg.ft.scheme.ft_mode(),
-            ..TimingInput::plain(device, T::PRECISION, KernelClass::Tensor(tile), shape)
-        });
-        t.time_s.max(1e-9)
-    };
-    let mma_k = match T::PRECISION {
-        Precision::Fp32 => 8,
-        Precision::Fp64 => 4,
-    };
-    let events = (tile.warps() * dim.div_ceil(tile.tb_k).max(1) * (tile.tb_k / mma_k)) as u64;
-    Some(Injector::new(InjectorConfig {
-        schedule: cfg.ft.injection,
-        model: fault::SeuModel {
-            target: cfg.ft.fault_target,
-            ..fault::SeuModel::default()
-        },
-        seed: cfg.ft.injection_seed,
-        kernel_time_hint_s: kernel_s,
-        blocks_hint: blocks,
-        events_per_block_hint: events.max(1),
-    }))
-}
-
 /// The full-batch Lloyd loop. Returns the fit outcome together with the
 /// device-resident data (whose centroids are the final ones); a
 /// [`FittedModel`] keeps the centroid buffers of that data resident.
@@ -272,8 +218,6 @@ fn lloyd_core<T: Scalar>(
     cfg.validate(m, dim)?;
 
     let counters = Counters::new();
-    let stats = Mutex::new(CampaignStats::default());
-    let mut dmr_total = DmrStats::default();
 
     let (mut centroids, mut data) = phase::traced(trace::phases::INIT, 0, &counters, || {
         // Ingest before init: a NaN or overflowing row is rejected here,
@@ -294,13 +238,7 @@ fn lloyd_core<T: Scalar>(
         Ok::<_, KMeansError>((centroids, data))
     })?;
 
-    let injector = build_injector::<T>(device, cfg, m, dim, cfg.max_iter);
-    let hook: &dyn FaultHook<T> = match injector.as_ref() {
-        Some(i) => i,
-        None => &NoFault,
-    };
-    let realization = injector.as_ref().map(|i| i.realization());
-    let rate_saturated = realization.is_some_and(|r| r.saturated());
+    let ledger = FaultLedger::new::<T>(device, cfg, m, dim, cfg.max_iter);
 
     let mut prev_inertia = f64::INFINITY;
     let mut labels = vec![0u32; m];
@@ -308,18 +246,13 @@ fn lloyd_core<T: Scalar>(
     let mut converged = false;
     let mut iterations = 0;
     let mut history = Vec::with_capacity(cfg.max_iter);
-    // Baseline for per-iteration fault-event deltas: the campaign ledger
-    // plus the authoritative injector and DMR counts folded in, so trace
-    // streams see every handling-path movement exactly once per iteration
-    // (host-side emission keeps pool runs count-identical to serial).
+    // Baseline for the per-iteration fault events, so trace streams see
+    // every ledger movement exactly once.
     let mut fault_base = CampaignStats::default();
 
     for it in 0..cfg.max_iter {
         iterations = it + 1;
-        if let Some(i) = injector.as_ref() {
-            i.begin_launch();
-            stats.lock().note_injection_launch(rate_saturated);
-        }
+        ledger.begin_launch();
         let assignment: AssignmentResult<T> =
             phase::traced(trace::phases::ASSIGNMENT, it as u64, &counters, || {
                 run_assignment(
@@ -327,9 +260,9 @@ fn lloyd_core<T: Scalar>(
                     &data,
                     cfg.variant,
                     cfg.ft.scheme,
-                    hook,
+                    ledger.hook(),
                     &counters,
-                    &stats,
+                    ledger.stats(),
                 )
             })?;
         // Hamerly protection: periodic exact revalidation of the resident
@@ -350,26 +283,19 @@ fn lloyd_core<T: Scalar>(
                     if last || cfg.ft.scheme != abft::SchemeKind::None {
                         let (violations, exact) =
                             hamerly::revalidate_and_repair(device, &data, &counters)?;
-                        stats.lock().note_revalidation(violations);
-                        if violations > 0 {
-                            stats.lock().recomputed += violations;
-                            trace::fault(trace::faults::REVAL_REPAIR, violations);
-                        }
+                        ledger.revalidated(violations);
                         Ok::<_, KMeansError>(exact)
                     } else {
                         let r = hamerly::REVALIDATE_STRIDE;
                         let stratum = (it + 1) / cfg.ft.revalidate_every % r;
                         let violations = hamerly::revalidate(device, &data, r, stratum, &counters)?;
-                        stats.lock().note_revalidation(violations);
-                        if violations > 0 {
-                            let repaired =
-                                hamerly::hamerly_assign(device, &data, true, &NoFault, &counters)?;
-                            stats.lock().recomputed += violations;
-                            trace::fault(trace::faults::REVAL_REPAIR, violations);
-                            Ok(repaired)
+                        let repaired = if violations > 0 {
+                            hamerly::hamerly_assign(device, &data, true, &NoFault, &counters)?
                         } else {
-                            Ok(assignment)
-                        }
+                            assignment
+                        };
+                        ledger.revalidated(violations);
+                        Ok(repaired)
                     }
                 })?
             } else {
@@ -394,10 +320,7 @@ fn lloyd_core<T: Scalar>(
             .map(|d| d.to_f64().max(0.0)) // FP cancellation may yield -0 epsilon
             .sum();
 
-        if let Some(i) = injector.as_ref() {
-            i.begin_launch();
-            stats.lock().note_injection_launch(rate_saturated);
-        }
+        ledger.begin_launch();
         let update = phase::traced(trace::phases::UPDATE, it as u64, &counters, || {
             update_centroids(
                 device,
@@ -407,16 +330,11 @@ fn lloyd_core<T: Scalar>(
                 &labels,
                 &centroids,
                 cfg.ft.dmr_update,
-                hook,
+                ledger.hook(),
                 &counters,
             )
         })?;
-        dmr_total.merge(&update.dmr);
-        if update.oob_labels > 0 {
-            // Corrupted (out-of-range) labels caught by the update
-            // phase count as detected faults in the campaign ledger.
-            stats.lock().detected += update.oob_labels;
-        }
+        ledger.absorb_update(&update);
         centroids = update.centroids;
 
         let empty_clusters = update.counts.iter().filter(|&&c| c == 0).count();
@@ -459,16 +377,7 @@ fn lloyd_core<T: Scalar>(
             Ok::<_, KMeansError>(())
         })?;
 
-        if trace::active() {
-            // Fold the authoritative injector and DMR counts into a copy of
-            // the campaign ledger, then emit only the movement since the
-            // previous iteration as fault events.
-            let mut cur = *stats.lock();
-            cur.injected = injector.as_ref().map_or(0, |i| i.injected_count());
-            cur.dmr_mismatches = dmr_total.mismatches;
-            cur.emit_trace_delta(&fault_base);
-            fault_base = cur;
-        }
+        ledger.emit_since(&mut fault_base);
 
         let rel = if prev_inertia.is_finite() && prev_inertia > 0.0 {
             (prev_inertia - inertia).abs() / prev_inertia
@@ -495,11 +404,7 @@ fn lloyd_core<T: Scalar>(
         inertia_kernel(device, &data, &labels, &counters)
     })?;
 
-    let mut ft_stats = *stats.lock();
-    // The injector owns the authoritative injection count; fold it into
-    // the campaign ledger so `unhandled()` is meaningful directly off a
-    // FitResult.
-    ft_stats.injected = injector.as_ref().map_or(0, |i| i.injected_count());
+    let (ft_stats, injection_records, injection_realization) = ledger.finish();
     let result = FitResult {
         centroids,
         labels,
@@ -507,11 +412,9 @@ fn lloyd_core<T: Scalar>(
         iterations,
         converged,
         ft_stats,
-        dmr: dmr_total,
         counters: counters.snapshot(),
-        injected: ft_stats.injected,
-        injection_records: injector.as_ref().map_or_else(Vec::new, |i| i.records()),
-        injection_realization: realization,
+        injection_records,
+        injection_realization,
         history,
     };
     Ok((result, data))
@@ -751,9 +654,12 @@ mod tests {
         )
         .fit_model(&data)
         .unwrap();
-        assert!(injected.injected > 0, "campaign must actually inject");
+        assert!(
+            injected.ft_stats.injected > 0,
+            "campaign must actually inject"
+        );
         assert_eq!(injected.labels, clean.labels, "FT must absorb every fault");
-        assert!(injected.ft_stats.handled() + injected.dmr.mismatches > 0);
+        assert!(injected.ft_stats.handled() + injected.ft_stats.dmr_mismatches > 0);
     }
 
     #[test]
@@ -773,11 +679,11 @@ mod tests {
             ..cfg
         };
         let clean = session.kmeans(clean_cfg).fit_model(&data).unwrap();
-        assert!(injected.injected > 0, "injected leg must inject");
-        assert_eq!(clean.injected, 0, "twin must be fault-free");
+        assert!(injected.ft_stats.injected > 0, "injected leg must inject");
+        assert_eq!(clean.ft_stats.injected, 0, "twin must be fault-free");
         assert_eq!(
             injected.injection_records.len() as u64,
-            injected.injected,
+            injected.ft_stats.injected,
             "records mirror the count"
         );
         assert!(clean.injection_records.is_empty());
@@ -817,9 +723,9 @@ mod tests {
         // at least a loose statistical floor.
         let r = fit(50.0);
         assert!(
-            r.injected >= 20,
+            r.ft_stats.injected >= 20,
             "expected tens of injections, got {}",
-            r.injected
+            r.ft_stats.injected
         );
         let real = r.injection_realization.expect("campaign must report");
         assert!((real.requested_hz - 50.0).abs() < 1e-6);

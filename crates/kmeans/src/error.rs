@@ -127,8 +127,9 @@ pub(crate) fn rejected_row<T: Scalar>(m: &Matrix<T>, row: usize) -> KMeansError 
 /// Reject a query matrix no nearest centroid can be computed for, naming
 /// its first row that fails [`admissible`] ([`rejected_row`]). Fits and
 /// `partial_fit` get the same verdict from their ingest launch
-/// ([`crate::norms::ingest`]); predict checks here, before its queries are
-/// batched or uploaded. Chunks of rows are checked in parallel on the
+/// ([`crate::norms::ingest`]) and predict from its query ingest; the
+/// server's pre-check (`FittedModel::validate_queries`) checks here, before
+/// its queries are batched. Chunks of rows are checked in parallel on the
 /// current executor and the first rejected row of the first chunk that has
 /// one is reported, so the verdict does not depend on the schedule; a
 /// serving request of a few rows is one chunk, checked inline. The

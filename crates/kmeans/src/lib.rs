@@ -72,6 +72,7 @@ pub mod device_data;
 pub mod driver;
 pub mod error;
 mod init;
+mod ledger;
 pub mod metrics;
 mod minibatch;
 pub mod model;

@@ -21,20 +21,18 @@
 use crate::assign::run_assignment;
 use crate::config::KMeansConfig;
 use crate::device_data::DeviceData;
-use crate::driver::{build_injector, FitResult, IterationEvent};
+use crate::driver::{FitResult, IterationEvent};
 use crate::error::KMeansError;
 use crate::init::init_centroids;
+use crate::ledger::FaultLedger;
 use crate::model::FittedModel;
 use crate::norms::{inertia_kernel, ingest_samples};
 use crate::phase;
 use crate::session::Session;
 use crate::update::update_centroids;
-use abft::dmr::DmrStats;
 use fault::CampaignStats;
 use gpu_sim::counters::CounterSnapshot;
-use gpu_sim::mma::{FaultHook, NoFault};
 use gpu_sim::{Counters, Matrix, Scalar};
-use parking_lot::Mutex;
 
 /// splitmix64 finalizer — decorrelates per-batch injection streams from
 /// the base seed without an RNG dependency.
@@ -62,7 +60,6 @@ pub(crate) fn partial_fit_step<T: Scalar>(
         let ingested = ingest_samples(device, batch, &counters)?;
         let (cfg, mut result, mut weights, batches) = stream_state(config, model, batch)?;
         let k = cfg.k;
-        let stats = Mutex::new(CampaignStats::default());
 
         // Per-batch injector: same schedule, a decorrelated seed per batch
         // so a stream is not struck at identical sites every step. A rate
@@ -70,20 +67,11 @@ pub(crate) fn partial_fit_step<T: Scalar>(
         // launch each).
         let mut batch_cfg = cfg.clone();
         batch_cfg.ft.injection_seed = mix(cfg.ft.injection_seed, batches as u64);
-        let injector = build_injector::<T>(device, &batch_cfg, mb, dim, 1);
-        let hook: &dyn FaultHook<T> = match injector.as_ref() {
-            Some(i) => i,
-            None => &NoFault,
-        };
-        let realization = injector.as_ref().map(|i| i.realization());
-        let rate_saturated = realization.is_some_and(|r| r.saturated());
+        let ledger = FaultLedger::new::<T>(device, &batch_cfg, mb, dim, 1);
 
         let mut data = DeviceData::with_samples(device, ingested, &result.centroids, &counters)?;
 
-        if let Some(i) = injector.as_ref() {
-            i.begin_launch();
-            stats.lock().note_injection_launch(rate_saturated);
-        }
+        ledger.begin_launch();
         let assignment = phase::traced(
             trace::phases::BATCH_ASSIGN,
             batches as u64,
@@ -94,19 +82,16 @@ pub(crate) fn partial_fit_step<T: Scalar>(
                     &data,
                     cfg.variant,
                     cfg.ft.scheme,
-                    hook,
+                    ledger.hook(),
                     &counters,
-                    &stats,
+                    ledger.stats(),
                 )
             },
         )?;
         let labels = assignment.labels;
         let distances = assignment.distances;
 
-        if let Some(i) = injector.as_ref() {
-            i.begin_launch();
-            stats.lock().note_injection_launch(rate_saturated);
-        }
+        ledger.begin_launch();
         let update = phase::traced(
             trace::phases::BATCH_UPDATE,
             batches as u64,
@@ -120,14 +105,12 @@ pub(crate) fn partial_fit_step<T: Scalar>(
                     &labels,
                     &result.centroids,
                     cfg.ft.dmr_update,
-                    hook,
+                    ledger.hook(),
                     &counters,
                 )
             },
         )?;
-        if update.oob_labels > 0 {
-            stats.lock().detected += update.oob_labels;
-        }
+        ledger.absorb_update(&update);
 
         // Learning-rate fold: clusters absent from the batch keep their
         // position (and their weight).
@@ -203,20 +186,13 @@ pub(crate) fn partial_fit_step<T: Scalar>(
         let inertia = phase::traced(trace::phases::INERTIA, batches as u64, &counters, || {
             inertia_kernel(device, &data, &labels, &counters)
         })?;
-        let mut batch_stats = *stats.lock();
-        batch_stats.injected = injector.as_ref().map_or(0, |i| i.injected_count());
-        // Each batch's ledger starts from zero, so the whole thing is the
-        // delta; DMR mismatches ride the update result rather than the
-        // campaign ledger and are emitted from their own stats block.
-        batch_stats.emit_trace_delta(&CampaignStats::default());
-        update.dmr.emit_trace_delta(&DmrStats::default());
+        // Each batch's ledger starts from zero, so the whole of it is the
+        // batch's fault events.
+        ledger.emit_since(&mut CampaignStats::default());
+        let (batch_stats, records, realization) = ledger.finish();
         result.ft_stats.merge(&batch_stats);
-        result.injected = result.ft_stats.injected;
-        result.dmr.merge(&update.dmr);
         result.counters = result.counters.merged(&counters.snapshot());
-        if let Some(i) = injector.as_ref() {
-            result.injection_records.extend(i.records());
-        }
+        result.injection_records.extend(records);
         // Keep the *worst* realization across batches (lowest
         // achieved/requested ratio): a rate schedule that saturated the
         // per-block clamp in any batch must stay visible even when later
@@ -315,9 +291,7 @@ fn stream_state<T: Scalar>(
                 iterations: 0,
                 converged: false,
                 ft_stats: CampaignStats::default(),
-                dmr: DmrStats::default(),
                 counters: CounterSnapshot::default(),
-                injected: 0,
                 injection_records: Vec::new(),
                 injection_realization: None,
                 history: Vec::new(),
@@ -472,7 +446,7 @@ mod tests {
             let b = blobs(128, 4, 3, 20 + i);
             let m = km.partial_fit(model.take(), &b).expect("batch");
             let now = (
-                m.injected,
+                m.ft_stats.injected,
                 m.ft_stats.handled(),
                 m.counters.mma_ops,
                 m.ft_stats.injection_launches,
@@ -483,7 +457,7 @@ mod tests {
             assert_eq!(now.3, last.3 + 2, "2 injection launches per batch");
             assert_eq!(
                 m.injection_records.len() as u64,
-                m.injected,
+                m.ft_stats.injected,
                 "records mirror the accumulated count"
             );
             last = now;

@@ -121,39 +121,22 @@ fn run_rows(cols: usize) -> usize {
     ((1 << 18) / cols.max(1)).max(1)
 }
 
-/// The memo key of `samples`. Every element is hashed by [`fnv1a64`]
-/// steps: runs of [`run_rows`] rows are digested in
-/// parallel on the current executor ([`LaneDigest`]), and the run digests
-/// are then hashed in order. A change to any single element always
-/// changes its lane's digest, so its run's and so the key, and a wider
+/// Check and fingerprint the queries of a predict, and for a quantized
+/// predict copy them into `buf`, in one parallel pass over `samples`: the
+/// first row whose squared norm is not admissible is rejected with the
+/// error [`ensure_finite`] gives, and the memo key hashes
+/// every element by [`fnv1a64`] steps. Runs of [`run_rows`] rows are
+/// digested in parallel on the current executor ([`LaneDigest`]) and the
+/// run digests are then hashed in order, so a change to any single element
+/// always changes its lane's digest, its run's and so the key, and a wider
 /// in-place edit replays stale labels only on a chance 64-bit collision.
-/// The lanes and runs keep the pass at memory speed instead of one
-/// multiply chain long.
-fn memo_key<T: Scalar>(samples: &Matrix<T>) -> MemoKey {
-    let (m, cols) = (samples.rows(), samples.cols());
-    let per = run_rows(cols);
-    let s = samples.as_slice();
-    let mut digests = vec![0u64; m.div_ceil(per)];
-    exec::with_current(|e| {
-        e.par_chunks_mut(&mut digests, 1, |i, out| {
-            let mut lanes = LaneDigest::new();
-            lanes.absorb(&s[i * per * cols..m.min((i + 1) * per) * cols]);
-            out[0] = lanes.finish();
-        })
-    });
-    (s.as_ptr() as usize, m, cols, fnv1a64(digests))
-}
-
-/// Check, fingerprint and upload the queries of a quantized predict in one
-/// parallel pass over `samples`: the verdict of [`ensure_finite`] (the
-/// first rejected row), the key of [`memo_key`] and a copy of the samples
-/// into `buf`, reading the matrix once instead of three times. Each run of [`run_rows`] rows is walked in groups of 64
-/// rows that are checked, copied and digested while they are in cache; a
-/// group's element count is a multiple of sixteen, so the lanes see the
-/// elements as [`memo_key`]'s do. A run stops at its first rejected row.
+/// Each run is walked in groups of 64 rows that are checked, copied and
+/// digested while they are in cache; a group's element count is a
+/// multiple of sixteen, so the lanes see the elements as one slice would
+/// show them. A run stops at its first rejected row.
 fn ingest_queries<T: Scalar>(
     samples: &Matrix<T>,
-    buf: &GlobalBuffer<T>,
+    buf: Option<&GlobalBuffer<T>>,
 ) -> Result<MemoKey, KMeansError> {
     let (m, cols) = (samples.rows(), samples.cols());
     let per = run_rows(cols);
@@ -173,7 +156,9 @@ fn ingest_queries<T: Scalar>(
                     return;
                 }
                 let run = &s[group.start * cols..group.end * cols];
-                buf.write_range(group.start * cols, run);
+                if let Some(buf) = buf {
+                    buf.write_range(group.start * cols, run);
+                }
                 lanes.absorb(run);
             }
             out[0] = (None, lanes.finish());
@@ -423,44 +408,42 @@ impl<T: Scalar> FittedModel<T> {
     }
 
     fn assign(&self, samples: &Matrix<T>) -> Result<(Vec<u32>, f64), KMeansError> {
-        // The quantized path leases its query buffer first and fills it in
-        // the same pass that checks and fingerprints the queries; the exact
-        // path uploads through its ingest launch after the memo lookup.
-        // Either way a shape error comes first, then the first rejected
+        // One pass checks and fingerprints the queries; the quantized path
+        // leases its query buffer first and fills it in the same pass,
+        // while the exact path uploads through its ingest launch after the
+        // memo lookup. A shape error comes first, then the first rejected
         // row, then the memo.
-        let (key, leased) = if let Some(kind) = self.policy.quant_kind() {
-            self.check_shape(samples)?;
-            if samples.rows() == 0 {
-                return Ok((Vec::new(), 0.0));
-            }
-            // The buffer is model-owned scratch, re-filled in place when
-            // the batch size repeats (steady-state serving re-allocates
-            // nothing). It is *leased* out of the mutex until the launch
-            // is done: a `GlobalBuffer` clone is a device-pointer copy, so
-            // two overlapping predicts holding clones of one cached buffer
-            // would overwrite each other's queries between their uploads
-            // and launches. Taking the `Option` means an overlapping
-            // caller simply allocates a fresh buffer; whoever finishes last
-            // parks theirs for the next call.
+        self.check_shape(samples)?;
+        if samples.rows() == 0 {
+            return Ok((Vec::new(), 0.0));
+        }
+        // The quantized path's buffer is model-owned scratch, re-filled in
+        // place when the batch size repeats (steady-state serving
+        // re-allocates nothing). It is *leased* out of the mutex until the
+        // launch is done: a `GlobalBuffer` clone is a device-pointer copy,
+        // so two overlapping predicts holding clones of one cached buffer
+        // would overwrite each other's queries between their uploads and
+        // launches. Taking the `Option` means an overlapping caller simply
+        // allocates a fresh buffer; whoever finishes last parks theirs for
+        // the next call.
+        let leased = self.policy.quant_kind().map(|kind| {
             let len = samples.as_slice().len();
             let queries = match self.scratch.query_buf.lock().take() {
                 Some(buf) if buf.len() == len => buf,
                 _ => GlobalBuffer::zeros(len),
             };
             queries.set_sanitizer_label("serve.queries");
-            match self.session.run(|| ingest_queries(samples, &queries)) {
-                Ok(key) => (key, Some((kind, queries))),
-                Err(e) => {
+            (kind, queries)
+        });
+        let buf = leased.as_ref().map(|(_, queries)| queries);
+        let key = match self.session.run(|| ingest_queries(samples, buf)) {
+            Ok(key) => key,
+            Err(e) => {
+                if let Some((_, queries)) = leased {
                     *self.scratch.query_buf.lock() = Some(queries);
-                    return Err(e);
                 }
+                return Err(e);
             }
-        } else {
-            self.validate_queries(samples)?;
-            if samples.rows() == 0 {
-                return Ok((Vec::new(), 0.0));
-            }
-            (memo_key(samples), None)
         };
         // `score` after `predict` on the same matrix (and repeated
         // predicts) replay the memo — no kernels.
@@ -840,27 +823,47 @@ mod tests {
         }
     }
 
-    /// The one-pass query ingest fills the buffer with the samples, keys
-    /// them as `memo_key` does, and rejects the row `ensure_finite` names:
-    /// ragged shapes, one and several digest runs.
+    /// The memo key of `x`, from the query ingest without a buffer.
+    fn query_key<T: Scalar>(x: &Matrix<T>) -> MemoKey {
+        ingest_queries(x, None).unwrap()
+    }
+
+    /// The query ingest keys the samples as one slice per digest run would,
+    /// with or without a buffer, fills the buffer with the samples, and
+    /// rejects the row `ensure_finite` names: ragged shapes, one and
+    /// several digest runs.
     #[test]
     fn query_ingest_matches_the_separate_passes() {
+        fn whole_run_key<T: Scalar>(x: &Matrix<T>) -> MemoKey {
+            let runs = x.as_slice().chunks(run_rows(x.cols()) * x.cols());
+            let digests = runs.map(|run| {
+                let mut lanes = LaneDigest::new();
+                lanes.absorb(run);
+                lanes.finish()
+            });
+            let ptr = x.as_slice().as_ptr() as usize;
+            (ptr, x.rows(), x.cols(), fnv1a64(digests))
+        }
         for (rows, cols) in [(1, 1), (7, 3), (130, 65), (4100, 65), (8200, 33)] {
             let x = Matrix::<f32>::from_fn(rows, cols, |r, c| (r * 7 + c * 13) as f32 * 0.25 - 9.0);
             let buf = GlobalBuffer::zeros(rows * cols);
+            let want = whole_run_key(&x);
             assert_eq!(
-                ingest_queries(&x, &buf).unwrap(),
-                memo_key(&x),
+                ingest_queries(&x, Some(&buf)).unwrap(),
+                want,
                 "{rows}x{cols}"
             );
+            assert_eq!(query_key(&x), want, "{rows}x{cols} without a buffer");
             assert_eq!(buf.to_vec(), x.as_slice(), "{rows}x{cols} upload");
             let y = Matrix::<f64>::from_fn(rows, cols, |r, c| (r * 3 + c) as f64 * 0.5);
             let buf = GlobalBuffer::zeros(rows * cols);
+            let want = whole_run_key(&y);
             assert_eq!(
-                ingest_queries(&y, &buf).unwrap(),
-                memo_key(&y),
+                ingest_queries(&y, Some(&buf)).unwrap(),
+                want,
                 "f64 {rows}x{cols}"
             );
+            assert_eq!(query_key(&y), want, "f64 {rows}x{cols} without a buffer");
             let mut bad = x.clone();
             for (r, v) in [
                 (rows - 1, f32::INFINITY),
@@ -870,30 +873,32 @@ mod tests {
                 bad.set(r, cols / 2, v);
             }
             let want = ensure_finite(&bad).unwrap_err().to_string();
-            let got = ingest_queries(&bad, &GlobalBuffer::zeros(rows * cols));
-            assert_eq!(
-                got.unwrap_err().to_string(),
-                want,
-                "{rows}x{cols} rejected row"
-            );
+            let buf = GlobalBuffer::zeros(rows * cols);
+            for got in [ingest_queries(&bad, Some(&buf)), ingest_queries(&bad, None)] {
+                assert_eq!(
+                    got.unwrap_err().to_string(),
+                    want,
+                    "{rows}x{cols} rejected row"
+                );
+            }
         }
     }
 
     #[test]
     fn in_place_negations_change_the_memo_key() {
         let fresh = || Matrix::<f64>::from_fn(128, 64, |r, c| 1.0 + (r * 64 + c) as f64 * 0.01);
-        let before = memo_key(&fresh());
+        let before = query_key(&fresh());
         // two elements: their sign bits must not cancel in the digest
         let mut x = fresh();
         x.set(3, 5, -x.get(3, 5));
         x.set(90, 17, -x.get(90, 17));
-        assert_ne!(memo_key(&x), before, "two negated elements");
+        assert_ne!(query_key(&x), before, "two negated elements");
         // a whole column of an even-row batch: 128 sign flips
         let mut x = fresh();
         for r in 0..x.rows() {
             x.set(r, 1, -x.get(r, 1));
         }
-        assert_ne!(memo_key(&x), before, "negated column");
+        assert_ne!(query_key(&x), before, "negated column");
     }
 
     proptest::proptest! {
@@ -910,14 +915,14 @@ mod tests {
                 (r * 31 + c * 17) as f64 * 0.37 - 40.0
             });
             let (r, c) = (pick % rows, pick / rows % cols);
-            let before = memo_key(&x);
+            let before = query_key(&x);
             x.set(r, c, x.get(r, c).flip_bit(bit));
-            proptest::prop_assert_ne!(memo_key(&x), before, "({}, {}) bit {}", r, c, bit);
+            proptest::prop_assert_ne!(query_key(&x), before, "({}, {}) bit {}", r, c, bit);
             // single-precision elements hash as their 32 raw bits
             let mut y = Matrix::<f32>::from_fn(rows, cols, |r, c| (r + 3 * c) as f32 * 0.5);
-            let before = memo_key(&y);
+            let before = query_key(&y);
             y.set(r, c, y.get(r, c).flip_bit(bit % 32));
-            proptest::prop_assert_ne!(memo_key(&y), before, "f32 ({}, {}) bit {}", r, c, bit);
+            proptest::prop_assert_ne!(query_key(&y), before, "f32 ({}, {}) bit {}", r, c, bit);
         }
     }
 

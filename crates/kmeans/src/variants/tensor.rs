@@ -48,10 +48,8 @@
 use crate::assign::AssignmentResult;
 use crate::device_data::DeviceData;
 use abft::online::{CheckOutcome, OnlineMode, WarpOnlineState};
-use abft::schemes::ftkmeans::FtKMeansScheme;
-use abft::schemes::kosaian::KosaianScheme;
 use abft::schemes::wu::WuBlockState;
-use abft::SchemeKind;
+use abft::{SchemeKind, ThresholdPolicy};
 use fault::CampaignStats;
 use gpu_sim::atomics::ArgminStore;
 use gpu_sim::mma::{shapes, APanel, BPanel, FaultHook, FragmentMma, MmaSite, NoFault};
@@ -219,20 +217,24 @@ fn run_tensor<T: Scalar>(
     let exec = FragmentMma::new::<T>(tile.wm, tile.wn);
     let elem = std::mem::size_of::<T>();
     let inert = hook.is_inert();
-    let warp_state = match scheme {
-        SchemeKind::FtKMeans => {
-            Some(FtKMeansScheme::new(T::PRECISION).warp_state::<T>(tile.wm, tile.wn))
-        }
-        SchemeKind::Kosaian => {
-            Some(KosaianScheme::new(T::PRECISION).warp_state::<T>(tile.wm, tile.wn))
-        }
+    // FT K-means detects and corrects in place; Kosaian's scheme only
+    // detects, and the interval is recomputed.
+    let warp_mode = match scheme {
+        SchemeKind::FtKMeans => Some(OnlineMode::DetectCorrect),
+        SchemeKind::Kosaian => Some(OnlineMode::DetectOnly),
         _ => None,
     };
+    let warp_state = warp_mode.map(|mode| {
+        WarpOnlineState::<T>::new(
+            tile.wm,
+            tile.wn,
+            ThresholdPolicy::for_precision(T::PRECISION),
+            mode,
+        )
+    });
     // Input sums of the warps' fragments, weighted ones only where the
     // scheme corrects (a detection-only state never reads them).
-    let sums_mode = warp_state
-        .as_ref()
-        .map(|st| st.mode() == OnlineMode::DetectCorrect);
+    let sums_mode = warp_mode.map(|mode| mode == OnlineMode::DetectCorrect);
     let centroid_tiles: Vec<CentroidTile<T>> = if per_block {
         Vec::new()
     } else {

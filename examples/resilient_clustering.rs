@@ -78,7 +78,10 @@ fn main() {
     println!("--------------------------------------------------------");
     println!("clean run          : inertia {:.3}", clean.inertia);
     println!();
-    println!("UNPROTECTED + faults ({} injected):", unprotected.injected);
+    println!(
+        "UNPROTECTED + faults ({} injected):",
+        unprotected.ft_stats.injected
+    );
     println!(
         "  label agreement with clean : {:.2}%",
         agree(&clean.labels, &unprotected.labels) * 100.0
@@ -88,7 +91,10 @@ fn main() {
         unprotected.inertia, clean.inertia
     );
     println!();
-    println!("FT K-MEANS + faults ({} injected):", protected.injected);
+    println!(
+        "FT K-MEANS + faults ({} injected):",
+        protected.ft_stats.injected
+    );
     println!(
         "  corrected in place         : {}",
         protected.ft_stats.corrected
@@ -103,7 +109,7 @@ fn main() {
     );
     println!(
         "  DMR mismatches (update)    : {}",
-        protected.dmr.mismatches
+        protected.ft_stats.dmr_mismatches
     );
     println!(
         "  label agreement with clean : {:.2}%",
@@ -111,11 +117,14 @@ fn main() {
     );
     println!("  inertia                    : {:.3}", protected.inertia);
 
-    assert!(protected.injected > 0, "the storm must inject faults");
+    assert!(
+        protected.ft_stats.injected > 0,
+        "the storm must inject faults"
+    );
     assert_eq!(
         protected.labels, clean.labels,
         "FP64 FT run must reproduce the clean clustering exactly"
     );
-    let handled = protected.ft_stats.handled() + protected.dmr.mismatches;
+    let handled = protected.ft_stats.handled() + protected.ft_stats.dmr_mismatches;
     assert!(handled > 0, "the FT layer must visibly handle faults");
 }

@@ -80,13 +80,13 @@ fn ftkmeans_scheme_absorbs_sustained_barrage_fp64() {
         4,
     );
     assert!(
-        hit.injected >= 10,
+        hit.ft_stats.injected >= 10,
         "barrage expected, injected {}",
-        hit.injected
+        hit.ft_stats.injected
     );
     assert_eq!(hit.labels, clean.labels);
     assert!((hit.inertia - clean.inertia).abs() / clean.inertia < 1e-9);
-    assert!(hit.ft_stats.handled() + hit.dmr.mismatches > 0);
+    assert!(hit.ft_stats.handled() + hit.ft_stats.dmr_mismatches > 0);
 }
 
 #[test]
@@ -109,7 +109,7 @@ fn kosaian_scheme_recovers_by_recomputation_fp64() {
         InjectionSchedule::PerBlock { probability: 0.8 },
         9,
     );
-    assert!(hit.injected > 0);
+    assert!(hit.ft_stats.injected > 0);
     assert_eq!(
         hit.labels, clean.labels,
         "recompute-based correction must restore the result"
@@ -132,7 +132,7 @@ fn wu_scheme_corrects_at_block_level_fp64() {
         InjectionSchedule::PerBlock { probability: 0.8 },
         10,
     );
-    assert!(hit.injected > 0);
+    assert!(hit.ft_stats.injected > 0);
     assert_eq!(hit.labels, clean.labels);
     // Wu on Ampere must have paid re-read traffic for its checksums.
     assert!(
@@ -206,7 +206,7 @@ fn rate_schedule_converts_to_visible_injections() {
         },
         12,
     );
-    assert!(hit.injected > 0, "rate schedule must inject");
+    assert!(hit.ft_stats.injected > 0, "rate schedule must inject");
 }
 
 #[test]
@@ -229,7 +229,7 @@ fn fp32_campaign_preserves_quality() {
         InjectionSchedule::PerBlock { probability: 0.5 },
         5,
     );
-    assert!(hit.injected > 0);
+    assert!(hit.ft_stats.injected > 0);
     let agree = clean
         .labels
         .iter()
@@ -405,11 +405,11 @@ fn dmr_protects_update_phase_under_targeted_storm() {
     );
     assert_eq!(hit.labels, clean.labels);
     assert!(
-        hit.dmr.mismatches > 0,
+        hit.ft_stats.dmr_mismatches > 0,
         "a probability-1 storm must hit the update phase at least once"
     );
     assert_eq!(
-        hit.dmr.unresolved, 0,
+        hit.ft_stats.dmr_unresolved, 0,
         "SEU faults always resolve by majority"
     );
 }

@@ -83,11 +83,14 @@ fn abft_and_injection_accounting_accumulates_monotonically() {
     let mut prev_bytes = 0u64;
     for b in batches_of(&data, 256) {
         let m = km.partial_fit(model, &b).expect("batch");
-        assert!(m.injected >= prev_injected, "injected count is cumulative");
+        assert!(
+            m.ft_stats.injected >= prev_injected,
+            "injected count is cumulative"
+        );
         assert!(m.ft_stats.handled() >= prev_handled, "handled cumulative");
         assert!(m.counters.total_bytes() > prev_bytes, "traffic grows");
-        assert_eq!(m.injection_records.len() as u64, m.injected);
-        prev_injected = m.injected;
+        assert_eq!(m.injection_records.len() as u64, m.ft_stats.injected);
+        prev_injected = m.ft_stats.injected;
         prev_handled = m.ft_stats.handled();
         prev_bytes = m.counters.total_bytes();
         model = Some(m);

@@ -8,10 +8,13 @@
 //!   concurrently-emitting callers may differ; the aggregates may not) —
 //!   for both a fused-variant fit and a micro-batched serve storm.
 
+use ft_kmeans::abft::SchemeKind;
+use ft_kmeans::fault::{CampaignStats, FaultTarget, InjectionSchedule};
 use ft_kmeans::gpu::exec::Executor;
 use ft_kmeans::gpu::Matrix;
-use ft_kmeans::kmeans::config::Variant;
+use ft_kmeans::kmeans::config::{FtConfig, Variant};
 use ft_kmeans::trace::profile::PhaseCounts;
+use ft_kmeans::trace::{faults, TraceEvent};
 use ft_kmeans::{KMeansConfig, ModelRegistry, RecordingSink, Server, ServerConfig, Session};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -103,6 +106,70 @@ fn fit_phase_profile_matches_committed_variant_ordering() {
     let table = fused.to_table();
     assert!(table.contains("assignment"), "table lists phases:\n{table}");
     assert!(table.contains("update"), "table lists phases:\n{table}");
+}
+
+/// Fault-event totals of a recorded stream, by kind.
+fn fault_totals(sink: &RecordingSink) -> BTreeMap<&'static str, u64> {
+    let mut totals = BTreeMap::new();
+    for r in sink.records() {
+        if let TraceEvent::Fault { kind, count } = r.event {
+            *totals.entry(kind).or_default() += count;
+        }
+    }
+    totals
+}
+
+/// The fault events a fit emits add up to its `ft_stats`, kind by kind.
+fn assert_events_match_ledger(what: &str, sink: &RecordingSink, stats: &CampaignStats) {
+    let totals = fault_totals(sink);
+    let total = |kind| totals.get(kind).copied().unwrap_or(0);
+    assert!(stats.injected > 0, "{what}: must inject: {stats:?}");
+    assert!(stats.dmr_mismatches > 0, "{what}: DMR must fire: {stats:?}");
+    for (kind, want) in [
+        (faults::INJECTION, stats.injected),
+        (faults::DETECTED, stats.detected),
+        (faults::CORRECTED, stats.corrected),
+        (faults::REBASELINED, stats.rebaselined),
+        (faults::RECOMPUTED, stats.recomputed),
+        (faults::DMR_MISMATCH, stats.dmr_mismatches),
+    ] {
+        assert_eq!(total(kind), want, "{what}: {kind} events vs {stats:?}");
+    }
+}
+
+#[test]
+fn fault_events_add_up_to_the_fit_ledger() {
+    // FaultTarget::Any strikes the DMR-protected update as well as the
+    // distance kernel, so every ledger field can move.
+    let cfg = KMeansConfig::new(4).with_seed(3).with_ft(FtConfig {
+        scheme: SchemeKind::FtKMeans,
+        dmr_update: true,
+        injection: InjectionSchedule::PerBlock { probability: 0.8 },
+        injection_seed: 17,
+        fault_target: FaultTarget::Any,
+        ..Default::default()
+    });
+    let traced = || {
+        let sink = Arc::new(RecordingSink::new(1 << 16));
+        let session = Session::a100()
+            .with_executor(Executor::with_workers(2))
+            .with_trace_sink(Arc::clone(&sink) as _);
+        (sink, session.kmeans(cfg.clone()))
+    };
+
+    let (sink, km) = traced();
+    let fit = km.fit_model(&blobs(300, 5, 4)).expect("fit");
+    assert_events_match_ledger("fit", &sink, &fit.ft_stats);
+
+    let (sink, km) = traced();
+    let data = blobs(480, 5, 4);
+    let mut model = None;
+    for b in 0..3 {
+        let batch = Matrix::from_fn(160, 5, |r, c| data.get(160 * b + r, c));
+        model = Some(km.partial_fit(model, &batch).expect("batch"));
+    }
+    let stream = model.expect("three batches");
+    assert_events_match_ledger("3-batch stream", &sink, &stream.ft_stats);
 }
 
 /// One micro-batched serve storm on `exec`: N queued requests whose rows
