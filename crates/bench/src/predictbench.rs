@@ -4,10 +4,8 @@
 //! [`FittedModel::predict`] under one [`PredictPolicy`] — the steady-state
 //! serving shape: the model (and for the quantized policies its resident
 //! quantized table) is built once, then every repetition predicts a
-//! *distinct* query matrix. Distinct matrices matter twice over: the model
-//! memoizes its last assignment by sample identity, so re-predicting one
-//! matrix would measure a `Vec::clone`, not the kernel; and fresh queries
-//! are what a serving path actually sees.
+//! *distinct* query matrix, because fresh queries are what a serving path
+//! actually sees.
 //!
 //! Timing is wall-clock median over the repetitions; the quantized
 //! policies additionally report their exact-fallback rate (fraction of
@@ -88,8 +86,7 @@ pub fn serving_model(session: &Session) -> FittedModel<f32> {
 /// quantized tables persist), matching the serving lifecycle. The policies
 /// take turns call by call, so a burst of load from other processes falls
 /// on all of them rather than on one policy's whole run, and every call,
-/// warmups included, predicts a batch of its own, so the model's memo never
-/// answers in place of the kernel.
+/// warmups included, predicts a batch of its own.
 pub fn run_predict_bench(m: usize, reps: usize) -> Vec<PredictMeasurement> {
     let reps = reps.max(1);
     let session = Session::new(DeviceProfile::a100());

@@ -122,8 +122,8 @@ fn run_phases(m: usize) -> Vec<SweepPhase> {
     }
 
     // Phase 4: a multi-client serve storm through the micro-batching
-    // server — request validation, batch formation, the shared resident
-    // model and the leased-buffer reuse path, all across threads.
+    // server — request validation, batch formation and the shared
+    // resident model, all across threads.
     let registry = ModelRegistry::new();
     let storm_model = session
         .kmeans(fit_config(Variant::BroadcastV3))

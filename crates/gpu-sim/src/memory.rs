@@ -73,8 +73,8 @@ pub trait Element:
     /// Relaxed store into a cell.
     fn store_cell(cell: &Self::Cell, v: Self);
     /// Raw bits widened to `u64` (narrower types live in the low bits): one
-    /// key type for hashing values of any width, as the predict memo and
-    /// the quantized-table digests do.
+    /// key type for hashing values of any width, as the quantized-table
+    /// digests do.
     fn to_raw_u64(self) -> u64;
     /// The element whose raw bits are the low bits of `bits`.
     fn from_raw_u64(bits: u64) -> Self;

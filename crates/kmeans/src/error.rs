@@ -127,13 +127,14 @@ pub(crate) fn rejected_row<T: Scalar>(m: &Matrix<T>, row: usize) -> KMeansError 
 /// Reject a query matrix no nearest centroid can be computed for, naming
 /// its first row that fails [`admissible`] ([`rejected_row`]). Fits and
 /// `partial_fit` get the same verdict from their ingest launch
-/// ([`crate::norms::ingest`]) and predict from its query ingest; the
-/// server's pre-check (`FittedModel::validate_queries`) checks here, before
-/// its queries are batched. Chunks of rows are checked in parallel on the
-/// current executor and the first rejected row of the first chunk that has
-/// one is reported, so the verdict does not depend on the schedule; a
-/// serving request of a few rows is one chunk, checked inline. The
-/// columns are searched only for a rejected row.
+/// ([`crate::norms::ingest`]). Predict and score check their queries here
+/// before they launch, and so does the server's pre-check
+/// (`FittedModel::validate_queries`), before its queries are batched.
+/// Chunks of rows are checked in parallel on the current executor and the
+/// first rejected row of the first chunk that has one is reported, so the
+/// verdict does not depend on the schedule; a serving request of a few rows
+/// is one chunk, checked inline. The columns are searched only for a
+/// rejected row.
 pub(crate) fn ensure_finite<T: Scalar>(m: &Matrix<T>) -> Result<(), KMeansError> {
     const ROWS: usize = 4096;
     let mut first = vec![None; m.rows().div_ceil(ROWS)];

@@ -8,22 +8,23 @@
 //! them again). Repeated [`FittedModel::predict`] /
 //! [`FittedModel::score`] calls *share* the resident centroid and
 //! centroid-norm buffers (device-pointer copies; no re-upload, no norm
-//! kernel re-run — only the query samples are uploaded per call), and
-//! [`crate::KMeans::fit_from`] uses the model's centroids as a warm
+//! kernel re-run). The quantized policies read the query rows in place and
+//! the exact policy uploads them per call; nothing is cached between
+//! calls. [`crate::KMeans::fit_from`] uses the model's centroids as a warm
 //! start.
 
 use crate::assign::run_assignment;
 use crate::config::{KMeansConfig, PredictPolicy};
 use crate::device_data::DeviceData;
 use crate::driver::FitResult;
-use crate::error::{admissible, ensure_finite, rejected_row, sq_norm, KMeansError};
+use crate::error::{ensure_finite, KMeansError};
 use crate::phase;
-use crate::quant::{fnv1a64, fnv1a64_step, QuantKind, QuantizedCentroids, FNV1A64_BASIS};
+use crate::quant::{QuantKind, QuantizedCentroids};
 use crate::session::Session;
-use crate::variants::predict_fused::predict_fused_assign;
+use crate::variants::predict_fused::{predict_fused_assign, QueryView};
 use fault::CampaignStats;
 use gpu_sim::mma::NoFault;
-use gpu_sim::{exec, CounterSnapshot, Counters, GlobalBuffer, Matrix, Scalar};
+use gpu_sim::{CounterSnapshot, Counters, Matrix, Scalar};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -69,150 +70,19 @@ pub struct FittedModel<T: Scalar> {
     /// distances are identical under every setting.
     policy: PredictPolicy,
     /// Reusable serving-path state — built once per model, not per call.
-    scratch: PredictScratch<T>,
+    scratch: PredictScratch,
 }
 
 /// Hot-path predict state hoisted out of the per-call path: one counter
-/// sink and one campaign-stats sink for the model's lifetime, the last
-/// assignment memo (so `score` directly after `predict` on the same
-/// matrix re-derives nothing — no upload, no norms kernel, no scan), and
-/// the resident query buffer the quantized path re-fills instead of
-/// re-allocating per batch.
-struct PredictScratch<T: Scalar> {
+/// sink and one campaign-stats sink for the model's lifetime.
+#[derive(Default)]
+struct PredictScratch {
     counters: Counters,
     stats: Mutex<CampaignStats>,
-    memo: Mutex<Option<AssignMemo>>,
-    query_buf: Mutex<Option<GlobalBuffer<T>>>,
     /// Monotone predict sequence number — the trace-span index of each
-    /// served (non-memoized) predict, so timelines stay deterministic
-    /// without wall-clock identifiers.
+    /// predict, so timelines stay deterministic without wall-clock
+    /// identifiers.
     predict_seq: AtomicU64,
-}
-
-impl<T: Scalar> Default for PredictScratch<T> {
-    fn default() -> Self {
-        PredictScratch {
-            counters: Counters::new(),
-            stats: Mutex::new(CampaignStats::default()),
-            memo: Mutex::new(None),
-            query_buf: Mutex::new(None),
-            predict_seq: AtomicU64::new(0),
-        }
-    }
-}
-
-/// The memoized result of the most recent assignment, keyed by sample-
-/// buffer identity: data pointer + shape + a digest of every element (the
-/// pointer alone could be reused by a fresh allocation, or the matrix
-/// edited in place between calls). Because every [`PredictPolicy`] returns
-/// bit-identical labels and distances, the memo is valid across policy
-/// switches.
-struct AssignMemo {
-    key: MemoKey,
-    labels: Vec<u32>,
-    inertia: f64,
-}
-
-/// Data pointer, rows, columns and digest of a query matrix.
-type MemoKey = (usize, usize, usize, u64);
-
-/// Rows per digest run: whole rows, about 2^18 elements.
-fn run_rows(cols: usize) -> usize {
-    ((1 << 18) / cols.max(1)).max(1)
-}
-
-/// Check and fingerprint the queries of a predict, and for a quantized
-/// predict copy them into `buf`, in one parallel pass over `samples`: the
-/// first row whose squared norm is not admissible is rejected with the
-/// error [`ensure_finite`] gives, and the memo key hashes
-/// every element by [`fnv1a64`] steps. Runs of [`run_rows`] rows are
-/// digested in parallel on the current executor ([`LaneDigest`]) and the
-/// run digests are then hashed in order, so a change to any single element
-/// always changes its lane's digest, its run's and so the key, and a wider
-/// in-place edit replays stale labels only on a chance 64-bit collision.
-/// Each run is walked in groups of 64 rows that are checked, copied and
-/// digested while they are in cache; a group's element count is a
-/// multiple of sixteen, so the lanes see the elements as one slice would
-/// show them. A run stops at its first rejected row.
-fn ingest_queries<T: Scalar>(
-    samples: &Matrix<T>,
-    buf: Option<&GlobalBuffer<T>>,
-) -> Result<MemoKey, KMeansError> {
-    let (m, cols) = (samples.rows(), samples.cols());
-    let per = run_rows(cols);
-    let s = samples.as_slice();
-    let mut runs = vec![(None, 0u64); m.div_ceil(per)];
-    exec::with_current(|e| {
-        e.par_chunks_mut(&mut runs, 1, |i, out| {
-            let rows = i * per..m.min((i + 1) * per);
-            let mut lanes = LaneDigest::new();
-            for g0 in rows.clone().step_by(64) {
-                let group = g0..rows.end.min(g0 + 64);
-                let rejected = group
-                    .clone()
-                    .find(|&r| !admissible(sq_norm(samples.row(r))));
-                if rejected.is_some() {
-                    out[0] = (rejected, 0);
-                    return;
-                }
-                let run = &s[group.start * cols..group.end * cols];
-                if let Some(buf) = buf {
-                    buf.write_range(group.start * cols, run);
-                }
-                lanes.absorb(run);
-            }
-            out[0] = (None, lanes.finish());
-        })
-    });
-    if let Some(row) = runs.iter().find_map(|r| r.0) {
-        return Err(rejected_row(samples, row));
-    }
-    let digest = fnv1a64(runs.into_iter().map(|r| r.1));
-    Ok((s.as_ptr() as usize, m, cols, digest))
-}
-
-/// Eight [`fnv1a64`] lanes over one run. The run is read in 64-bit words,
-/// one `f64` or two `f32` elements each (packing pairs halves the
-/// multiply chain, which bounds the pass): word `i` folds into lane
-/// `i % 8`, and the digest hashes the lanes and then, one element per
-/// word, the tail that does not fill a group of eight words.
-struct LaneDigest {
-    lanes: [u64; 8],
-    tail: ([u64; 15], usize),
-}
-
-impl LaneDigest {
-    fn new() -> Self {
-        LaneDigest {
-            lanes: [FNV1A64_BASIS; 8],
-            tail: ([0; 15], 0),
-        }
-    }
-
-    /// Fold the run's next elements. Only its last slice may be ragged.
-    fn absorb<T: Scalar>(&mut self, run: &[T]) {
-        debug_assert_eq!(self.tail.1, 0, "a ragged slice ends the run");
-        let per_word = (u64::BITS / T::BITS) as usize;
-        let mut chunks = run.chunks_exact(8 * per_word);
-        for chunk in &mut chunks {
-            for (h, w) in self.lanes.iter_mut().zip(chunk.chunks_exact(per_word)) {
-                let word = w
-                    .iter()
-                    .fold(0u64, |acc, v| acc.wrapping_shl(T::BITS) | v.to_raw_u64());
-                *h = fnv1a64_step(*h, word);
-            }
-        }
-        let rest = chunks.remainder();
-        for (t, v) in self.tail.0.iter_mut().zip(rest) {
-            *t = v.to_raw_u64();
-        }
-        self.tail.1 = rest.len();
-    }
-
-    fn finish(self) -> u64 {
-        let (tail, n) = self.tail;
-        fnv1a64(self.lanes.into_iter().chain(tail[..n].iter().copied()))
-    }
 }
 
 /// Cloning a model is cheap: the device-resident centroid and
@@ -221,8 +91,8 @@ impl LaneDigest {
 /// rebuild. The fit outcome and learning-rate weights are host-side copies
 /// so the clone can continue a stream independently
 /// ([`crate::KMeans::partial_fit`] consumes its model), and the clone gets
-/// a *fresh* `PredictScratch` — counters, serving stats, and the memo
-/// start at zero, so per-clone metering never cross-talks.
+/// a *fresh* `PredictScratch` — its counters and serving stats start at
+/// zero, so per-clone metering never cross-talks.
 impl<T: Scalar> Clone for FittedModel<T> {
     fn clone(&self) -> Self {
         FittedModel {
@@ -325,8 +195,7 @@ impl<T: Scalar> FittedModel<T> {
 
     /// Set the serving precision policy. Labels and distances are identical
     /// under every policy (the quantized paths fall back to exact rows when
-    /// the argmin margin is inside the quantization error), so switching
-    /// never invalidates memoized results.
+    /// the argmin margin is inside the quantization error).
     pub fn set_predict_policy(&mut self, policy: PredictPolicy) {
         self.policy = policy;
     }
@@ -366,31 +235,34 @@ impl<T: Scalar> FittedModel<T> {
 
     /// Assign each of `samples` to its nearest centroid.
     ///
-    /// Only the query samples are uploaded; the resident centroid and
-    /// centroid-norm buffers are shared (no re-upload, no centroid norm
-    /// kernel re-run).
+    /// The resident centroid and centroid-norm buffers are shared (no
+    /// re-upload, no centroid norm kernel re-run). The quantized policies
+    /// read the query rows in place; the exact policy uploads them through
+    /// its ingest launch. Every call runs the kernel: nothing is cached
+    /// between calls.
     ///
     /// **Thread safety.** `predict`/`score` take `&self` and are safe to
     /// call from any number of threads concurrently: every
     /// `PredictScratch` field is either atomic (counters) or
-    /// mutex-guarded, and the resident query buffer is handed to exactly
-    /// one in-flight call at a time via a take/park lease — an overlapping
-    /// caller allocates its own buffer rather than sharing device memory.
-    /// Steady-state single-caller serving still re-allocates nothing.
+    /// mutex-guarded, and each call's query rows and outputs are its own.
     pub fn predict(&self, samples: &Matrix<T>) -> Result<Vec<u32>, KMeansError> {
         Ok(self.assign(samples)?.0)
     }
 
     /// Total within-cluster sum of squared distances of `samples` against
     /// the fitted centroids (the K-means objective; lower is better). For
-    /// the training inertia use the `inertia` result field.
+    /// the training inertia use the `inertia` result field. Runs the
+    /// assignment kernel again, even straight after a `predict` of the same
+    /// matrix.
     pub fn score(&self, samples: &Matrix<T>) -> Result<f64, KMeansError> {
         Ok(self.assign(samples)?.1)
     }
 
-    /// Check that `samples` can be served: `dim` columns and every entry
-    /// finite. A NaN or infinite query has no nearest centroid, so it is
-    /// rejected with [`KMeansError::NonFinite`] instead of labelled.
+    /// Check that `samples` can be served: `dim` columns and every row
+    /// admissible. A row holding a NaN or an infinity has no nearest
+    /// centroid and is rejected with [`KMeansError::NonFinite`]; a finite
+    /// row whose squared norm overflows the distance identity is rejected
+    /// with [`KMeansError::Overflow`].
     pub fn validate_queries(&self, samples: &Matrix<T>) -> Result<(), KMeansError> {
         self.check_shape(samples)?;
         ensure_finite(samples)
@@ -408,61 +280,19 @@ impl<T: Scalar> FittedModel<T> {
     }
 
     fn assign(&self, samples: &Matrix<T>) -> Result<(Vec<u32>, f64), KMeansError> {
-        // One pass checks and fingerprints the queries; the quantized path
-        // leases its query buffer first and fills it in the same pass,
-        // while the exact path uploads through its ingest launch after the
-        // memo lookup. A shape error comes first, then the first rejected
-        // row, then the memo.
         self.check_shape(samples)?;
         if samples.rows() == 0 {
             return Ok((Vec::new(), 0.0));
         }
-        // The quantized path's buffer is model-owned scratch, re-filled in
-        // place when the batch size repeats (steady-state serving
-        // re-allocates nothing). It is *leased* out of the mutex until the
-        // launch is done: a `GlobalBuffer` clone is a device-pointer copy,
-        // so two overlapping predicts holding clones of one cached buffer
-        // would overwrite each other's queries between their uploads and
-        // launches. Taking the `Option` means an overlapping caller simply
-        // allocates a fresh buffer; whoever finishes last parks theirs for
-        // the next call.
-        let leased = self.policy.quant_kind().map(|kind| {
-            let len = samples.as_slice().len();
-            let queries = match self.scratch.query_buf.lock().take() {
-                Some(buf) if buf.len() == len => buf,
-                _ => GlobalBuffer::zeros(len),
-            };
-            queries.set_sanitizer_label("serve.queries");
-            (kind, queries)
-        });
-        let buf = leased.as_ref().map(|(_, queries)| queries);
-        let key = match self.session.run(|| ingest_queries(samples, buf)) {
-            Ok(key) => key,
-            Err(e) => {
-                if let Some((_, queries)) = leased {
-                    *self.scratch.query_buf.lock() = Some(queries);
-                }
-                return Err(e);
-            }
-        };
-        // `score` after `predict` on the same matrix (and repeated
-        // predicts) replay the memo — no kernels.
-        if let Some(memo) = self.scratch.memo.lock().as_ref() {
-            if memo.key == key {
-                if let Some((_, queries)) = leased {
-                    *self.scratch.query_buf.lock() = Some(queries);
-                }
-                return Ok((memo.labels.clone(), memo.inertia));
-            }
-        }
         let counters = &self.scratch.counters;
-        let (labels, inertia) = self.session.run(|| {
+        self.session.run(|| {
+            ensure_finite(samples)?;
             let device = self.session.device();
             let seq = self.scratch.predict_seq.fetch_add(1, Ordering::Relaxed);
             phase::traced(trace::phases::PREDICT, seq, counters, || {
                 let fallbacks_before = trace::active().then(|| counters.snapshot().quant_fallbacks);
-                let out = match leased {
-                    Some((kind, queries)) => {
+                let out = match self.policy.quant_kind() {
+                    Some(kind) => {
                         // Integrity guard: the digest must match before the
                         // quantized table serves a query; a corrupted table is
                         // detected here and rebuilt from the fp centroids.
@@ -478,14 +308,13 @@ impl<T: Scalar> FittedModel<T> {
                                 counters,
                             );
                         }
-                        // Only the raw query buffer was uploaded (not a
-                        // launch) — the fused kernel folds ‖x‖² into its
-                        // distance pass, so this path launches no
-                        // sample-norms kernel at all.
-                        let out = predict_fused_assign(
+                        // The fused kernel reads the query rows in place and
+                        // folds ‖x‖² into its distance pass, so this path
+                        // uploads nothing and launches no sample-norms kernel.
+                        predict_fused_assign(
                             device,
-                            crate::variants::predict_fused::QueryView {
-                                samples: &queries,
+                            QueryView {
+                                samples: samples.as_slice(),
                                 centroids: &self.data.centroids,
                                 m: samples.rows(),
                                 k: self.data.k,
@@ -493,9 +322,7 @@ impl<T: Scalar> FittedModel<T> {
                             },
                             &table,
                             counters,
-                        )?;
-                        *self.scratch.query_buf.lock() = Some(queries);
-                        out
+                        )?
                     }
                     None => {
                         // Upload only the query samples; the resident centroid
@@ -521,15 +348,9 @@ impl<T: Scalar> FittedModel<T> {
                     );
                 }
                 let inertia = out.distances.iter().map(|d| d.to_f64().max(0.0)).sum();
-                Ok::<_, KMeansError>((out.labels, inertia))
+                Ok((out.labels, inertia))
             })
-        })?;
-        *self.scratch.memo.lock() = Some(AssignMemo {
-            key,
-            labels: labels.clone(),
-            inertia,
-        });
-        Ok((labels, inertia))
+        })
     }
 }
 
@@ -634,24 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn score_after_predict_replays_the_memo() {
-        let (data, model) = fitted(3);
-        let labels = model.predict(&data).unwrap();
-        let before = model.predict_counters();
-        let score = model.score(&data).unwrap();
-        let delta = model.predict_counters().since(&before);
-        assert_eq!(delta.kernel_launches, 0, "memo hit re-runs nothing");
-        assert_eq!(delta.bytes_loaded, 0);
-        assert_eq!(model.predict(&data).unwrap(), labels, "repeat predict too");
-        assert!(score > 0.0);
-        // a different matrix misses the memo and really runs
-        let fresh = blobs(30, 4, 3);
-        let before = model.predict_counters();
-        model.predict(&fresh).unwrap();
-        assert!(model.predict_counters().since(&before).kernel_launches > 0);
-    }
-
-    #[test]
     fn quantized_policies_match_exact_labels_and_score() {
         let (_, mut model) = fitted(4);
         let queries = blobs(57, 4, 4);
@@ -659,7 +462,6 @@ mod tests {
         let want_score = model.score(&queries).unwrap();
         for policy in [PredictPolicy::Fp16, PredictPolicy::Int8] {
             model.set_predict_policy(policy);
-            // distinct allocation so the memo can't answer for the kernel
             let fresh = blobs(57, 4, 4);
             assert_eq!(model.predict(&fresh).unwrap(), want_labels, "{policy:?}");
             // the exact policy here runs the fitted tensor kernel, whose
@@ -731,11 +533,10 @@ mod tests {
 
     #[test]
     fn concurrent_predicts_share_scratch_without_corruption() {
-        // Regression test for the query-buffer lease: before it, two
-        // overlapping predicts of the same batch size cloned one cached
-        // device buffer and overwrote each other's queries between upload
-        // and launch. Eight threads hammer the same model with *different*
-        // same-sized matrices; every one must get its own reference labels.
+        // Overlapping predicts share the model's counters and stats but
+        // never each other's queries or outputs. Eight threads hammer the
+        // same model with *different* same-sized matrices; every one must
+        // get its own reference labels.
         let data = blobs(512, 6, 4);
         let model = Session::a100()
             .kmeans(KMeansConfig::new(4).with_seed(9))
@@ -797,10 +598,12 @@ mod tests {
     }
 
     #[test]
-    fn in_place_edit_misses_the_memo() {
-        // Two blobs apart along column 1 only. The edited element (row 0,
-        // column 1) is not at the start or end of the buffer, and moving it
-        // to 100 carries row 0 across to the other blob.
+    fn in_place_edit_is_relabelled() {
+        // A predict of a matrix edited in place since the last predict of
+        // the same buffer labels the edited rows afresh. Two blobs apart
+        // along column 1 only; the edited element (row 0, column 1) is not
+        // at the start or end of the buffer, and moving it to 100 carries
+        // row 0 across to the other blob.
         let two_blobs = |m: usize| {
             Matrix::<f64>::from_fn(m, 64, |r, c| {
                 let centre = if c == 1 { (r % 2) as f64 * 10.0 } else { 0.0 };
@@ -819,110 +622,7 @@ mod tests {
             let edited = model.predict(&q).unwrap();
             let fresh = model.predict(&q.clone()).unwrap();
             assert_ne!(fresh[0], before[0], "{policy:?}: the edit moves row 0");
-            assert_eq!(edited, fresh, "{policy:?}: stale memo after an edit");
-        }
-    }
-
-    /// The memo key of `x`, from the query ingest without a buffer.
-    fn query_key<T: Scalar>(x: &Matrix<T>) -> MemoKey {
-        ingest_queries(x, None).unwrap()
-    }
-
-    /// The query ingest keys the samples as one slice per digest run would,
-    /// with or without a buffer, fills the buffer with the samples, and
-    /// rejects the row `ensure_finite` names: ragged shapes, one and
-    /// several digest runs.
-    #[test]
-    fn query_ingest_matches_the_separate_passes() {
-        fn whole_run_key<T: Scalar>(x: &Matrix<T>) -> MemoKey {
-            let runs = x.as_slice().chunks(run_rows(x.cols()) * x.cols());
-            let digests = runs.map(|run| {
-                let mut lanes = LaneDigest::new();
-                lanes.absorb(run);
-                lanes.finish()
-            });
-            let ptr = x.as_slice().as_ptr() as usize;
-            (ptr, x.rows(), x.cols(), fnv1a64(digests))
-        }
-        for (rows, cols) in [(1, 1), (7, 3), (130, 65), (4100, 65), (8200, 33)] {
-            let x = Matrix::<f32>::from_fn(rows, cols, |r, c| (r * 7 + c * 13) as f32 * 0.25 - 9.0);
-            let buf = GlobalBuffer::zeros(rows * cols);
-            let want = whole_run_key(&x);
-            assert_eq!(
-                ingest_queries(&x, Some(&buf)).unwrap(),
-                want,
-                "{rows}x{cols}"
-            );
-            assert_eq!(query_key(&x), want, "{rows}x{cols} without a buffer");
-            assert_eq!(buf.to_vec(), x.as_slice(), "{rows}x{cols} upload");
-            let y = Matrix::<f64>::from_fn(rows, cols, |r, c| (r * 3 + c) as f64 * 0.5);
-            let buf = GlobalBuffer::zeros(rows * cols);
-            let want = whole_run_key(&y);
-            assert_eq!(
-                ingest_queries(&y, Some(&buf)).unwrap(),
-                want,
-                "f64 {rows}x{cols}"
-            );
-            assert_eq!(query_key(&y), want, "f64 {rows}x{cols} without a buffer");
-            let mut bad = x.clone();
-            for (r, v) in [
-                (rows - 1, f32::INFINITY),
-                (rows / 2, f32::MAX),
-                (rows * 3 / 4, f32::NAN),
-            ] {
-                bad.set(r, cols / 2, v);
-            }
-            let want = ensure_finite(&bad).unwrap_err().to_string();
-            let buf = GlobalBuffer::zeros(rows * cols);
-            for got in [ingest_queries(&bad, Some(&buf)), ingest_queries(&bad, None)] {
-                assert_eq!(
-                    got.unwrap_err().to_string(),
-                    want,
-                    "{rows}x{cols} rejected row"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn in_place_negations_change_the_memo_key() {
-        let fresh = || Matrix::<f64>::from_fn(128, 64, |r, c| 1.0 + (r * 64 + c) as f64 * 0.01);
-        let before = query_key(&fresh());
-        // two elements: their sign bits must not cancel in the digest
-        let mut x = fresh();
-        x.set(3, 5, -x.get(3, 5));
-        x.set(90, 17, -x.get(90, 17));
-        assert_ne!(query_key(&x), before, "two negated elements");
-        // a whole column of an even-row batch: 128 sign flips
-        let mut x = fresh();
-        for r in 0..x.rows() {
-            x.set(r, 1, -x.get(r, 1));
-        }
-        assert_ne!(query_key(&x), before, "negated column");
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn any_single_bit_flip_changes_the_memo_key(
-            rows in 1usize..160,
-            cols in 1usize..72,
-            pick in 0usize..usize::MAX,
-            bit in 0u32..64,
-        ) {
-            let mut x = Matrix::<f64>::from_fn(rows, cols, |r, c| {
-                (r * 31 + c * 17) as f64 * 0.37 - 40.0
-            });
-            let (r, c) = (pick % rows, pick / rows % cols);
-            let before = query_key(&x);
-            x.set(r, c, x.get(r, c).flip_bit(bit));
-            proptest::prop_assert_ne!(query_key(&x), before, "({}, {}) bit {}", r, c, bit);
-            // single-precision elements hash as their 32 raw bits
-            let mut y = Matrix::<f32>::from_fn(rows, cols, |r, c| (r + 3 * c) as f32 * 0.5);
-            let before = query_key(&y);
-            y.set(r, c, y.get(r, c).flip_bit(bit % 32));
-            proptest::prop_assert_ne!(query_key(&y), before, "f32 ({}, {}) bit {}", r, c, bit);
+            assert_eq!(edited, fresh, "{policy:?}: stale labels after an edit");
         }
     }
 

@@ -103,24 +103,23 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
 }
 
 /// FNV-1a over a stream of 64-bit words, one xor-multiply-xorshift per
-/// word — the content digest guarding quantized resident state (and the
-/// sample fingerprint of the predict memo). For a fixed state each step is
-/// a bijection of the word (xor, a multiply by an odd prime mod 2^64, then
-/// `h ^= h >> 32`), and for a fixed word a bijection of the state, so two
-/// streams of equal length that differ in exactly one word always digest
-/// differently. The xorshift feeds high bits back down: a multiply alone
-/// only carries upward, so a bit-63 flip would pass through it unchanged
-/// and a second bit-63 flip in a later word (negating two floats) would
-/// cancel it.
+/// word — the content digest guarding quantized resident state. For a
+/// fixed state each step is a bijection of the word (xor, a multiply by an
+/// odd prime mod 2^64, then `h ^= h >> 32`), and for a fixed word a
+/// bijection of the state, so two streams of equal length that differ in
+/// exactly one word always digest differently. The xorshift feeds high
+/// bits back down: a multiply alone only carries upward, so a bit-63 flip
+/// would pass through it unchanged and a second bit-63 flip in a later word
+/// (negating two floats) would cancel it.
 pub fn fnv1a64(words: impl IntoIterator<Item = u64>) -> u64 {
     words.into_iter().fold(FNV1A64_BASIS, fnv1a64_step)
 }
 
 /// The state [`fnv1a64`] starts from.
-pub(crate) const FNV1A64_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV1A64_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// One [`fnv1a64`] step: fold `word` into the digest `state`.
-pub(crate) fn fnv1a64_step(state: u64, word: u64) -> u64 {
+fn fnv1a64_step(state: u64, word: u64) -> u64 {
     let h = (state ^ word).wrapping_mul(0x0000_0100_0000_01b3);
     h ^ (h >> 32)
 }

@@ -93,12 +93,12 @@ fn dot_wide<T: Scalar>(x: &[T], y: &[T]) -> T {
     (((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))) + tail
 }
 
-/// The device-resident inputs of one fused predict launch: the uploaded
-/// `m × dim` query matrix, the resident fp centroid table the fallback
-/// rows read, and the shapes tying them together.
+/// The inputs of one fused predict launch: the caller's `m × dim` query
+/// rows, the resident fp centroid table the fallback rows read, and the
+/// shapes tying them together.
 pub struct QueryView<'a, T: Scalar> {
-    /// Uploaded query samples, row-major `m × dim`.
-    pub samples: &'a GlobalBuffer<T>,
+    /// Query samples, row-major `m × dim`, read in place by the launch.
+    pub samples: &'a [T],
     /// Resident exact centroid table, row-major `k × dim`.
     pub centroids: &'a GlobalBuffer<T>,
     /// Number of query rows.
@@ -112,7 +112,9 @@ pub struct QueryView<'a, T: Scalar> {
 /// Run the fused quantized predict kernel over the query view's samples.
 ///
 /// `table` is the quantized resident state (verified by the caller before
-/// launch).
+/// launch). Each block reads its rows of `samples` in place and is charged
+/// their bytes as one bulk load; a `samples` that is not `m · dim` long is
+/// a [`SimError::ShapeMismatch`].
 pub fn predict_fused_assign<T: Scalar>(
     device: &DeviceProfile,
     query: QueryView<'_, T>,
@@ -128,6 +130,12 @@ pub fn predict_fused_assign<T: Scalar>(
     } = query;
     assert_eq!(table.k, k, "quantized table k mismatch");
     assert_eq!(table.dim, dim, "quantized table dim mismatch");
+    if m.checked_mul(dim) != Some(samples.len()) {
+        return Err(SimError::ShapeMismatch(format!(
+            "{} query elements for {m} rows of {dim}",
+            samples.len()
+        )));
+    }
     let labels = GlobalBuffer::<u32>::zeros(m);
     labels.set_sanitizer_label("predict.labels");
     let dists = GlobalBuffer::<T>::filled(m, T::INFINITY);
@@ -159,9 +167,10 @@ pub fn predict_fused_assign<T: Scalar>(
         // fp centroid traffic is one k×dim read per *block*, not per sample.
         let mut fp = ScratchBuf::<T, 1024>::filled(k * dim, T::ZERO);
         centroids.load_run(0, &mut fp, ctx.counters);
-        // Stream the block's whole query tile through one bulk load.
-        let mut xtile = ScratchBuf::<T, 4096>::filled(rows * dim, T::ZERO);
-        samples.load_run(row0 * dim, &mut xtile, ctx.counters);
+        // The block's query tile, charged as one bulk load.
+        let xtile = &samples[row0 * dim..(row0 + rows) * dim];
+        ctx.counters
+            .add_loaded(std::mem::size_of_val::<[T]>(xtile) as u64);
         // Per-block f64 copies of the quantized norms and their square
         // roots, for the norm-only pruning bounds below.
         let mut qn64 = ScratchBuf::<f64, 64>::filled(k, 0.0);
@@ -336,9 +345,9 @@ mod tests {
         (samples, cents)
     }
 
-    fn view<T: Scalar>(data: &DeviceData<T>) -> QueryView<'_, T> {
+    fn view<'a, T: Scalar>(samples: &'a Matrix<T>, data: &'a DeviceData<T>) -> QueryView<'a, T> {
         QueryView {
-            samples: &data.samples,
+            samples: samples.as_slice(),
             centroids: &data.centroids,
             m: data.m,
             k: data.k,
@@ -355,7 +364,7 @@ mod tests {
         let want = naive_assign(&dev, &data, &NoFault, &c).unwrap();
         for kind in [QuantKind::Fp16, QuantKind::Int8] {
             let table = QuantizedCentroids::build(&data.centroids, data.k, data.dim, kind);
-            let got = predict_fused_assign(&dev, view(&data), &table, &c).unwrap();
+            let got = predict_fused_assign(&dev, view(&samples, &data), &table, &c).unwrap();
             assert_eq!(got.labels, want.labels, "{kind:?} labels");
             for (a, b) in got.distances.iter().zip(want.distances.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{kind:?} distances");
@@ -391,7 +400,7 @@ mod tests {
         let data = DeviceData::upload(&dev, &samples, &cents, &c).unwrap();
         let table = QuantizedCentroids::build(&data.centroids, data.k, data.dim, QuantKind::Int8);
         let before = c.snapshot();
-        let got = predict_fused_assign(&dev, view(&data), &table, &c).unwrap();
+        let got = predict_fused_assign(&dev, view(&samples, &data), &table, &c).unwrap();
         let fallbacks = c.snapshot().since(&before).quant_fallbacks;
         assert_eq!(fallbacks, 0, "wide margins never fall back");
         let want = naive_assign(&dev, &data, &NoFault, &c).unwrap();
@@ -408,7 +417,7 @@ mod tests {
         let data = DeviceData::upload(&dev, &samples, &cents, &c).unwrap();
         let table = QuantizedCentroids::build(&data.centroids, 1, 3, QuantKind::Fp16);
         let before = c.snapshot();
-        let got = predict_fused_assign(&dev, view(&data), &table, &c).unwrap();
+        let got = predict_fused_assign(&dev, view(&samples, &data), &table, &c).unwrap();
         assert_eq!(c.snapshot().since(&before).quant_fallbacks, 9);
         let want = naive_assign(&dev, &data, &NoFault, &c).unwrap();
         assert_eq!(got.labels, want.labels);
@@ -416,9 +425,24 @@ mod tests {
     }
 
     #[test]
+    fn short_query_slice_is_a_shape_mismatch() {
+        let dev = DeviceProfile::a100();
+        let c = Counters::new();
+        let (samples, cents) = fixture();
+        let data = DeviceData::upload(&dev, &samples, &cents, &c).unwrap();
+        let table = QuantizedCentroids::build(&data.centroids, data.k, data.dim, QuantKind::Int8);
+        let mut query = view(&samples, &data);
+        query.samples = &query.samples[1..];
+        let before = c.snapshot();
+        let got = predict_fused_assign(&dev, query, &table, &c);
+        assert!(matches!(got, Err(SimError::ShapeMismatch(_))), "{got:?}");
+        assert_eq!(c.snapshot().since(&before).kernel_launches, 0);
+    }
+
+    #[test]
     fn centroid_traffic_does_not_scale_with_m_on_the_fast_path() {
         // Both tables (quantized codes and the exact fp copy) are staged
-        // once per block, and the query tile streams through one bulk load —
+        // once per block, and the query tile is charged as one bulk load —
         // per-sample centroid traffic is zero, unlike naive's full k-row
         // re-read per sample.
         let dev = DeviceProfile::a100();
@@ -428,7 +452,7 @@ mod tests {
         let data = DeviceData::upload(&dev, &samples, &cents, &c).unwrap();
         let table = QuantizedCentroids::build(&data.centroids, 2, 4, QuantKind::Int8);
         let before = c.snapshot();
-        predict_fused_assign(&dev, view(&data), &table, &c).unwrap();
+        predict_fused_assign(&dev, view(&samples, &data), &table, &c).unwrap();
         let delta = c.snapshot().since(&before);
         assert_eq!(delta.quant_fallbacks, 0);
         // one block: staged codes 8 B + scales/norms 16 B + staged fp table

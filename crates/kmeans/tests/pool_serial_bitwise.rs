@@ -80,8 +80,8 @@ fn outcome(model: &FittedModel<f32>) -> Outcome {
 
 /// Every variant's 3-iteration fit, a two-batch `partial_fit` stream, then
 /// a protected tensor fit under fault injection on every eligible site;
-/// and a predict of `x` per policy by a fresh clone (own memo and
-/// counters) of the fitted tensor model.
+/// and a predict of `x` per policy by a fresh clone (own counters) of the
+/// fitted tensor model.
 fn run_all(exec: Executor, x: &Matrix<f32>, k: usize, seed: u64) -> (Vec<Outcome>, Vec<Served>) {
     let session = Session::new(DeviceProfile::a100()).with_executor(exec);
     let cfg = |variant| KMeansConfig {

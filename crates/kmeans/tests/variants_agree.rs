@@ -86,7 +86,7 @@ fn quantized_predict_agrees_with_every_variant_on_the_fixture() {
         let out = predict_fused_assign(
             &dev,
             kmeans::variants::predict_fused::QueryView {
-                samples: &data.samples,
+                samples: samples.as_slice(),
                 centroids: &data.centroids,
                 m: data.m,
                 k: data.k,

@@ -378,7 +378,7 @@ proptest! {
             let got = predict_fused_assign(
                 &dev,
                 QueryView {
-                    samples: &data.samples,
+                    samples: samples.as_slice(),
                     centroids: &data.centroids,
                     m,
                     k,
