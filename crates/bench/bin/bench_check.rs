@@ -7,7 +7,9 @@
 //! ```
 //!
 //! With no gate names it runs all six. Its first line names the MMA
-//! micro-kernel path the host runs ([`gpu_sim::mma::isa`]). Exit status is
+//! micro-kernel path the host runs ([`gpu_sim::mma::isa`]) and reports,
+//! ungated, the micro-kernel's GFLOP/s on the fp32 default warp slab next
+//! to the host's mul+add peak ([`bench_harness::mmarate`]). Exit status is
 //! 1 when a gate fails and 2 on a usage error or an unreadable ledger.
 //!
 //! * **fit / predict / serve** — fresh median rates ([`REPS`] reps) against
@@ -37,6 +39,7 @@ use bench_harness::campaign::{campaign_table, run_campaign, CampaignGrid};
 use bench_harness::drift::{check_campaign_exact, check_figure_schemas};
 use bench_harness::figures::run_figure;
 use bench_harness::fitbench::{run_fit_bench, M};
+use bench_harness::mmarate::{kernel_gflops, mul_add_peak_gflops, SLAB};
 use bench_harness::predictbench::{run_predict_bench, PredictMeasurement, MIN_QUANT_SPEEDUP};
 use bench_harness::regression::{
     check, parse_ledger, rows_of, write_ledger, Bench, Row, REPS, TOLERANCE,
@@ -305,7 +308,16 @@ fn main() {
         }
     }
     // Host rates depend on the vector width the MMA micro-kernel runs at.
-    println!("bench_check: MMA path {}", gpu_sim::mma::isa());
+    let (kernel, (wm, wn, kk)) = (kernel_gflops(20_000), SLAB);
+    let peak = match mul_add_peak_gflops(20_000) {
+        Some(peak) => format!("{peak:.1} GFLOP/s ({:.0}%)", 100.0 * kernel / peak),
+        None => "not probed".into(),
+    };
+    println!(
+        "bench_check: MMA path {}, micro-kernel {kernel:.1} GFLOP/s on the {wm}x{wn}x{kk} \
+         fp32 slab, host mul+add peak {peak}",
+        gpu_sim::mma::isa()
+    );
     if write {
         if !gates.is_empty() {
             usage();

@@ -29,6 +29,7 @@ pub mod campaign;
 pub mod drift;
 pub mod figures;
 pub mod fitbench;
+pub mod mmarate;
 pub mod paper;
 pub mod predictbench;
 pub mod regression;

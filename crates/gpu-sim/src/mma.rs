@@ -13,18 +13,23 @@
 //! belong to any one block: the tensor kernel stages the centroid panels
 //! once per launch and every block reads them.
 //!
-//! The micro-kernel is compiled three times: for AVX-512F, for AVX2, and
-//! for the portable baseline. The widest path the host supports is picked
-//! once per process ([`isa`] names it); targets other than x86-64 have only
-//! the portable path. Every path runs the same source with products and
-//! sums as separate `*` and `+` (never contracted to a fused multiply-add),
-//! and every output sums its slab from zero in ascending `k`, so the wider
-//! vectors change the speed and never a bit of a number in the result. The
-//! one exception is the sign and payload of a NaN that a slab makes from
-//! non-finite panel values, which follow the operand order each build
-//! picked. Samples and centroids are checked finite before any kernel
-//! runs, so no fit multiplies one; a NaN already in the accumulator (a
-//! flipped bit) passes through every path unchanged.
+//! The micro-kernel has three paths: AVX-512F, AVX2, and the portable
+//! baseline. The widest path the host supports is picked once per process
+//! ([`isa`] names it); targets other than x86-64 have only the portable
+//! path. On the AVX-512F path `f32` runs a block written in `core::arch`
+//! intrinsics, the paper's register tiling at host width: 4 rows × 32
+//! columns, 8 independent sums held in `zmm` registers. Everything else
+//! (`f64`, AVX2, portable) compiles one portable body, rows two at a time
+//! and columns in blocks of 16, 4 and 1, for the path's vector width.
+//! Every path keeps products and sums as separate multiplies and adds
+//! (never contracted to a fused multiply-add), and every output sums its
+//! slab from zero in ascending `k`, so the wider vectors change the speed
+//! and never a bit of a number in the result. The one exception is the
+//! sign and payload of a NaN that a slab makes from non-finite panel
+//! values, which follow the operand order each path picked. Samples and
+//! centroids are checked finite before any kernel runs, so no fit
+//! multiplies one; a NaN already in the accumulator (a flipped bit)
+//! passes through every path unchanged.
 //!
 //! Every MMA slab passes through a [`FaultHook`], the interception point the
 //! fault injector (crate `ftk-fault`) uses to flip bits in accumulator
@@ -324,9 +329,9 @@ impl<T: Scalar> BPanel<T> {
 }
 
 /// The one MMA micro-kernel (see [`FragmentMma::mma_panel`]), run on the
-/// `isa` path. Each path compiles the same [`panel_body`] for its own
-/// vector width, so all of them give the same numbers (NaNs aside, see the
-/// module doc).
+/// `isa` path. The AVX-512F path runs [`avx512::panel`] for `f32`; every
+/// other path compiles the same [`panel_body`] for its own vector width.
+/// All of them give the same numbers (NaNs aside, see the module doc).
 fn panel_kernel<T: Scalar>(
     isa: Isa,
     acc: &mut [T],
@@ -340,6 +345,18 @@ fn panel_kernel<T: Scalar>(
     // `Isa::host()` (via `FragmentMma`) or from a test that checked
     // `supported()`, so a wide variant means the CPU has its feature.
     match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512f if std::any::TypeId::of::<T>() == std::any::TypeId::of::<f32>() => {
+            use std::any::Any;
+            let pa = (panels.0 as &dyn Any).downcast_ref().expect("T is f32");
+            let pb = (panels.1 as &dyn Any).downcast_ref().expect("T is f32");
+            let (ptr, len) = (acc.as_mut_ptr().cast(), acc.len());
+            // SAFETY: `T` is `f32` (same `TypeId`), so this is the same
+            // slice at the same type.
+            let acc = unsafe { std::slice::from_raw_parts_mut(ptr, len) };
+            // SAFETY: `isa == Avx512f` only where AVX-512F was detected.
+            unsafe { avx512::panel(acc, wn, (pa, pb), at, live, kk) }
+        }
         // SAFETY: `isa == Avx512f` only where AVX-512F was detected (above).
         #[cfg(target_arch = "x86_64")]
         Isa::Avx512f => unsafe { panel_avx512f(acc, wn, panels, at, live, kk) },
@@ -350,8 +367,8 @@ fn panel_kernel<T: Scalar>(
     }
 }
 
-/// [`panel_body`] compiled for AVX-512F. Callable only where the CPU has
-/// it (see [`panel_kernel`]).
+/// [`panel_body`] compiled for AVX-512F, run for `f64`. Callable only
+/// where the CPU has it (see [`panel_kernel`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn panel_avx512f<T: Scalar>(
@@ -379,10 +396,160 @@ fn panel_avx2<T: Scalar>(
     panel_body(acc, wn, panels, at, live, kk)
 }
 
-/// The micro-kernel's body. Rows run two at a time and columns in blocks
-/// of 16, 4 and 1. Every output still sums the slab's `k` terms from zero
-/// in ascending order and then adds the sum to `acc`, so the blocking
-/// changes only instruction-level parallelism, never a bit of the result.
+/// The `f32` micro-kernel in AVX-512F intrinsics, the paper's register
+/// tiling at host width. Rows run four at a time (then a 3-, 2- or 1-row
+/// tail) and columns in blocks of 32 and 16, then one masked block under
+/// 16. A 4×32 block keeps 8 independent sums in `zmm` registers, enough
+/// chains to hide the add latency. Each output lane sums the slab's `k`
+/// terms from `+0.0` in ascending order, with a separate multiply and add,
+/// then adds the sum to `acc`: the order of [`dot_block`], so the numbers
+/// are [`panel_body`]'s.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{APanel, BPanel};
+    use std::arch::x86_64::*;
+
+    /// Leading dimensions of the A panel, the B panel and `acc`, and the
+    /// slab depth.
+    #[derive(Clone, Copy)]
+    struct Geom {
+        lda: usize,
+        ldb: usize,
+        ldc: usize,
+        kk: usize,
+    }
+
+    /// [`super::panel_body`] for `f32`. Callable only where the CPU has
+    /// AVX-512F (see [`super::panel_kernel`]).
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn panel(
+        acc: &mut [f32],
+        wn: usize,
+        (pa, pb): (&APanel<f32>, &BPanel<f32>),
+        (row0, col0, k0): (usize, usize, usize),
+        (rows, cols): (usize, usize),
+        kk: usize,
+    ) {
+        if rows == 0 || cols == 0 {
+            return;
+        }
+        // Every pointer the blocks form stays inside these extents.
+        assert!(k0 + kk <= pa.kk && pa.kk == pb.kk && col0 + cols <= pb.cols && cols <= wn);
+        assert!((row0 + rows) * pa.kk <= pa.a.len() && (k0 + kk) * pb.cols <= pb.b.len());
+        assert!((rows - 1) * wn + cols <= acc.len());
+        let g = Geom {
+            lda: pa.kk,
+            ldb: pb.cols,
+            ldc: wn,
+            kk,
+        };
+        let a = pa.a[row0 * g.lda + k0..].as_ptr();
+        let b = pb.b[k0 * g.ldb + col0..].as_ptr();
+        let c = acc.as_mut_ptr();
+        let mut i = 0;
+        // SAFETY (all four calls): rows `i..i + R` are below `rows`, so by
+        // the asserts above the blocks read A and B and write `acc` in
+        // bounds.
+        while i + 4 <= rows {
+            unsafe { row_block::<4>(a.add(i * g.lda), b, c.add(i * g.ldc), g, cols) };
+            i += 4;
+        }
+        let (a, c) = (a.wrapping_add(i * g.lda), c.wrapping_add(i * g.ldc));
+        match rows - i {
+            3 => unsafe { row_block::<3>(a, b, c, g, cols) },
+            2 => unsafe { row_block::<2>(a, b, c, g, cols) },
+            1 => unsafe { row_block::<1>(a, b, c, g, cols) },
+            _ => {}
+        }
+    }
+
+    /// `R` rows of the panel, walked in column blocks.
+    ///
+    /// # Safety
+    ///
+    /// `a` holds `R` rows of `g.kk` values `g.lda` apart, `b` holds `g.kk`
+    /// rows of `cols` values `g.ldb` apart, and `c` holds `R` rows of
+    /// `cols` values `g.ldc` apart.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn row_block<const R: usize>(
+        a: *const f32,
+        b: *const f32,
+        c: *mut f32,
+        g: Geom,
+        cols: usize,
+    ) {
+        let mut j = 0;
+        // SAFETY (all three calls): columns `j..` up to the block's width
+        // (or, masked, to `cols`) lie inside the rows of `b` and `c`.
+        while j + 32 <= cols {
+            unsafe { block::<R, 2>(a, b.add(j), c.add(j), g, !0) };
+            j += 32;
+        }
+        if j + 16 <= cols {
+            unsafe { block::<R, 1>(a, b.add(j), c.add(j), g, !0) };
+            j += 16;
+        }
+        if j < cols {
+            let tail = (1u16 << (cols - j)) - 1;
+            unsafe { block::<R, 1>(a, b.add(j), c.add(j), g, tail) };
+        }
+    }
+
+    /// `R x 16V` independent sums: `c[r][l] += Σ_k a[r][k] · b[k][l]`, the
+    /// last vector's lanes limited to `tail`.
+    ///
+    /// # Safety
+    ///
+    /// `a` holds `R` rows of `g.kk` values `g.lda` apart; `b` holds `g.kk`
+    /// rows and `c` holds `R` rows, `g.ldb` and `g.ldc` apart, each with
+    /// `16V` values, of which the last vector's lanes outside `tail` need
+    /// not exist.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn block<const R: usize, const V: usize>(
+        a: *const f32,
+        b: *const f32,
+        c: *mut f32,
+        g: Geom,
+        tail: __mmask16,
+    ) {
+        let mask = |v: usize| if v + 1 == V { tail } else { !0 };
+        let mut sum = [[_mm512_setzero_ps(); V]; R];
+        let mut bv = [_mm512_setzero_ps(); V];
+        for k in 0..g.kk {
+            // SAFETY: row `k < g.kk` of `b` and of every `a` row, masked
+            // to the lanes that exist (by the contract above).
+            unsafe {
+                for (v, bv) in bv.iter_mut().enumerate() {
+                    *bv = _mm512_maskz_loadu_ps(mask(v), b.add(k * g.ldb + 16 * v));
+                }
+                for (r, sr) in sum.iter_mut().enumerate() {
+                    let av = _mm512_set1_ps(*a.add(r * g.lda + k));
+                    for (s, &bv) in sr.iter_mut().zip(&bv) {
+                        *s = _mm512_add_ps(*s, _mm512_mul_ps(av, bv));
+                    }
+                }
+            }
+        }
+        for (r, sr) in sum.iter().enumerate() {
+            for (v, &s) in sr.iter().enumerate() {
+                // SAFETY: row `r < R` of `c`, masked as above.
+                unsafe {
+                    let p = c.add(r * g.ldc + 16 * v);
+                    let out = _mm512_add_ps(_mm512_maskz_loadu_ps(mask(v), p), s);
+                    _mm512_mask_storeu_ps(p, mask(v), out);
+                }
+            }
+        }
+    }
+}
+
+/// The micro-kernel's portable body, run by the AVX2 and portable paths
+/// and for `f64`. Rows run two at a time and columns in blocks of 16, 4
+/// and 1. Every output still sums the slab's `k` terms from zero in
+/// ascending order and then adds the sum to `acc`, so the blocking changes
+/// only instruction-level parallelism, never a bit of the result.
 #[inline(always)]
 fn panel_body<T: Scalar>(
     acc: &mut [T],
@@ -634,11 +801,15 @@ mod tests {
     }
 
     /// Every path this host runs gives the portable micro-kernel's bits:
-    /// random slabs with 16-, 4- and 1-wide column tails and odd row
-    /// counts, live corners, and NaN, ±Inf and −0.0 among the inputs and
-    /// the accumulators. A NaN result is NaN on every path, but its sign
-    /// and payload depend on the operand order the compiler picked, so
-    /// only its NaN-ness is compared.
+    /// random slabs with NaN, ±Inf and −0.0 among the inputs and the
+    /// accumulators, on live corners, at the panel origin and at an offset
+    /// inside bigger panels, and through [`FragmentMma::mma`]. The shapes
+    /// reach every block of every path: AVX-512's 4×32 and 16-wide blocks,
+    /// its masked column tails under 16 and row tails of 1–3, the portable
+    /// body's 16-, 4- and 1-wide columns and odd rows, at depths 8 and 16
+    /// as the tensor kernel runs them. A NaN result is NaN on every path,
+    /// but its sign and payload depend on the operand order the compiler
+    /// picked, so only its NaN-ness is compared.
     fn wide_paths_match_portable<T: Scalar>() {
         let mut state = 0x2545_f491_4f6c_dd1du64;
         let mut draw = |specials: bool| {
@@ -657,25 +828,67 @@ mod tests {
         };
         let paths: Vec<Isa> = Isa::ALL.into_iter().filter(|i| i.supported()).collect();
         assert!(paths.contains(&Isa::host()) && paths.contains(&Isa::Portable));
-        for (wm, wn, kk) in [(5, 21, 8), (7, 37, 4), (1, 16, 3), (9, 53, 16), (64, 32, 8)] {
+        let bits = |acc: &[T]| {
+            let bits = |v: &T| (!v.to_f64().is_nan()).then(|| v.to_raw_u64());
+            acc.iter().map(bits).collect::<Vec<_>>()
+        };
+        let shapes = [
+            (5, 21, 8),
+            (7, 37, 4),
+            (1, 16, 3),
+            (9, 53, 16),
+            (64, 32, 8),
+            (8, 64, 8),
+            (7, 48, 16),
+            (6, 45, 8),
+            (3, 15, 16),
+            (2, 31, 8),
+            (1, 33, 16),
+        ];
+        for (wm, wn, kk) in shapes {
             let corners = [(wm, wn), (wm / 2 + 1, wn / 3 + 1), (1, 1), (wm, wn.min(17))];
-            for (live, specials) in corners.into_iter().zip([false, true, true, false]) {
-                let a: Vec<T> = (0..live.0 * kk).map(|_| draw(specials)).collect();
-                let b: Vec<T> = (0..live.1 * kk).map(|_| draw(specials)).collect();
-                let acc0: Vec<T> = (0..wm * wn).map(|_| draw(specials)).collect();
-                let (mut ap, mut bp) = (APanel::default(), BPanel::default());
-                ap.stage(&a, kk);
-                bp.stage(&b, kk);
-                let run = |isa: Isa| {
-                    let mut acc = acc0.clone();
-                    panel_kernel(isa, &mut acc, wn, (&ap, &bp), (0, 0, 0), live, kk);
-                    let bits = |v: &T| (!v.to_f64().is_nan()).then(|| v.to_raw_u64());
-                    acc.iter().map(bits).collect::<Vec<_>>()
-                };
-                let want = run(Isa::Portable);
-                for &isa in &paths {
-                    assert_eq!(run(isa), want, "{isa:?} {wm}x{wn}x{kk} live {live:?}");
+            for at in [(0, 0, 0), (2, 3, kk)] {
+                // One slab of depth `kk` at `at.2`, inside panels one slab
+                // deeper on each side when `at` is off the origin.
+                let depth = if at.2 == 0 { kk } else { 3 * kk };
+                for (live, specials) in corners.into_iter().zip([false, true, true, false]) {
+                    let a: Vec<T> = (0..(at.0 + live.0) * depth)
+                        .map(|_| draw(specials))
+                        .collect();
+                    let b: Vec<T> = (0..(at.1 + live.1) * depth)
+                        .map(|_| draw(specials))
+                        .collect();
+                    let acc0: Vec<T> = (0..wm * wn).map(|_| draw(specials)).collect();
+                    let (mut ap, mut bp) = (APanel::default(), BPanel::default());
+                    ap.stage(&a, depth);
+                    bp.stage(&b, depth);
+                    let run = |isa: Isa| {
+                        let mut acc = acc0.clone();
+                        panel_kernel(isa, &mut acc, wn, (&ap, &bp), at, live, kk);
+                        bits(&acc)
+                    };
+                    let want = run(Isa::Portable);
+                    for &isa in &paths {
+                        let shape = format!("{wm}x{wn}x{kk} at {at:?} live {live:?}");
+                        assert_eq!(run(isa), want, "{isa:?} {shape}");
+                    }
                 }
+            }
+            let a: Vec<T> = (0..wm * kk).map(|_| draw(true)).collect();
+            let b: Vec<T> = (0..wn * kk).map(|_| draw(true)).collect();
+            let acc0: Vec<T> = (0..wm * wn).map(|_| draw(false)).collect();
+            let run = |isa: Isa| {
+                let exec = FragmentMma {
+                    isa,
+                    ..FragmentMma::new::<T>(wm, wn)
+                };
+                let mut acc = acc0.clone();
+                exec.mma(&mut acc, &a, &b, kk, site(), &NoFault, &Counters::new());
+                bits(&acc)
+            };
+            let want = run(Isa::Portable);
+            for &isa in &paths {
+                assert_eq!(run(isa), want, "{isa:?} fragment MMA {wm}x{wn}x{kk}");
             }
         }
     }

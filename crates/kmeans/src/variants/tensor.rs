@@ -38,7 +38,12 @@
 //!    once corrected, re-baselined or recomputed sums its whole tile for
 //!    the rest of the launch. Every check is charged the whole tile,
 //! 5. the fused epilogue performs the row-minimum with the norm identity
-//!    and merges into the global argmin store (threadblock broadcast).
+//!    and merges into the global argmin store (threadblock broadcast). A
+//!    row's distances are scanned lane-wise: 16 lanes each keep a running
+//!    `(distance, column)` minimum with branch-free selects (at AVX-512F
+//!    width where the host has it), and one tree reduce across the lanes
+//!    ends the row. The pair it picks is the one a scan in column order
+//!    picks, bits and ties included.
 //!
 //! Wu's threadblock-level scheme instead absorbs whole staged tiles; on
 //! `cp.async` devices those values are *re-read from global memory*
@@ -503,48 +508,123 @@ fn run_tensor<T: Scalar>(
         // Fused epilogue: row-minimum with the norm identity, then the
         // threadblock broadcast merge. Norm vectors are staged once per
         // block as contiguous runs (uncounted, matching the element path).
-        let two = T::ONE + T::ONE;
         let mut xn = ScratchBuf::<T, 256>::filled(rows_valid, T::ZERO);
         data.sample_norms.read_range(row0, &mut xn);
         let mut yn = ScratchBuf::<T, 256>::filled(cols_valid, T::ZERO);
         data.centroid_norms.read_range(col0, &mut yn);
-        let mut best = ScratchBuf::<(T, u32), 256>::filled(rows_valid, (T::INFINITY, u32::MAX));
-        for wi in 0..warps_m {
-            let r_base = wi * tile.wm;
-            if r_base >= rows_valid {
-                continue;
-            }
-            for wj in 0..warps_n {
-                let c_base = wj * tile.wn;
-                if c_base >= cols_valid {
-                    continue;
-                }
-                let acc = &accs[(wi * warps_n + wj) * wsize..(wi * warps_n + wj + 1) * wsize];
-                for i in 0..tile.wm.min(rows_valid - r_base) {
-                    let row = r_base + i;
-                    let x = xn[row];
-                    let slot = &mut best[row];
-                    let cols_here = tile.wn.min(cols_valid - c_base);
-                    let arow = &acc[i * tile.wn..i * tile.wn + cols_here];
-                    for (j, &xy) in arow.iter().enumerate() {
-                        let col_g = (col0 + c_base + j) as u32;
-                        let d = x + yn[c_base + j] - two * xy;
-                        if d < slot.0 || (d == slot.0 && col_g < slot.1) {
-                            *slot = (d, col_g);
-                        }
-                    }
-                }
-            }
-        }
         ctx.counters.add_fma((rows_valid * cols_valid * 2) as u64);
         ctx.barrier();
-        for (i, &(d, j)) in best.iter().enumerate() {
-            store.merge(row0 + i, d, j, ctx.counters);
-        }
+        block_argmin(&accs, &tile, (&xn, &yn), col0, |i, d, j| {
+            store.merge(row0 + i, d, j, ctx.counters)
+        });
     })?;
 
     let (distances, labels) = store.snapshot();
     Ok(AssignmentResult { labels, distances })
+}
+
+/// Lanes of the epilogue's running `(distance, column)` minimum.
+const LANES: usize = 16;
+
+/// True when candidate `(d, col)` replaces `best`: a smaller distance, or
+/// an equal one (`−0.0 == +0.0`) at a smaller column. NaN never replaces,
+/// and `(+∞, u32::MAX)` is the empty slot.
+#[inline(always)]
+fn takes<T: Scalar>(d: T, col: u32, best: (T, u32)) -> bool {
+    (d < best.0) | ((d == best.0) & (col < best.1))
+}
+
+/// The fused epilogue of one block (step 5): for every live row `i`, the
+/// minimum over the block's live columns of `‖x‖² + ‖y‖² − 2·x·y`
+/// (`xn[i]`, `yn[j]` and the warp accumulators `accs`), handed to
+/// `emit(i, distance, column)` with `col0` added to the column. Runs at
+/// AVX-512F width where the host has it; the numbers do not depend on it.
+fn block_argmin<T: Scalar>(
+    accs: &[T],
+    tile: &TileConfig,
+    norms: (&[T], &[T]),
+    col0: usize,
+    emit: impl FnMut(usize, T, u32),
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        // SAFETY: the CPU has AVX-512F (detected just above).
+        return unsafe { block_argmin_avx512f(accs, tile, norms, col0, emit) };
+    }
+    argmin_body(accs, tile, norms, col0, emit)
+}
+
+/// [`argmin_body`] compiled for AVX-512F. Callable only where the CPU has
+/// it.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn block_argmin_avx512f<T: Scalar>(
+    accs: &[T],
+    tile: &TileConfig,
+    norms: (&[T], &[T]),
+    col0: usize,
+    emit: impl FnMut(usize, T, u32),
+) {
+    argmin_body(accs, tile, norms, col0, emit)
+}
+
+/// [`block_argmin`]'s body. Each row is scanned lane-wise: column `j` of a
+/// warp row offers its distance to lane `j % LANES`, every lane keeps its
+/// own minimum by [`takes`] with branch-free selects, and a tree reduce
+/// across the lanes ends the row. The smaller pair under [`takes`] is the
+/// minimum of a total order (NaN aside), so the lanes and the reduce pick
+/// what a one-at-a-time scan in column order picks, bits and ties
+/// included: the first column of the least distance, the first `+∞` column
+/// of a row with nothing smaller, and the `u32::MAX` sentinel only for a
+/// row of NaNs.
+#[inline(always)]
+fn argmin_body<T: Scalar>(
+    accs: &[T],
+    tile: &TileConfig,
+    (xn, yn): (&[T], &[T]),
+    col0: usize,
+    mut emit: impl FnMut(usize, T, u32),
+) {
+    let two = T::ONE + T::ONE;
+    let warps_n = tile.tb_n / tile.wn;
+    let wsize = tile.wm * tile.wn;
+    for (row, &x) in xn.iter().enumerate() {
+        let (wi, i) = (row / tile.wm, row % tile.wm);
+        let mut d = [T::INFINITY; LANES];
+        let mut col = [u32::MAX; LANES];
+        let mut offer = |l: usize, cand: T, c: u32| {
+            let take = takes(cand, c, (d[l], col[l]));
+            d[l] = if take { cand } else { d[l] };
+            col[l] = if take { c } else { col[l] };
+        };
+        for (wj, yn) in yn.chunks(tile.wn).enumerate() {
+            let at = (wi * warps_n + wj) * wsize + i * tile.wn;
+            let xy = &accs[at..at + yn.len()];
+            let c_base = (col0 + wj * tile.wn) as u32;
+            let (xy_runs, yn_runs) = (xy.chunks_exact(LANES), yn.chunks_exact(LANES));
+            let tail = xy_runs.remainder().iter().zip(yn_runs.remainder());
+            for (r, (xy, yn)) in xy_runs.zip(yn_runs).enumerate() {
+                let base = c_base + (r * LANES) as u32;
+                for l in 0..LANES {
+                    offer(l, x + yn[l] - two * xy[l], base + l as u32);
+                }
+            }
+            let base = c_base + (xy.len() - xy.len() % LANES) as u32;
+            for (l, (&xy, &yn)) in tail.enumerate() {
+                offer(l, x + yn - two * xy, base + l as u32);
+            }
+        }
+        let mut w = LANES / 2;
+        while w > 0 {
+            for l in 0..w {
+                let take = takes(d[l + w], col[l + w], (d[l], col[l]));
+                d[l] = if take { d[l + w] } else { d[l] };
+                col[l] = if take { col[l + w] } else { col[l] };
+            }
+            w /= 2;
+        }
+        emit(row, d[0], col[0]);
+    }
 }
 
 fn record_outcome(s: &mut CampaignStats, outcome: CheckOutcome) {
@@ -1074,6 +1154,132 @@ mod tests {
         launch_staging_matches::<f64>(small_tile(), (77, 21, 13));
         launch_staging_matches::<f32>(default_tile(Precision::Fp32), (150, 300, 37));
         launch_staging_matches::<f64>(default_tile(Precision::Fp64), (130, 70, 21));
+    }
+
+    /// The epilogue's earlier one-at-a-time scan, kept as the reference
+    /// [`block_argmin`] must match: warp by warp, row by row, every live
+    /// column in order, replacing the row's pair on a smaller distance or
+    /// an equal one at a smaller column.
+    fn scalar_scan<T: Scalar>(
+        accs: &[T],
+        tile: &TileConfig,
+        (xn, yn): (&[T], &[T]),
+        col0: usize,
+        mut emit: impl FnMut(usize, T, u32),
+    ) {
+        let two = T::ONE + T::ONE;
+        let (rows_valid, cols_valid) = (xn.len(), yn.len());
+        let (warps_m, warps_n) = (tile.tb_m / tile.wm, tile.tb_n / tile.wn);
+        let wsize = tile.wm * tile.wn;
+        let mut best = vec![(T::INFINITY, u32::MAX); rows_valid];
+        for wi in 0..warps_m {
+            let r_base = wi * tile.wm;
+            if r_base >= rows_valid {
+                continue;
+            }
+            for wj in 0..warps_n {
+                let c_base = wj * tile.wn;
+                if c_base >= cols_valid {
+                    continue;
+                }
+                let acc = &accs[(wi * warps_n + wj) * wsize..(wi * warps_n + wj + 1) * wsize];
+                for i in 0..tile.wm.min(rows_valid - r_base) {
+                    let row = r_base + i;
+                    let x = xn[row];
+                    let slot = &mut best[row];
+                    let cols_here = tile.wn.min(cols_valid - c_base);
+                    let arow = &acc[i * tile.wn..i * tile.wn + cols_here];
+                    for (j, &xy) in arow.iter().enumerate() {
+                        let col_g = (col0 + c_base + j) as u32;
+                        let d = x + yn[c_base + j] - two * xy;
+                        if d < slot.0 || (d == slot.0 && col_g < slot.1) {
+                            *slot = (d, col_g);
+                        }
+                    }
+                }
+            }
+        }
+        for (i, &(d, j)) in best.iter().enumerate() {
+            emit(i, d, j);
+        }
+    }
+
+    /// The lane-wise epilogue emits the scalar scan's (distance bits,
+    /// column) for every row of every block, and the merged labels and
+    /// distances agree, on `m` rows (a partial last row block) against
+    /// `k` columns (a partial last column block and warp). Rows cycle
+    /// through six kinds: small integer distances (ties within a warp,
+    /// across warps and across column blocks), ±0.0 ties, NaN among them,
+    /// all `+∞`, all NaN, and `+∞` mixed with NaN. Padded lanes hold a
+    /// distance that would win if it were read.
+    fn epilogue_matches_scalar_scan<T: Scalar>(tile: TileConfig, m: usize, k: usize) {
+        let hash = |r: usize, c: usize| (r * 2654435761 + c * 40503 + r * c) % 97;
+        let f = T::from_f64;
+        let yn: Vec<T> = (0..k)
+            .map(|c| [f(-0.0), f(0.0), f(1.0), f(2.0)][hash(7, c) % 4])
+            .collect();
+        let xn: Vec<T> = (0..m)
+            .map(|r| if r % 6 == 1 { f(-0.0) } else { f(0.0) })
+            .collect();
+        let xy = |r: usize, c: usize| {
+            let h = hash(r, c);
+            match r % 6 {
+                0 => [f(0.0), f(0.5), f(-0.5), f(1.0)][h % 4],
+                1 => [f(0.0), f(0.0), f(-0.5)][h % 3],
+                2 if h % 4 == 0 => f(f64::NAN),
+                2 => [f(0.0), f(0.5), f(1.0)][h % 3],
+                3 => f(f64::NEG_INFINITY),
+                4 => f(f64::NAN),
+                _ => [f(f64::NEG_INFINITY), f(f64::NAN)][h % 2],
+            }
+        };
+        let (warps_n, wsize) = (tile.tb_n / tile.wn, tile.wm * tile.wn);
+        let stores = [ArgminStore::<T>::new(m), ArgminStore::<T>::new(m)];
+        let c = Counters::new();
+        for row0 in (0..m).step_by(tile.tb_m) {
+            for col0 in (0..k).step_by(tile.tb_n) {
+                let (rows, cols) = (tile.tb_m.min(m - row0), tile.tb_n.min(k - col0));
+                let mut accs = vec![f(1e30); tile.tb_m * tile.tb_n];
+                for (r, cc) in (0..rows).flat_map(|r| (0..cols).map(move |cc| (r, cc))) {
+                    let warp = (r / tile.wm) * warps_n + cc / tile.wn;
+                    accs[warp * wsize + (r % tile.wm) * tile.wn + cc % tile.wn] =
+                        xy(row0 + r, col0 + cc);
+                }
+                let norms = (&xn[row0..row0 + rows], &yn[col0..col0 + cols]);
+                let mut got = Vec::new();
+                block_argmin(&accs, &tile, norms, col0, |i, d, j| {
+                    got.push((i, d.to_raw_u64(), j));
+                    stores[0].merge(row0 + i, d, j, &c);
+                });
+                let mut want = Vec::new();
+                scalar_scan(&accs, &tile, norms, col0, |i, d, j| {
+                    want.push((i, d.to_raw_u64(), j));
+                    stores[1].merge(row0 + i, d, j, &c);
+                });
+                assert_eq!(got, want, "block at ({row0}, {col0})");
+            }
+        }
+        let [(gd, gl), (wd, wl)] = stores.map(|s| s.snapshot());
+        assert_eq!(gl, wl);
+        let bits = |d: &[T]| d.iter().map(|v| v.to_raw_u64()).collect::<Vec<_>>();
+        assert_eq!(bits(&gd), bits(&wd));
+        // The kinds the rows were built for did occur.
+        assert!(wl.contains(&u32::MAX), "an all-NaN row");
+        assert!(
+            wd.iter().any(|&d| d.to_f64() == f64::INFINITY),
+            "an all-+Inf row"
+        );
+        assert!(
+            wd.iter().any(|&d| d.to_raw_u64() == f(-0.0).to_raw_u64()),
+            "a -0.0 win"
+        );
+    }
+
+    #[test]
+    fn lane_wise_epilogue_matches_the_scalar_scan() {
+        epilogue_matches_scalar_scan::<f32>(default_tile(Precision::Fp32), 150, 300);
+        epilogue_matches_scalar_scan::<f64>(default_tile(Precision::Fp64), 150, 300);
+        epilogue_matches_scalar_scan::<f64>(small_tile(), 37, 300);
     }
 
     #[test]

@@ -308,19 +308,22 @@ impl<T: Scalar> Server<T> {
             .registry
             .get(name)
             .ok_or_else(|| ServeError::UnknownModel(name.to_string()))?;
+        let direct =
+            !self.inner.config.batching() || queries.rows() >= self.inner.config.max_batch_rows;
         // Fail fast (and cheap) before queueing: a bad shape or a
         // non-finite query must neither cost a queue trip nor fail the
-        // requests coalesced with it.
-        model.validate_queries(queries)?;
+        // requests coalesced with it. A direct request gets the same
+        // verdict from `FittedModel::predict`'s own check.
+        if !direct || queries.rows() == 0 {
+            model.validate_queries(queries)?;
+        }
         if queries.rows() == 0 {
             return Ok(PredictResponse {
                 labels: Vec::new(),
                 coalesced_with: 1,
             });
         }
-        let out = if !self.inner.config.batching()
-            || queries.rows() >= self.inner.config.max_batch_rows
-        {
+        let out = if direct {
             self.session
                 .run(|| self.inner.serve_direct(name, &model, queries))
         } else {
@@ -728,6 +731,61 @@ mod tests {
             }
         );
         assert_eq!(server.stats().predict_requests, 0);
+    }
+
+    /// A rejected or empty request gets the same answer whether it would
+    /// run on the caller's thread (no window, or at least `max_batch_rows`
+    /// rows) or queue for the dispatcher, and is never counted as served.
+    #[test]
+    fn bad_and_empty_requests_answer_alike_on_both_paths() {
+        let window = |max_batch_rows| ServerConfig {
+            max_batch_rows,
+            max_delay_us: 10_000,
+            validate_batched: false,
+        };
+        let mut nan = blobs(4, 0);
+        nan.set(2, 3, f64::NAN);
+        let mut huge = blobs(4, 0);
+        huge.set(1, 0, 1e200);
+        let shape = |rows| {
+            Err(ServeError::KMeans(KMeansError::ShapeMismatch {
+                what: "samples",
+                expected: (rows, 4),
+                got: (rows, 7),
+            }))
+        };
+        let cases = [
+            (Matrix::<f64>::zeros(4, 7), shape(4)),
+            (Matrix::<f64>::zeros(0, 7), shape(0)),
+            (
+                nan,
+                Err(ServeError::KMeans(KMeansError::NonFinite {
+                    row: 2,
+                    col: 3,
+                })),
+            ),
+            (
+                huge,
+                Err(ServeError::KMeans(KMeansError::Overflow { row: 1 })),
+            ),
+            (
+                Matrix::<f64>::zeros(0, 4),
+                Ok(PredictResponse {
+                    labels: Vec::new(),
+                    coalesced_with: 1,
+                }),
+            ),
+        ];
+        // Direct without a window, direct by size, and queued.
+        for config in [ServerConfig::default(), window(2), window(4096)] {
+            let (session, registry) = serving_pair();
+            let server = Server::new(session, registry, config);
+            for (queries, want) in &cases {
+                assert_eq!(&server.predict("svc", queries), want, "{config:?}");
+            }
+            let stats = server.stats();
+            assert_eq!((stats.predict_requests, stats.dispatch_groups), (0, 0));
+        }
     }
 
     #[test]
