@@ -21,7 +21,7 @@
 //!   input or a device failure there is a `KMeansError` for the caller,
 //!   not a panic. `ftk-lint: allow(entry-unwrap)` marks audited invariants.
 //! * `label-unique` — kernel-launch labels (`launch_grid_labeled`,
-//!   `launch_labeled`) must be globally unique so
+//!   `launch_grid_scratch`, `launch_labeled`) must be globally unique so
 //!   sanitizer findings, trace phases and fault-campaign site attribution
 //!   are unambiguous. The `"kernel"` default used by unlabeled launches is
 //!   exempt.
@@ -315,7 +315,11 @@ fn lint_labels(
     labels: &mut HashMap<String, (String, usize)>,
     findings: &mut Vec<LintFinding>,
 ) {
-    const CALLS: [&str; 2] = ["launch_grid_labeled(", "launch_labeled("];
+    const CALLS: [&str; 3] = [
+        "launch_grid_labeled(",
+        "launch_grid_scratch(",
+        "launch_labeled(",
+    ];
     for (i, l) in lines.iter().enumerate() {
         if !CALLS.iter().any(|c| l.code.contains(c)) || l.code.contains("fn ") {
             continue;

@@ -31,24 +31,18 @@ pub enum CopyPath {
     AsyncBypass,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StageState {
-    /// Written and committed but not yet waited on.
-    InFlight,
-    /// Safe to read.
-    Ready,
-}
-
 /// A multi-stage software pipeline of A and B operand tiles.
 #[derive(Debug)]
 pub struct AsyncPipeline<T> {
     a: Vec<SharedTile<T>>,
     b: Vec<SharedTile<T>>,
-    state: Vec<StageState>,
-    /// FIFO of committed groups; each entry lists the stages in that group.
-    pending: VecDeque<Vec<usize>>,
+    /// Stages written and committed but not yet waited on (bit `s` is
+    /// stage `s`).
+    in_flight: u64,
+    /// FIFO of committed groups, each the bitmask of its stages.
+    pending: VecDeque<u64>,
     /// Stages copied since the last `commit_group`.
-    current_group: Vec<usize>,
+    current_group: u64,
     path: CopyPath,
 }
 
@@ -57,12 +51,13 @@ impl<T: Scalar> AsyncPipeline<T> {
     /// `tb_m x tb_k` and B tiles of `tb_n x tb_k`.
     pub fn new(k_stages: usize, tb_m: usize, tb_n: usize, tb_k: usize, path: CopyPath) -> Self {
         assert!(k_stages >= 2, "a pipeline needs at least 2 stages");
+        assert!(k_stages <= 64, "a pipeline holds at most 64 stages");
         AsyncPipeline {
             a: (0..k_stages).map(|_| SharedTile::new(tb_m, tb_k)).collect(),
             b: (0..k_stages).map(|_| SharedTile::new(tb_n, tb_k)).collect(),
-            state: vec![StageState::Ready; k_stages],
-            pending: VecDeque::new(),
-            current_group: Vec::new(),
+            in_flight: 0,
+            pending: VecDeque::with_capacity(k_stages),
+            current_group: 0,
             path,
         }
     }
@@ -100,8 +95,8 @@ impl<T: Scalar> AsyncPipeline<T> {
         fill_a(&mut self.a[stage]);
         fill_b(&mut self.b[stage]);
         counters.add_cp_async(2);
-        self.state[stage] = StageState::InFlight;
-        self.current_group.push(stage);
+        self.in_flight |= 1 << stage;
+        self.current_group |= 1 << stage;
     }
 
     /// Like [`AsyncPipeline::cp_async`] but additionally invokes `observe`
@@ -140,8 +135,8 @@ impl<T: Scalar> AsyncPipeline<T> {
     /// Commit all copies issued since the previous commit as one group
     /// (`cp.async.commit_group`).
     pub fn commit_group(&mut self) {
-        let group = std::mem::take(&mut self.current_group);
-        self.pending.push_back(group);
+        self.pending
+            .push_back(std::mem::take(&mut self.current_group));
     }
 
     /// Wait until at most `max_pending` committed groups remain in flight
@@ -149,31 +144,28 @@ impl<T: Scalar> AsyncPipeline<T> {
     pub fn wait_group(&mut self, max_pending: usize) {
         while self.pending.len() > max_pending {
             let group = self.pending.pop_front().expect("len checked");
-            for stage in group {
-                self.state[stage] = StageState::Ready;
-            }
+            self.in_flight &= !group;
         }
     }
 
     /// Read access to stage `stage`'s A tile. Panics if the stage is still
     /// in flight — the simulator's equivalent of a shared-memory data race.
     pub fn a(&self, stage: usize) -> &SharedTile<T> {
-        assert_eq!(
-            self.state[stage],
-            StageState::Ready,
-            "read of in-flight pipeline stage {stage}: missing cp.async.wait_group"
-        );
+        self.assert_ready(stage);
         &self.a[stage]
     }
 
     /// Read access to stage `stage`'s B tile (same discipline as `a`).
     pub fn b(&self, stage: usize) -> &SharedTile<T> {
-        assert_eq!(
-            self.state[stage],
-            StageState::Ready,
+        self.assert_ready(stage);
+        &self.b[stage]
+    }
+
+    fn assert_ready(&self, stage: usize) {
+        assert!(
+            self.in_flight & (1 << stage) == 0,
             "read of in-flight pipeline stage {stage}: missing cp.async.wait_group"
         );
-        &self.b[stage]
     }
 
     /// Number of committed groups not yet waited on.

@@ -1,71 +1,98 @@
-//! Cross-threadblock coordination primitives.
+//! Cross-threadblock argmin.
 //!
 //! The paper's V3/V4 kernels fuse the nearest-centroid reduction into the
-//! GEMM kernel by having each threadblock merge its partial row minima into
-//! a global result protected by per-row locks ("broadcast vector and atomic
-//! operation", §III-A4). [`ArgminStore`] models that structure: one slot per
-//! sample row holding the best (distance, centroid) pair seen so far.
+//! GEMM kernel: every threadblock merges its partial row minima into one
+//! global answer, under per-row locks ("broadcast vector and atomic
+//! operation", §III-A4). [`ArgminSlots`] keeps that merge's charge (one
+//! atomic per row and block) but needs no lock. Block `(bx, by)` stores its
+//! rows' `(distance, column)` minima into column block `bx`'s own slots, so
+//! every slot has exactly one writer. After the launch the host folds the
+//! column blocks in ascending order by [`takes`], the rule a lock-guarded
+//! merge applies. The answer so does not depend on block order, by
+//! construction, and with one column block the slots are the answer.
 
 use crate::counters::EventSink;
 use crate::scalar::Scalar;
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Per-row (distance, index) argmin accumulator shared by all threadblocks.
-#[derive(Debug)]
-pub struct ArgminStore<T> {
-    slots: Vec<Mutex<(T, u32)>>,
+/// True when candidate `(d, col)` replaces `best`: a smaller distance, or
+/// an equal one (`−0.0 == +0.0`) at a smaller column. NaN never replaces,
+/// and `(+∞, u32::MAX)` is the empty slot. Among non-NaN pairs of distinct
+/// columns this picks the minimum of a total order, so any merge order
+/// gives what a scan in column order gives, bits and ties included.
+#[inline(always)]
+pub fn takes<T: Scalar>(d: T, col: u32, best: (T, u32)) -> bool {
+    (d < best.0) | ((d == best.0) & (col < best.1))
 }
 
-impl<T: Scalar> ArgminStore<T> {
-    /// One slot per row, initialized to (+inf, u32::MAX).
-    pub fn new(rows: usize) -> Self {
-        let mut slots = Vec::with_capacity(rows);
-        slots.resize_with(rows, || Mutex::new((T::INFINITY, u32::MAX)));
-        ArgminStore { slots }
+/// Per-row `(distance, column)` minima of every column block of a launch:
+/// `rows` slots per column block, each written by the one block that owns
+/// it, all starting as the empty slot `(+∞, u32::MAX)`.
+pub struct ArgminSlots<T: Scalar> {
+    rows: usize,
+    dist: Vec<T::Cell>,
+    col: Vec<AtomicU32>,
+}
+
+impl<T: Scalar> ArgminSlots<T> {
+    /// Empty slots for `rows` rows of `col_blocks` column blocks (at least
+    /// one, so a launch with no columns still yields one empty pair a row).
+    pub fn new(rows: usize, col_blocks: usize) -> Self {
+        let n = rows * col_blocks.max(1);
+        ArgminSlots {
+            rows,
+            dist: (0..n).map(|_| T::cell(T::INFINITY)).collect(),
+            col: (0..n).map(|_| AtomicU32::new(u32::MAX)).collect(),
+        }
     }
 
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Merge a candidate (distance, index) for `row`. Equal distances keep
-    /// the smaller index so results are deterministic regardless of block
-    /// execution order.
-    pub fn merge<C: EventSink + ?Sized>(&self, row: usize, dist: T, idx: u32, counters: &C) {
+    /// Store column block `bx`'s minimum `(dist, col)` of `row`, charged
+    /// as one atomic (the merge it stands for). A plain (relaxed) store: the
+    /// slot has no other writer, and [`ArgminSlots::reduce`] takes `self`,
+    /// so it runs after the launch has joined every block (the executor's
+    /// completion count is an acquire-release counter), which orders every
+    /// store before the fold.
+    #[inline]
+    pub fn put<C: EventSink + ?Sized>(
+        &self,
+        bx: usize,
+        row: usize,
+        dist: T,
+        col: u32,
+        counters: &C,
+    ) {
         counters.add_atomic(1);
-        let mut slot = self.slots[row].lock();
-        if dist < slot.0 || (dist == slot.0 && idx < slot.1) {
-            *slot = (dist, idx);
-        }
+        let at = bx * self.rows + row;
+        T::store_cell(&self.dist[at], dist);
+        self.col[at].store(col, Ordering::Relaxed);
     }
 
-    /// Read one row's current winner.
-    pub fn get(&self, row: usize) -> (T, u32) {
-        *self.slots[row].lock()
-    }
-
-    /// Download all (distance, index) pairs.
-    pub fn snapshot(&self) -> (Vec<T>, Vec<u32>) {
-        let mut d = Vec::with_capacity(self.slots.len());
-        let mut i = Vec::with_capacity(self.slots.len());
-        for s in &self.slots {
-            let (dist, idx) = *s.lock();
-            d.push(dist);
-            i.push(idx);
+    /// Each row's winner over the column blocks, `(distances, columns)`:
+    /// column block 0's pair, replaced by block 1's where it [`takes`], and
+    /// so on in ascending order. A block's minimum is never NaN (its scan
+    /// starts at the empty slot), so starting at block 0 gives what
+    /// starting at the empty slot would; with one column block no fold runs.
+    pub fn reduce(self) -> (Vec<T>, Vec<u32>) {
+        let m = self.rows;
+        let mut dist: Vec<T> = self.dist.into_iter().map(|c| T::load_cell(&c)).collect();
+        let mut col: Vec<u32> = self.col.into_iter().map(AtomicU32::into_inner).collect();
+        if dist.len() > m {
+            let (best_d, rest_d) = dist.split_at_mut(m);
+            let (best_c, rest_c) = col.split_at_mut(m);
+            let blocks = rest_d.chunks_exact(m).zip(rest_c.chunks_exact(m));
+            for (d, c) in blocks {
+                for r in 0..m {
+                    if takes(d[r], c[r], (best_d[r], best_c[r])) {
+                        (best_d[r], best_c[r]) = (d[r], c[r]);
+                    }
+                }
+            }
+            dist.truncate(m);
+            dist.shrink_to_fit();
+            col.truncate(m);
+            col.shrink_to_fit();
         }
-        (d, i)
-    }
-
-    /// Reset every slot (between K-means iterations).
-    pub fn reset(&self) {
-        for s in &self.slots {
-            *s.lock() = (T::INFINITY, u32::MAX);
-        }
+        (dist, col)
     }
 }
 
@@ -77,54 +104,60 @@ mod tests {
     #[test]
     fn merge_keeps_minimum() {
         let c = Counters::new();
-        let store = ArgminStore::<f32>::new(2);
-        store.merge(0, 5.0, 3, &c);
-        store.merge(0, 2.0, 7, &c);
-        store.merge(0, 9.0, 1, &c);
-        assert_eq!(store.get(0), (2.0, 7));
-        assert_eq!(store.get(1), (f32::INFINITY, u32::MAX));
+        let slots = ArgminSlots::<f32>::new(2, 3);
+        slots.put(0, 0, 5.0, 3, &c);
+        slots.put(1, 0, 2.0, 7, &c);
+        slots.put(2, 0, 9.0, 11, &c);
+        let (d, i) = slots.reduce();
+        assert_eq!((d[0], i[0]), (2.0, 7));
+        assert_eq!((d[1], i[1]), (f32::INFINITY, u32::MAX));
+        assert_eq!(c.snapshot().atomic_ops, 3);
     }
 
     #[test]
     fn ties_break_to_smaller_index() {
         let c = Counters::new();
-        let store = ArgminStore::<f64>::new(1);
-        store.merge(0, 1.5, 9, &c);
-        store.merge(0, 1.5, 2, &c);
-        store.merge(0, 1.5, 5, &c);
-        assert_eq!(store.get(0), (1.5, 2));
+        let slots = ArgminSlots::<f64>::new(1, 3);
+        slots.put(0, 0, 1.5, 2, &c);
+        slots.put(1, 0, 1.5, 9, &c);
+        slots.put(2, 0, -0.0, 12, &c);
+        let one = ArgminSlots::<f64>::new(1, 2);
+        one.put(0, 0, 0.0, 4, &c);
+        one.put(1, 0, -0.0, 9, &c);
+        assert_eq!(slots.reduce(), (vec![-0.0], vec![12]));
+        let (d, i) = one.reduce();
+        assert_eq!(
+            (d[0].to_bits(), i[0]),
+            (0.0f64.to_bits(), 4),
+            "+0.0 at the smaller column"
+        );
     }
 
     #[test]
     fn concurrent_merges_find_global_min() {
         let c = Counters::new();
-        let store = ArgminStore::<f32>::new(4);
+        let slots = ArgminSlots::<f32>::new(4, 8);
         std::thread::scope(|s| {
             for t in 0..8u32 {
-                let store = &store;
-                let c = &c;
+                let (slots, c) = (&slots, &c);
                 s.spawn(move || {
                     for row in 0..4 {
-                        // thread t proposes distance (t xor row) so each row has
-                        // a unique minimum across threads
-                        store.merge(row, ((t ^ row as u32) + 1) as f32, t, c);
+                        // Column block t proposes distance (t xor row) + 1,
+                        // so each row has a unique minimum at t == row.
+                        slots.put(t as usize, row, ((t ^ row as u32) + 1) as f32, t, c);
                     }
                 });
             }
         });
-        for row in 0..4 {
-            let (d, idx) = store.get(row);
-            assert_eq!(d, 1.0, "row {row}");
-            assert_eq!(idx, row as u32); // t == row gives (t^row)+1 == 1
-        }
+        let (d, i) = slots.reduce();
+        assert_eq!(d, vec![1.0; 4]);
+        assert_eq!(i, vec![0, 1, 2, 3]);
     }
 
     #[test]
-    fn reset_restores_initial_state() {
-        let c = Counters::new();
-        let store = ArgminStore::<f32>::new(2);
-        store.merge(1, 0.5, 4, &c);
-        store.reset();
-        assert_eq!(store.get(1), (f32::INFINITY, u32::MAX));
+    fn no_column_blocks_reduce_to_empty_pairs() {
+        let (d, i) = ArgminSlots::<f32>::new(3, 0).reduce();
+        assert_eq!(d, vec![f32::INFINITY; 3]);
+        assert_eq!(i, vec![u32::MAX; 3]);
     }
 }

@@ -377,25 +377,50 @@ impl Executor {
     where
         F: Fn(&BlockCtx) + Sync,
     {
-        if !trace::active() {
-            return self.launch_inner(device, cfg, counters, label, kernel);
-        }
-        let before = counters.snapshot();
-        self.launch_inner(device, cfg, counters, label, kernel)?;
-        emit_launch_span(device, &cfg, counters, label, &before);
-        Ok(())
+        self.launch_scratch(device, cfg, counters, label, || (), |ctx, _| kernel(ctx))
     }
 
-    fn launch_inner<F>(
+    /// [`Executor::launch_labeled`] with per-worker block scratch: every
+    /// claimed chunk of blocks builds one `S` with `scratch()`, next to its
+    /// counter shard, and hands it to each of its blocks in turn. A kernel
+    /// that keeps its block state there (pipeline ring, accumulators)
+    /// allocates it once per chunk instead of once per block, and must
+    /// reset what it reads at block start: which blocks share a scratch
+    /// depends on the schedule.
+    pub fn launch_scratch<S, M, F>(
         &self,
         device: &DeviceProfile,
         cfg: LaunchConfig,
         counters: &Counters,
         label: &'static str,
+        scratch: M,
         kernel: F,
     ) -> Result<(), SimError>
     where
-        F: Fn(&BlockCtx) + Sync,
+        M: Fn() -> S + Sync,
+        F: Fn(&BlockCtx, &mut S) + Sync,
+    {
+        if !trace::active() {
+            return self.launch_inner(device, cfg, counters, label, scratch, kernel);
+        }
+        let before = counters.snapshot();
+        self.launch_inner(device, cfg, counters, label, scratch, kernel)?;
+        emit_launch_span(device, &cfg, counters, label, &before);
+        Ok(())
+    }
+
+    fn launch_inner<S, M, F>(
+        &self,
+        device: &DeviceProfile,
+        cfg: LaunchConfig,
+        counters: &Counters,
+        label: &'static str,
+        scratch: M,
+        kernel: F,
+    ) -> Result<(), SimError>
+    where
+        M: Fn() -> S + Sync,
+        F: Fn(&BlockCtx, &mut S) + Sync,
     {
         validate(device, &cfg)?;
         counters.add_launch();
@@ -406,6 +431,7 @@ impl Executor {
         let san = sanitizer::launch_begin(label);
         self.run_chunked(total, |start, end| {
             let sink = CounterSink::new(counters);
+            let mut scratch = scratch();
             for idx in start..end {
                 let (bx, by, bz) = cfg.grid.unlinear(idx);
                 let ctx = BlockCtx {
@@ -416,8 +442,10 @@ impl Executor {
                     device,
                 };
                 match &san {
-                    Some(sh) => sanitizer::with_block(sh, idx as u32, || kernel(&ctx)),
-                    None => kernel(&ctx),
+                    Some(sh) => {
+                        sanitizer::with_block(sh, idx as u32, || kernel(&ctx, &mut scratch))
+                    }
+                    None => kernel(&ctx, &mut scratch),
                 }
                 sink.flush();
             }

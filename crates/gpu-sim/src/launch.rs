@@ -6,12 +6,17 @@
 //! worker pool with chunked work stealing (see [`crate::exec::Executor`]).
 //! A kernel's result must not depend on that order. Each block writes its
 //! own disjoint output range (per-block partials), and a follow-up launch
-//! reduces the partials in block-index order; an order-invariant merge such
-//! as [`crate::atomics::ArgminStore`] may share a location across blocks.
-//! Integer atomics such as [`crate::GlobalBuffer::atomic_inc`] (on a
-//! `GlobalBuffer<u32>`) are order-invariant too. Device memory has no float atomic add, whose
-//! rounding would depend on arrival order, and plain stores to
-//! overlapping locations are a bug, as on hardware.
+//! reduces the partials in block-index order. The fused argmin is the same
+//! pattern: [`crate::atomics::ArgminSlots`] gives each column block its own
+//! slots and the host folds them in column-block order. Integer atomics
+//! such as [`crate::GlobalBuffer::atomic_inc`] (on a `GlobalBuffer<u32>`)
+//! are order-invariant and may share a location. Device memory has no float
+//! atomic add, whose rounding would depend on arrival order, and plain
+//! stores to overlapping locations are a bug, as on hardware.
+//!
+//! A kernel may keep its block state (pipeline ring, accumulators) in
+//! per-worker scratch ([`launch_grid_scratch`]): one instance per claimed
+//! chunk of blocks, reset by the kernel at every block start.
 
 use crate::counters::{CounterSink, Counters};
 use crate::device::DeviceProfile;
@@ -82,7 +87,8 @@ pub(crate) fn validate(device: &DeviceProfile, cfg: &LaunchConfig) -> Result<(),
 /// which honors the `FTK_EXEC=serial` / `FTK_WORKERS=N` environment knobs).
 ///
 /// The closure is invoked once per block with a fresh [`BlockCtx`]; any
-/// per-block state (pipelines, fragments) should be created inside it.
+/// per-block state (pipelines, fragments) is created inside it, or kept in
+/// per-worker scratch ([`launch_grid_scratch`]).
 /// Trace spans (when a sink is active) carry the generic label `"kernel"`;
 /// production kernels use [`launch_grid_labeled`] so the timeline and the
 /// phase profiler can name them.
@@ -110,7 +116,27 @@ pub fn launch_grid_labeled<F>(
 where
     F: Fn(&BlockCtx) + Sync,
 {
-    exec::with_current(|e| e.launch_labeled(device, cfg, counters, label, &kernel))
+    launch_grid_scratch(device, cfg, counters, label, || (), |ctx, _| kernel(ctx))
+}
+
+/// [`launch_grid_labeled`] with per-worker block scratch: each claimed
+/// chunk of blocks builds one `S` with `scratch()` and passes it to its
+/// blocks in turn, so a kernel allocates its block state once per chunk.
+/// The kernel resets what it reads at block start (see
+/// [`exec::Executor::launch_scratch`]).
+pub fn launch_grid_scratch<S, M, F>(
+    device: &DeviceProfile,
+    cfg: LaunchConfig,
+    counters: &Counters,
+    label: &'static str,
+    scratch: M,
+    kernel: F,
+) -> Result<(), SimError>
+where
+    M: Fn() -> S + Sync,
+    F: Fn(&BlockCtx, &mut S) + Sync,
+{
+    exec::with_current(|e| e.launch_scratch(device, cfg, counters, label, &scratch, &kernel))
 }
 
 #[cfg(test)]

@@ -57,7 +57,7 @@ pub use device::{DeviceProfile, Precision};
 pub use dim::Dim3;
 pub use error::SimError;
 pub use exec::{ExecPolicy, Executor};
-pub use launch::{launch_grid, launch_grid_labeled, BlockCtx, LaunchConfig};
+pub use launch::{launch_grid, launch_grid_labeled, launch_grid_scratch, BlockCtx, LaunchConfig};
 pub use matrix::Matrix;
 pub use memory::{Element, GlobalBuffer};
 pub use mma::{FaultHook, FragmentMma, MmaSite, NoFault};

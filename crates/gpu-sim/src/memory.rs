@@ -9,9 +9,10 @@
 //! the traffic counters charge. Loads and stores are relaxed atomics. There
 //! is no float `atomicAdd`: its rounding depends on arrival order, so
 //! kernels reduce per-block partials in block order instead (see
-//! [`crate::launch`]). The read-modify-write atomics are integer ones:
-//! [`GlobalBuffer::atomic_inc`] on a `GlobalBuffer<u32>` and the
-//! order-invariant [`crate::atomics::ArgminStore`].
+//! [`crate::launch`]). The one read-modify-write atomic is an integer one,
+//! [`GlobalBuffer::atomic_inc`] on a `GlobalBuffer<u32>`; the fused
+//! argmin's merge is a plain store into per-column-block slots
+//! ([`crate::atomics::ArgminSlots`]).
 //!
 //! Traffic accounting is explicit: kernels charge a [`crate::counters::EventSink`]
 //! (the launch's shared counters, or a worker-local sink inside kernels)
@@ -30,7 +31,10 @@
 //!   totals are identical to charging every element individually (u64 byte
 //!   addition is exact), so counter-based structural tests and the
 //!   serial-vs-parallel counter-identity invariant are agnostic to which
-//!   path a kernel uses.
+//!   path a kernel uses. [`GlobalBuffer::charge_run`] charges (and
+//!   sanitizer-checks) such a run without moving it, for a kernel that
+//!   stages a tile only to be charged for it and reads the values from a
+//!   copy staged once per launch.
 //!
 //! Both charge `size_of::<E>()` bytes per element, so a quantized code
 //! table shows its 2–4x traffic advantage over an fp32 table in the
@@ -271,6 +275,17 @@ impl<E: Element> GlobalBuffer<E> {
     pub fn store_run<C: EventSink + ?Sized>(&self, start: usize, vals: &[E], counters: &C) {
         counters.add_stored(std::mem::size_of_val::<[E]>(vals) as u64);
         self.write_range(start, vals);
+    }
+
+    /// Charge a contiguous run of `len` elements from `start` as
+    /// [`GlobalBuffer::load_run`] does, and show the sanitizer the same
+    /// load, without copying it anywhere.
+    #[inline]
+    pub fn charge_run<C: EventSink + ?Sized>(&self, start: usize, len: usize, counters: &C) {
+        counters.add_loaded((len * std::mem::size_of::<E>()) as u64);
+        if let Some(sh) = &self.shadow {
+            sanitizer::check_load(sh, start, len);
+        }
     }
 
     /// Download the whole buffer into a vector.
@@ -707,6 +722,16 @@ mod tests {
         check::<u8>();
         check::<u16>();
         check::<u32>();
+    }
+
+    #[test]
+    fn charge_run_charges_what_load_run_does() {
+        let buf = GlobalBuffer::<f64>::from_slice(&[1.5; 10]);
+        let (copied, charged) = (Counters::new(), Counters::new());
+        buf.load_run(2, &mut [0.0; 5], &copied);
+        buf.charge_run(2, 5, &charged);
+        assert_eq!(copied.snapshot(), charged.snapshot());
+        assert_eq!(charged.snapshot().bytes_loaded, 40);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests of the simulator substrate.
 
-use gpu_sim::atomics::ArgminStore;
+use gpu_sim::atomics::ArgminSlots;
 use gpu_sim::matrix::gemm_abt_reference;
 use gpu_sim::mma::checksum_dot;
 use gpu_sim::warp::frag_col_sums;
@@ -135,27 +135,52 @@ proptest! {
         prop_assert_eq!(buf.load(0), (threads * per_thread) as u32);
     }
 
-    /// ArgminStore finds the same winner as a sequential scan, for any
-    /// merge order.
+    /// ArgminSlots picks what one scan in column order picks, bits and
+    /// ties included, for any split of a row's columns into `bn` column
+    /// blocks that each store their own scan's minimum, in any store order:
+    /// ties, ±0.0, NaN and +∞ among the distances, and an all-NaN last row.
     #[test]
     fn argmin_store_matches_sequential(
-        dists in prop::collection::vec(0u32..1000, 1..60),
+        bn in 1usize..4,
+        width in 1usize..6,
+        codes in prop::collection::vec(0usize..6, 1..90),
     ) {
+        const VALUES: [f32; 6] = [0.0, -0.0, 1.0, 2.0, f32::NAN, f32::INFINITY];
+        let cols = bn * width;
+        let rows = codes.len().div_ceil(cols) + 1;
+        let dist = |r: usize, c: usize| {
+            if r + 1 == rows {
+                f32::NAN
+            } else {
+                VALUES[codes[(r * cols + c) % codes.len()]]
+            }
+        };
+        // Smallest distance, first column among equals; NaN never wins.
+        let scan = |r: usize, cs: std::ops::Range<usize>| {
+            cs.fold((f32::INFINITY, u32::MAX), |best, c| {
+                let d = dist(r, c);
+                if d < best.0 || (d == best.0 && (c as u32) < best.1) {
+                    (d, c as u32)
+                } else {
+                    best
+                }
+            })
+        };
         let c = Counters::new();
-        let store = ArgminStore::<f32>::new(1);
-        for (i, &d) in dists.iter().enumerate() {
-            store.merge(0, d as f32, i as u32, &c);
-        }
-        let (best_d, best_i) = store.get(0);
-        // sequential argmin with the same tie-break (smallest index)
-        let mut want = (f32::INFINITY, u32::MAX);
-        for (i, &d) in dists.iter().enumerate() {
-            let d = d as f32;
-            if d < want.0 || (d == want.0 && (i as u32) < want.1) {
-                want = (d, i as u32);
+        let slots = ArgminSlots::<f32>::new(rows, bn);
+        for bx in (0..bn).rev() {
+            for r in 0..rows {
+                let (d, j) = scan(r, bx * width..(bx + 1) * width);
+                slots.put(bx, r, d, j, &c);
             }
         }
-        prop_assert_eq!((best_d, best_i), want);
+        let (got_d, got_c) = slots.reduce();
+        for r in 0..rows {
+            let (d, j) = scan(r, 0..cols);
+            prop_assert_eq!((got_d[r].to_bits(), got_c[r]), (d.to_bits(), j));
+        }
+        prop_assert_eq!(got_c[rows - 1], u32::MAX);
+        prop_assert_eq!(c.snapshot().atomic_ops, (rows * bn) as u64);
     }
 
     /// GEMM reference transpose identity: (A·Bᵀ)ᵀ == B·Aᵀ.

@@ -1,15 +1,17 @@
 //! V3 — threadblock-level broadcast (§III-A4).
 //!
 //! The per-block partial minima are merged directly into a global result
-//! through per-row locks ("each threadblock needs to acquire the lock of a
-//! row before changing the assignment answer"), removing V2's second kernel
-//! entirely.
+//! ("each threadblock needs to acquire the lock of a row before changing the
+//! assignment answer"), removing V2's second kernel entirely. Each merge is
+//! charged as the paper's atomic, but lands as a plain store in its column
+//! block's own slot ([`ArgminSlots`]); the host folds the column blocks in
+//! order after the launch.
 
 use crate::assign::AssignmentResult;
 use crate::device_data::DeviceData;
-use crate::variants::gemm::{simt_gemm_driver, TB_M};
+use crate::variants::gemm::{simt_gemm_driver, TB_M, TB_N};
 use crate::variants::staged_block_row_min;
-use gpu_sim::atomics::ArgminStore;
+use gpu_sim::atomics::ArgminSlots;
 use gpu_sim::mma::FaultHook;
 use gpu_sim::{Counters, DeviceProfile, Scalar, SimError};
 
@@ -20,7 +22,7 @@ pub fn broadcast_assign<T: Scalar>(
     hook: &dyn FaultHook<T>,
     counters: &Counters,
 ) -> Result<AssignmentResult<T>, SimError> {
-    let store = ArgminStore::<T>::new(data.m);
+    let slots = ArgminSlots::<T>::new(data.m, data.k.div_ceil(TB_N));
     simt_gemm_driver(
         device,
         data,
@@ -40,11 +42,11 @@ pub fn broadcast_assign<T: Scalar>(
                 ctx.counters,
             );
             for (i, &(d, j)) in mins[..rows].iter().enumerate() {
-                store.merge(row0 + i, d, j, ctx.counters);
+                slots.put(ctx.bx, row0 + i, d, j, ctx.counters);
             }
         },
     )?;
-    let (distances, labels) = store.snapshot();
+    let (distances, labels) = slots.reduce();
     Ok(AssignmentResult { labels, distances })
 }
 

@@ -48,6 +48,28 @@ pub(crate) fn fill_tile_from_global<T: Scalar, C: EventSink + ?Sized>(
     counters.add_loaded(loaded * std::mem::size_of::<T>() as u64);
 }
 
+/// Charge what [`fill_tile_from_global`] charges for a `tile_rows`-row,
+/// `tile_cols`-column tile, and show the sanitizer the same loads, without
+/// copying: for a kernel that reads the values from a copy staged once per
+/// launch.
+pub(crate) fn charge_tile_from_global<T: Scalar, C: EventSink + ?Sized>(
+    (tile_rows, tile_cols): (usize, usize),
+    global: &GlobalBuffer<T>,
+    row0: usize,
+    k0: usize,
+    rows: usize,
+    cols: usize,
+    counters: &C,
+) {
+    if k0 >= cols {
+        return;
+    }
+    let run = tile_cols.min(cols - k0);
+    for gr in row0..(row0 + tile_rows).min(rows) {
+        global.charge_run(gr * cols + k0, run, counters);
+    }
+}
+
 /// SIMT threadblock GEMM slab: `acc[i][j] += Σ_k a[i][k]·b[j][k]` over the
 /// shared tiles' first `kk` columns, for the `tm x tn` active sub-tile of an
 /// accumulator laid out row-major with row stride `stride`. Fault hook
@@ -190,8 +212,9 @@ mod tests {
 
     #[test]
     fn tile_fill_bulk_charges_equal_per_element_accounting() {
-        // The bulk tile fill must charge exactly what a per-element
-        // `load_counted` walk of the same in-bounds region would.
+        // The bulk tile fill, and the charge-only one, must charge exactly
+        // what a per-element `load_counted` walk of the same in-bounds
+        // region would.
         let (rows, cols) = (5, 7);
         let global = GlobalBuffer::<f64>::from_slice(
             &(0..rows * cols).map(|i| i as f64).collect::<Vec<_>>(),
@@ -216,6 +239,13 @@ mod tests {
             }
             assert_eq!(bulk.snapshot(), per_elem.snapshot(), "at ({row0},{k0})");
             assert_eq!(tile.as_slice(), want.as_slice());
+            let charged = Counters::new();
+            charge_tile_from_global((3, 4), &global, row0, k0, rows, cols, &charged);
+            assert_eq!(
+                charged.snapshot(),
+                bulk.snapshot(),
+                "charge-only ({row0},{k0})"
+            );
         }
     }
 

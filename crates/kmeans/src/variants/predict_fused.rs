@@ -50,18 +50,30 @@ fn exact_row_distance<T: Scalar>(x: &[T], fp: &[T], j: usize, dim: usize) -> T {
 }
 
 /// [`exact_row_distance`] of eight (sample row, centroid row) pairs at
-/// once: eight independent chains, each summed in that function's order,
-/// so every distance has its bits and the chains overlap in the pipeline
-/// instead of waiting on one another's adds.
+/// once, each summed in that function's order, so every distance has its
+/// bits. The squared differences of a run of `k` are computed row by row
+/// (contiguous, so they vectorise) into a `k`-major scratch, where each
+/// `k`'s eight terms sit side by side and the eight running sums take them
+/// as one vector add.
 #[inline]
 fn exact_distances8<T: Scalar>(x: [&[T]; 8], c: [&[T]; 8]) -> [T; 8] {
+    const RUN: usize = 16;
     let n = x[0].len();
-    let (x, c) = (x.map(|r| &r[..n]), c.map(|r| &r[..n]));
     let mut acc = [T::ZERO; 8];
-    for k in 0..n {
+    let mut sq = [[T::ZERO; 8]; RUN];
+    for k0 in (0..n).step_by(RUN) {
+        let run = RUN.min(n - k0);
         for l in 0..8 {
-            let diff = x[l][k] - c[l][k];
-            acc[l] += diff * diff;
+            let (xr, cr) = (&x[l][k0..k0 + run], &c[l][k0..k0 + run]);
+            for (terms, (&xv, &cv)) in sq.iter_mut().zip(xr.iter().zip(cr)) {
+                let diff = xv - cv;
+                terms[l] = diff * diff;
+            }
+        }
+        for terms in &sq[..run] {
+            for (a, &t) in acc.iter_mut().zip(terms) {
+                *a += t;
+            }
         }
     }
     acc
@@ -189,6 +201,10 @@ pub fn predict_fused_assign<T: Scalar>(
         // evaluated (`evald[j] == 1`), else a lower bound on it.
         let mut dlb = ScratchBuf::<f64, 64>::filled(k, 0.0);
         let mut evald = ScratchBuf::<u8, 64>::filled(k, 0);
+        // Plain slices for the per-sample loops, so they vectorise.
+        let (dlb, evald) = (&mut dlb[..], &mut evald[..]);
+        let (qn64, sq64) = (&qn64[..], &sq64[..]);
+        let rel_slack = margin.rel_slack;
         let mut fallbacks = 0u64;
         let mut accepted_n = 0u64;
         let mut dots_n = 0u64;
@@ -205,12 +221,12 @@ pub fn predict_fused_assign<T: Scalar>(
             // own slack budgets 4× that), so a bound never lands above the
             // scan distance it stands in for; the clamp keeps a valid (the
             // true value is a squared norm) bound finite-math friendly.
-            for j in 0..k {
-                let mag = xnf + qn64[j];
-                let lb = mag - 2.0 * sxn * sq64[j] - margin.rel_slack * mag.abs();
-                dlb[j] = lb.max(0.0);
-                evald[j] = 0;
+            for ((d, &q), &sq) in dlb.iter_mut().zip(qn64).zip(sq64) {
+                let mag = xnf + q;
+                let lb = mag - 2.0 * sxn * sq - rel_slack * mag.abs();
+                *d = lb.max(0.0);
             }
+            evald.fill(0);
             // Evaluate the most promising row, then lazily refine: the
             // margin's runner-up only needs to LOWER-BOUND every other
             // row's scan distance, so unevaluated rows stand in with their
